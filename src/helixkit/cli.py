@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from . import quadratic as qa
 from .bundles import ChernVector, Triad, hom_dims, mutate_triad_left, mutate_triad_right
-from .errors import NotMutable, UnsupportedD
+from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
 from .helix import (
     Seed,
     check_positivity,
@@ -387,7 +387,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 66
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError,
+            DimensionCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
 

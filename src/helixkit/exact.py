@@ -1,5 +1,6 @@
 """Exact arithmetic foundation: rationals, quadratic surds, truncated power
-series, and dense/sparse linear algebra over the rationals.
+series, and linear algebra over the rationals on one sparse elimination
+kernel.
 
 Everything here is pure and immutable. No operation constructs a float; the
 only decimal output is the string produced by :func:`surd_to_decimal`, and
@@ -15,10 +16,6 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import ColumnMismatch, RadicandMismatch, ZeroConstantTerm
-
-#: Arbitrary-precision rational type used throughout the package. Always
-#: stored reduced with a positive denominator; comparison is a total order.
-BigRational = Fraction
 
 _ORDER_CAP = 512
 
@@ -100,11 +97,6 @@ class TruncatedSeries:
                     acc += c[k] * out[n - k]
             out.append(-inv0 * acc)
         return TruncatedSeries(out)
-
-
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo t^(order+1); requires c_0 != 0."""
-    return s.inverse()
 
 
 def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
@@ -274,24 +266,6 @@ class SurdValue:
         return f"{self.a} {op} {tail}"
 
 
-def surd_arith(x: SurdValue, y: SurdValue, op: str):
-    """Field arithmetic and exact comparison dispatch for surds.
-
-    op is one of add, sub, mul, div, compare; compare returns -1, 0 or 1.
-    """
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "compare":
-        return (x - y)._sign()
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def _floor_surd(v: SurdValue) -> int:
     """Exact floor. Uses an isqrt estimate, then corrects by exact comparison."""
     if v.b == 0:
@@ -372,50 +346,25 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def stack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.cols:
-            raise ColumnMismatch("cannot stack matrices with different widths")
-        return RationalMatrix(
-            self.rows + other.rows, self.cols, self.entries + other.entries
-        )
-
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row echelon form and the pivot column list.
 
-        Pivot selection takes, within each column, the candidate entry with
-        the largest absolute numerator (first row on ties) for determinism.
+        Pivot rows come first in column order, then the zero rows.
         """
-        work = self.row_lists()
-        pivots: list[int] = []
-        rank = 0
-        for c in range(self.cols):
-            best = None
-            for r in range(rank, self.rows):
-                e = work[r][c]
-                if e != 0 and (best is None or abs(e.numerator) > best[0]):
-                    best = (abs(e.numerator), r)
-            if best is None:
-                continue
-            r = best[1]
-            work[rank], work[r] = work[r], work[rank]
-            pv = work[rank][c]
-            work[rank] = [x / pv for x in work[rank]]
-            for rr in range(self.rows):
-                if rr != rank and work[rr][c] != 0:
-                    f = work[rr][c]
-                    work[rr] = [x - f * y for x, y in zip(work[rr], work[rank])]
-            pivots.append(c)
-            rank += 1
-            if rank == self.rows:
-                break
-        flat = [e for r in work for e in r]
-        return RationalMatrix(self.rows, self.cols, flat), pivots
+        pivots = _echelon(_dense_to_sparse(self))
+        order = sorted(pivots)
+        for c in reversed(order):
+            piv = pivots[c]
+            for row in pivots.values():
+                if row is not piv and c in row:
+                    _subtract(row, c, piv)
+        zero = Fraction(0)
+        flat = [pivots[c].get(j, zero) for c in order for j in range(self.cols)]
+        flat += [zero] * ((self.rows - len(order)) * self.cols)
+        return RationalMatrix(self.rows, self.cols, flat), order
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return _sparse_rank(_dense_to_sparse(self))
 
 
 def matrix_kernel(m: RationalMatrix) -> RationalMatrix:
@@ -446,14 +395,34 @@ def annihilator(m: RationalMatrix, ambient_dim: int) -> RationalMatrix:
     return matrix_kernel(m)
 
 
-def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    """Rank of a set of sparse rows via forward elimination.
+def _subtract(row: dict[int, Fraction], c: int, piv: dict[int, Fraction]) -> None:
+    """row -= row[c] * piv in place, for a pivot row with piv[c] == 1.
 
-    Pivot on each row's least column; rows with tiny support (the tensor
-    spreads) stay tiny throughout, which keeps this near linear.
+    Clears column c of row and drops the entries that cancel.
+    """
+    f = row.pop(c)
+    for k, v in piv.items():
+        if k == c:
+            continue
+        old = row.get(k)
+        if old is None:
+            row[k] = -f * v
+            continue
+        nv = old - f * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+
+
+def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Forward elimination of sparse rows: pivot column -> row scaled to 1 there.
+
+    Pivot on each row's least column, so every pivot row is zero left of its
+    pivot; rows with tiny support (the tensor spreads) stay tiny throughout,
+    which keeps this near linear.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
     for raw in rows:
         row = {c: v for c, v in raw.items() if v != 0}
         while row:
@@ -462,18 +431,14 @@ def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
             if piv is None:
                 inv = 1 / row[c]
                 pivots[c] = {k: v * inv for k, v in row.items()}
-                rank += 1
                 break
-            f = row.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                nv = row.get(k, Fraction(0)) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-    return rank
+            _subtract(row, c, piv)
+    return pivots
+
+
+def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
+    """Rank of a set of sparse rows."""
+    return len(_echelon(rows))
 
 
 def _dense_to_sparse(m: RationalMatrix) -> Iterable[dict[int, Fraction]]:
@@ -501,5 +466,6 @@ def row_space_equal(a: RationalMatrix, b: RationalMatrix) -> bool:
     """Exact equality of row spaces (not just of dimensions)."""
     if a.cols != b.cols:
         raise ColumnMismatch("row spaces live in different ambient dimensions")
-    ra, rb = a.rank(), b.rank()
-    return ra == rb and a.stack(b).rank() == ra
+    ra, pa = a.rref()
+    rb, pb = b.rref()
+    return pa == pb and ra.entries[: len(pa) * a.cols] == rb.entries[: len(pb) * b.cols]

@@ -43,6 +43,20 @@ def _dim_cap() -> int:
     return int(raw) if raw is not None else _DEFAULT_CAP
 
 
+def _json_int(value, what: str) -> int:
+    """An integer field of presentation JSON; bools and floats are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_entry(value) -> Fraction:
+    """A relation entry of presentation JSON: a "p/q" string, never a number."""
+    if not isinstance(value, str):
+        raise ValueError(f"relation entries must be 'p/q' strings, got {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class QuadraticPresentation:
     """period, generator dims per index, and relation rows per index.
@@ -94,20 +108,20 @@ class QuadraticPresentation:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuadraticPresentation":
-        period = doc["period"]
-        gen_dims = tuple(doc["gen_dims"])
-        if not isinstance(period, int) or period < 1:
+        period = _json_int(doc["period"], "period")
+        gen_dims = tuple(_json_int(g, "gen_dims entry") for g in doc["gen_dims"])
+        if period < 1:
             raise ValueError("period must be a positive integer")
         if len(gen_dims) != period:
             raise ValueError("gen_dims length must equal the period")
         by_index: dict[int, list[list[Fraction]]] = {}
         for item in doc.get("relations", []):
-            i = item["index"]
-            if not isinstance(i, int) or not 0 <= i < period:
+            i = _json_int(item["index"], "relation index")
+            if not 0 <= i < period:
                 raise ValueError(f"relation index {i} out of range")
             if i in by_index:
                 raise ValueError(f"duplicate relation block for index {i}")
-            by_index[i] = [[Fraction(s) for s in row] for row in item["rows"]]
+            by_index[i] = [[_json_entry(s) for s in row] for row in item["rows"]]
         rels = []
         for i in range(period):
             ambient = gen_dims[i] * gen_dims[(i + 1) % period]
@@ -228,33 +242,32 @@ class WitnessReport:
         return [(e.j, e.q) for e in self.entries if not e.ok]
 
 
+def _alternating_report(period: int, bound: int, dual_dim, prim_dim) -> WitnessReport:
+    """Each sum_l (-1)^l dual_dim(j, l) prim_dim(j + l, n - l) must be delta_{n,0}."""
+    entries = []
+    for j in range(period):
+        for n in range(bound + 1):
+            s = sum(
+                (-1) ** l * dual_dim(j, l) * prim_dim(j + l, n - l)
+                for l in range(n + 1)
+            )
+            entries.append(WitnessEntry(j, j + n, int(s), s == (1 if n == 0 else 0)))
+    return WitnessReport(tuple(entries))
+
+
 def _witness_presentation(p: QuadraticPresentation, bound: int) -> WitnessReport:
     dual = koszul_dual(p)
     prim = degree_dims(p, bound)
     dual_dims = degree_dims(dual, bound)
-    entries = []
-    for j in range(p.period):
-        for n in range(bound + 1):
-            s = sum(
-                (-1) ** l * dual_dims.dim(j, l) * prim.dim(j + l, n - l)
-                for l in range(n + 1)
-            )
-            entries.append(WitnessEntry(j, j + n, s, s == (1 if n == 0 else 0)))
-    return WitnessReport(tuple(entries))
+    return _alternating_report(p.period, bound, dual_dims.dim, prim.dim)
 
 
 def _witness_model(model: "EquigenModel", bound: int) -> WitnessReport:
     a = hilbert_A(model, max(3, bound)).coeffs
     profile = (1, model.d, model.d, 1)
-    entries = []
-    for j in range(3):
-        for n in range(bound + 1):
-            s = sum(
-                (-1) ** l * profile[l] * a[n - l]
-                for l in range(min(n, 3) + 1)
-            )
-            entries.append(WitnessEntry(j, j + n, int(s), s == (1 if n == 0 else 0)))
-    return WitnessReport(tuple(entries))
+    return _alternating_report(
+        3, bound, lambda j, l: profile[l] if l < 4 else 0, lambda i, n: a[n]
+    )
 
 
 def koszulity_witness(p, bound: int) -> WitnessReport:

@@ -196,6 +196,38 @@ def test_koszul_dual_malformed_is_65(capsys, tmp_path):
     assert run(capsys, "koszul-dual", str(schema))[0] == 65
 
 
+def test_koszul_dual_dim_cap_is_65(capsys, tmp_path, monkeypatch):
+    src = tmp_path / "sym2.json"
+    src.write_text(json.dumps(SYM2_DOC))
+    monkeypatch.setenv("HELIXKIT_DIM_CAP", "3")
+    code, _, err = run(capsys, "koszul-dual", str(src), "--dims", "3")
+    assert code == 65
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**SYM2_DOC, "relations": [{"index": 0, "rows": [["0", "1/0", "-1", "0"]]}]},
+        {**SYM2_DOC, "relations": [{"index": 0, "rows": [[0.1, "1", "-1", "0"]]}]},
+        {**SYM2_DOC, "relations": [{"index": 0, "rows": [[0, "1", "-1", "0"]]}]},
+        {**SYM2_DOC, "relations": [{"index": 0, "rows": [[True, "1", "-1", "0"]]}]},
+        {**SYM2_DOC, "period": True},
+        {"period": 1, "gen_dims": [True], "relations": [{"index": 0, "rows": [["1"]]}]},
+        {**SYM2_DOC, "relations": [{"index": False, "rows": [["0", "1", "-1", "0"]]}]},
+    ],
+    ids=["zero-denominator", "float-entry", "int-entry", "bool-entry", "bool-period",
+         "bool-gen-dim", "bool-index"],
+)
+def test_koszul_dual_bad_document_is_65(capsys, tmp_path, doc):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "koszul-dual", str(src))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ----------------------------------------------------------------- limits
 
 

@@ -16,13 +16,12 @@ from helixkit.exact import (
     RationalMatrix,
     SurdValue,
     TruncatedSeries,
+    _sparse_rank,
     annihilator,
     matrix_kernel,
     row_space_equal,
-    series_inverse,
     series_mul,
     subspace_sum_dim,
-    surd_arith,
     surd_to_decimal,
 )
 
@@ -37,22 +36,22 @@ INV_5 = (1, 5, 20, 76, 285, 1065, 3976, 14840, 55385, 206701, 771420)
 
 def test_inverse_geometric():
     s = TruncatedSeries([1, -1]).with_order(4)
-    assert series_inverse(s).coeffs == (1, 1, 1, 1, 1)
+    assert s.inverse().coeffs == (1, 1, 1, 1, 1)
 
 
 def test_inverse_cubic_denominator_frozen():
     s = TruncatedSeries([1, -5, 5, -1]).with_order(10)
-    assert series_inverse(s).coeffs == INV_5
+    assert s.inverse().coeffs == INV_5
 
 
 def test_inverse_of_one():
     s = TruncatedSeries([1]).with_order(6)
-    assert series_inverse(s).coeffs == (1, 0, 0, 0, 0, 0, 0)
+    assert s.inverse().coeffs == (1, 0, 0, 0, 0, 0, 0)
 
 
 def test_inverse_requires_constant_term():
     with pytest.raises(ZeroConstantTerm):
-        series_inverse(TruncatedSeries([0, 1, 2]))
+        TruncatedSeries([0, 1, 2]).inverse()
 
 
 def test_mul_telescopes():
@@ -63,7 +62,7 @@ def test_mul_telescopes():
 
 def test_mul_against_inverse_is_one():
     s = TruncatedSeries([1, -5, 5, -1]).with_order(10)
-    assert series_mul(s, series_inverse(s)).coeffs == (1,) + (0,) * 10
+    assert series_mul(s, s.inverse()).coeffs == (1,) + (0,) * 10
 
 
 def test_mul_by_one_minus_t_cubed():
@@ -90,7 +89,7 @@ def test_series_order_cap():
 )
 def test_inverse_roundtrip_property(tail, c0):
     s = TruncatedSeries([c0] + tail)
-    prod = series_mul(s, series_inverse(s))
+    prod = series_mul(s, s.inverse())
     assert prod.coeffs == (1,) + (0,) * s.order
 
 
@@ -112,8 +111,8 @@ def test_rationalize_division():
 
 def test_compare_examples():
     x = SurdValue(4, -1, 12)
-    assert surd_arith(x, SurdValue(1, 0, 12), "compare") < 0
-    assert surd_arith(x, SurdValue(0, 0, 12), "compare") > 0
+    assert x < SurdValue(1, 0, 12)
+    assert x > SurdValue(0, 0, 12)
 
 
 def test_perfect_square_radicand_collapses():
@@ -175,7 +174,7 @@ def test_surd_field_axioms(a1, b1, a2, b2, a3, b3):
 @given(surd_parts, surd_parts, surd_parts, surd_parts)
 def test_surd_compare_agrees_with_decimals(a1, b1, a2, b2):
     x, y = SurdValue(a1, b1, 13), SurdValue(a2, b2, 13)
-    c = surd_arith(x, y, "compare")
+    c = (x - y)._sign()
     diff = surd_to_decimal(x - y, 30)
     zero = "0." + "0" * 30
     if c == 0:
@@ -217,6 +216,54 @@ def test_decimal_digit_bounds():
 
 
 # ---------------------------------------------------------------- matrices
+
+
+def test_rref_frozen():
+    # frozen: hand-worked; the third row is the sum of the first two
+    m = RationalMatrix.from_rows([[2, 1, 1, 1], [4, 2, 3, 0], [6, 3, 4, 1]])
+    red, pivots = m.rref()
+    assert pivots == [0, 2]
+    assert red == RationalMatrix.from_rows(
+        [[1, F(1, 2), 0, F(3, 2)], [0, 0, 1, -2], [0, 0, 0, 0]]
+    )
+
+
+pq_entries = st.builds(
+    F, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_rref_is_canonical(rows, cols, data):
+    n = rows * cols
+    entries = data.draw(st.lists(pq_entries, min_size=n, max_size=n))
+    m = RationalMatrix(rows, cols, entries)
+    red, pivots = m.rref()
+    assert (red.rows, red.cols) == (rows, cols)
+    assert pivots == sorted(set(pivots))
+    for k in range(rows):
+        row = red.row(k)
+        if k >= len(pivots):
+            assert not any(row)
+            continue
+        pc = pivots[k]
+        assert row[pc] == 1 and not any(row[:pc])
+        assert all(red.entry(i, pc) == 0 for i in range(rows) if i != k)
+    sparse = ({j: e for j, e in enumerate(m.row(i)) if e} for i in range(rows))
+    assert len(pivots) == _sparse_rank(sparse)
+    order = data.draw(st.permutations(range(rows)))
+    scales = data.draw(
+        st.lists(pq_entries.filter(bool), min_size=rows, max_size=rows)
+    )
+    moved = RationalMatrix.from_rows(
+        [[scales[k] * e for e in m.row(i)] for k, i in enumerate(order)], cols=cols
+    )
+    assert moved.rref() == (red, pivots)
 
 
 def test_kernel_of_identity_is_empty():
@@ -340,7 +387,7 @@ def test_double_annihilator_restores_row_space(rows, cols, data):
 
 
 def test_no_floats_in_results():
-    s = series_inverse(TruncatedSeries([1, -5, 5, -1]).with_order(8))
+    s = TruncatedSeries([1, -5, 5, -1]).with_order(8).inverse()
     assert all(isinstance(c, (int, Fraction)) for c in s.coeffs)
     v = SurdValue(1, 1, 12) * SurdValue(2, -3, 12)
     assert isinstance(v.a, Fraction) and isinstance(v.b, Fraction)
