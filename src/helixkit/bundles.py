@@ -24,8 +24,9 @@ class ChernVector:
     degree: int
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or not isinstance(self.degree, int):
-            raise TypeError("rank and degree must be integers")
+        for v in (self.rank, self.degree):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError("rank and degree must be integers")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
 

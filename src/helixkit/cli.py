@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 mutation impossible, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import re
@@ -223,6 +224,10 @@ def _run_koszul_dual(args) -> int:
         doc = json.load(fh)
     pres = qa.QuadraticPresentation.from_json_dict(doc)
     dual = qa.koszul_dual(pres)
+    # everything that can fail runs before the first byte of the report
+    double_dual = qa.double_dual_check(pres) if args.check_double_dual else None
+    dims = qa.degree_dims(dual, args.dims) if args.dims is not None else None
+    rep = qa.koszulity_witness(pres, args.witness) if args.witness is not None else None
     rendered = json.dumps(dual.to_json_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -230,14 +235,12 @@ def _run_koszul_dual(args) -> int:
     else:
         print(rendered)
     failed = False
-    if args.check_double_dual:
-        ok = qa.double_dual_check(pres)
-        print("double-dual: PASS" if ok else "double-dual: FAIL")
-        failed = failed or not ok
-    if args.dims is not None:
-        sys.stdout.write(qa.degree_dims(dual, args.dims).to_csv())
-    if args.witness is not None:
-        rep = qa.koszulity_witness(pres, args.witness)
+    if double_dual is not None:
+        print("double-dual: PASS" if double_dual else "double-dual: FAIL")
+        failed = not double_dual
+    if dims is not None:
+        sys.stdout.write(dims.to_csv())
+    if rep is not None:
         if rep.passed:
             print("koszulity-witness: PASS")
         else:
@@ -332,6 +335,15 @@ def _verify_checks(ds, horizon, samples, rng):
                 return False, f"d={d}, first at j={j}, q={q}"
         for n in (1, 2, 3):
             pres, _ = qa.classical_euler_fixture(n)
+            for side, p in (("", pres), (" dual", qa.koszul_dual(pres))):
+                fast = qa.degree_dims(p, n + 1).dims
+                slow = qa._ambient_degree_dims(p, n + 1).dims
+                for i, deg in itertools.product(range(p.period), range(n + 2)):
+                    if fast[i][deg] != slow[i][deg]:
+                        return False, (
+                            f"fixture n={n}{side}, dim at i={i}, degree {deg}: "
+                            f"quotient route {fast[i][deg]}, ambient route {slow[i][deg]}"
+                        )
             rep = qa.koszulity_witness(pres, n + 2)
             if not rep.passed:
                 j, q = rep.failures()[0]

@@ -23,6 +23,8 @@ _ORDER_CAP = 512
 def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floating-point input is not accepted")
+    if isinstance(x, bool):
+        raise TypeError("boolean input is not accepted")
     return Fraction(x)
 
 
@@ -352,12 +354,7 @@ class RationalMatrix:
         Pivot rows come first in column order, then the zero rows.
         """
         pivots = _echelon(_dense_to_sparse(self))
-        order = sorted(pivots)
-        for c in reversed(order):
-            piv = pivots[c]
-            for row in pivots.values():
-                if row is not piv and c in row:
-                    _subtract(row, c, piv)
+        order = _back_substitute(pivots)
         zero = Fraction(0)
         flat = [pivots[c].get(j, zero) for c in order for j in range(self.cols)]
         flat += [zero] * ((self.rows - len(order)) * self.cols)
@@ -434,6 +431,22 @@ def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fractio
                 break
             _subtract(row, c, piv)
     return pivots
+
+
+def _back_substitute(pivots: dict[int, dict[int, Fraction]]) -> list[int]:
+    """Turn the output of _echelon into reduced echelon form, in place.
+
+    Every pivot row ends up zero in every other pivot column. Returns the
+    pivot columns in increasing order. Rows are reduced from the last pivot
+    back, so each row is cleared only against rows already reduced, and those
+    add no pivot columns back.
+    """
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            _subtract(row, k, pivots[k])
+    return order
 
 
 def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:

@@ -21,7 +21,7 @@ from .errors import (
     TableTooShort,
     UnsupportedD,
 )
-from .exact import SurdValue, surd_to_decimal
+from .exact import SurdValue, _frac, surd_to_decimal
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class Seed:
     mu1: Fraction
 
     def __init__(self, mu0, mu1p, mu1):
-        mu0, mu1p, mu1 = Fraction(mu0), Fraction(mu1p), Fraction(mu1)
+        mu0, mu1p, mu1 = _frac(mu0), _frac(mu1p), _frac(mu1)
         if not mu0 < mu1p < mu1:
             raise InvalidSeed(f"slopes must increase strictly: {mu0}, {mu1p}, {mu1}")
         object.__setattr__(self, "mu0", mu0)

@@ -3,11 +3,12 @@
 A presentation fixes generator dimensions g_0..g_{p-1} (indices read modulo
 p) and, per index, a matrix of relation rows inside the g_i * g_{i+1} tensor
 square. Everything downstream is exact linear algebra on those rows: the
-dual presentation annihilates them, degree dimensions subtract the rank of
-their spreads, and the witness report folds both dimension tables into an
-alternating sum that must hit a delta. A parallel series model covers the
-equigenerated family where only dimensions, not relation spaces, are pinned
-down by the defining data d.
+dual presentation annihilates them, degree dimensions grow one degree at a
+time on the quotient side (each step eliminates only the new relations
+against a normal form of the previous degree), and the witness report folds
+both dimension tables into an alternating sum that must hit a delta. A
+parallel series model covers the equigenerated family where only
+dimensions, not relation spaces, are pinned down by the defining data d.
 
 The dual basis pairing used throughout is the coordinatewise one on tensor
 squares: <f (x) g, u (x) w> = f(u) g(w), with factor order preserved.
@@ -19,7 +20,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, prod
+from operator import mul
 from typing import NamedTuple
 
 from .bundles import ChernVector, euler_pairing
@@ -27,6 +30,8 @@ from .errors import DimensionCapExceeded, UnsupportedD
 from .exact import (
     RationalMatrix,
     TruncatedSeries,
+    _back_substitute,
+    _echelon,
     _sparse_rank,
     annihilator,
     first_series_mismatch,
@@ -36,11 +41,20 @@ from .exact import (
 from .helix import Seed, invariants_from_seed
 
 _DEFAULT_CAP = 10**6
+# the unit coordinate of a basis word in a normal-form map, tested by identity
+_ONE = Fraction(1)
 
 
 def _dim_cap() -> int:
     raw = os.environ.get("HELIXKIT_DIM_CAP")
     return int(raw) if raw is not None else _DEFAULT_CAP
+
+
+def _require_under_cap(ambient: int, cap: int, i: int, n: int) -> None:
+    if ambient > cap:
+        raise DimensionCapExceeded(
+            f"tensor dimension {ambient} at index {i}, degree {n} exceeds cap {cap}"
+        )
 
 
 def _json_int(value, what: str) -> int:
@@ -72,12 +86,12 @@ class QuadraticPresentation:
     def __init__(self, period, gen_dims, relations):
         gen_dims = tuple(gen_dims)
         relations = tuple(relations)
-        if not isinstance(period, int) or period < 1:
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise ValueError("period must be a positive integer")
         if len(gen_dims) != period or len(relations) != period:
             raise ValueError("need one generator dim and one relation matrix per index")
         for g in gen_dims:
-            if not isinstance(g, int) or g < 1:
+            if not isinstance(g, int) or isinstance(g, bool) or g < 1:
                 raise ValueError("generator dims must be positive integers")
         for i, rel in enumerate(relations):
             ambient = gen_dims[i] * gen_dims[(i + 1) % period]
@@ -185,12 +199,12 @@ def _spread_rows(p: QuadraticPresentation, i: int, n: int):
                     yield {base + c * suf + w: v for c, v in support}
 
 
-def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
-    """Exact dimension of every quotient component up to the given length.
+def _ambient_degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
+    """degree_dims by the ambient route: tensor dimension minus spread rank.
 
-    Each cell is the full tensor dimension minus the rank of the stacked
-    relation spreads. Ambient tensor dimensions above the HELIXKIT_DIM_CAP
-    environment value (default 10**6) are refused rather than attempted.
+    It shares no step with degree_dims but the elimination kernel, and its
+    cost follows the full tensor power, so it serves only as the independent
+    cross-check of the quotient route (verify and the tests compare them).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -200,15 +214,91 @@ def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
         row = []
         for n in range(max_degree + 1):
             ambient = prod(p.gen_dims[(i + k) % p.period] for k in range(n))
-            if ambient > cap:
-                raise DimensionCapExceeded(
-                    f"tensor dimension {ambient} at index {i}, degree {n} "
-                    f"exceeds cap {cap}"
-                )
+            _require_under_cap(ambient, cap, i, n)
             if n < 2:
                 row.append(ambient)
                 continue
             row.append(ambient - _sparse_rank(_spread_rows(p, i, n)))
+        table.append(tuple(row))
+    return DimTable(p.period, max_degree, tuple(table))
+
+
+def _quotient_step(nf, rel: RationalMatrix, lower: int, upper: int, g: int, need_map: bool):
+    """One degree of the quotient recursion A_n = coker(A_{n-2} (x) R -> A_{n-1} (x) V).
+
+    lower and upper are dim A_{n-2} and dim A_{n-1}, g the dimension of the
+    last generator space V, and rel the relations between the last two
+    generator spaces. nf[c * g' + a] holds the word (basis element c of
+    A_{n-2}) * (generator a) on A_{n-1}'s basis, where g' = rel.cols // g.
+    Column k * g + b of A_{n-1} (x) V pairs basis element k with generator b.
+
+    Returns dim A_n and, when need_map is set, the same map one degree up: the
+    non-pivot columns become A_n's basis, and each pivot column is minus the
+    rest of its reduced pivot row.
+    """
+    g_left = rel.cols // g
+    terms = [
+        [(col // g, col % g, v) for col, v in enumerate(rel.row(k)) if v]
+        for k in range(rel.rows)
+    ]
+
+    def rows():
+        for c in range(lower):
+            base = c * g_left
+            for term in terms:
+                out: dict[int, Fraction] = {}
+                for a, b, v in term:
+                    for k, x in nf[base + a].items():
+                        col = k * g + b
+                        w = v if x is _ONE else v * x
+                        old = out.get(col)
+                        out[col] = w if old is None else old + w
+                yield out
+
+    pivots = _echelon(rows())
+    cols = upper * g
+    if not need_map:
+        return cols - len(pivots), None
+    _back_substitute(pivots)
+    free = (col for col in range(cols) if col not in pivots)
+    basis = {col: k for k, col in enumerate(free)}
+    step = [
+        {basis[col]: _ONE} if col in basis
+        else {basis[f]: -x for f, x in pivots[col].items() if f != col}
+        for col in range(cols)
+    ]
+    return len(basis), step
+
+
+def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
+    """Exact dimension of every quotient component up to the given length.
+
+    Per start index i the components are built one degree at a time from
+    A_n = coker(A_{n-2} (x) R_{i+n-2} -> A_{n-1} (x) V_{i+n-1}), carrying a
+    normal-form map from each degree to the next, so the work follows the
+    quotient dimensions, not the tensor power. _ambient_degree_dims is the
+    independent route to the same table. Ambient tensor dimensions above the
+    HELIXKIT_DIM_CAP environment value (default 10**6) are still refused
+    rather than attempted.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    cap = _dim_cap()
+    table = []
+    for i in range(p.period):
+        word = [p.gen_dims[(i + k) % p.period] for k in range(max_degree)]
+        nf = [{a: _ONE} for a in range(word[0])] if word else []
+        row = []
+        for n, ambient in enumerate(accumulate(word, mul, initial=1)):
+            _require_under_cap(ambient, cap, i, n)
+            if n < 2:
+                row.append(ambient)
+                continue
+            rel = p.relations[(i + n - 2) % p.period]
+            dim, nf = _quotient_step(
+                nf, rel, row[n - 2], row[n - 1], word[n - 1], n < max_degree
+            )
+            row.append(dim)
         table.append(tuple(row))
     return DimTable(p.period, max_degree, tuple(table))
 

@@ -42,6 +42,15 @@ def test_simplicity_flag():
         C(0, 1)
 
 
+@pytest.mark.parametrize(
+    "rank, degree", [(True, 0), (1, True), (1, False)],
+    ids=["bool-rank", "bool-degree", "false-degree"],
+)
+def test_chern_vector_refuses_bools(rank, degree):
+    with pytest.raises(TypeError):
+        C(rank, degree)
+
+
 def test_euler_pairing():
     assert euler_pairing(C(1, 0), C(1, 5)) == 5
     assert euler_pairing(C(1, 3), C(1, 3)) == 0

@@ -200,9 +200,12 @@ def test_koszul_dual_dim_cap_is_65(capsys, tmp_path, monkeypatch):
     src = tmp_path / "sym2.json"
     src.write_text(json.dumps(SYM2_DOC))
     monkeypatch.setenv("HELIXKIT_DIM_CAP", "3")
-    code, _, err = run(capsys, "koszul-dual", str(src), "--dims", "3")
-    assert code == 65
-    assert err.startswith("error: ") and "Traceback" not in err
+    for flag in ("--dims", "--witness"):
+        code, out, err = run(capsys, "koszul-dual", str(src), flag, "3")
+        assert code == 65
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -297,6 +300,25 @@ def test_verify_catches_perturbed_series(capsys, monkeypatch):
                        "--seed-samples", "2")
     assert code == 2
     assert "hilbert-crosscheck: FAIL" in out
+
+
+def test_verify_catches_route_disagreement(capsys, monkeypatch):
+    real = quadratic._ambient_degree_dims
+
+    def off_by_one(p, top):
+        t = real(p, top)
+        dims = [list(row) for row in t.dims]
+        dims[0][top] += 1
+        return quadratic.DimTable(t.period, t.max_degree, tuple(map(tuple, dims)))
+
+    monkeypatch.setattr(quadratic, "_ambient_degree_dims", off_by_one)
+    code, out, _ = run(capsys, "verify", "--d-range", "5:5", "--horizon", "8",
+                       "--seed-samples", "2")
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "koszulity-witness: FAIL (fixture n=1, dim at i=0, degree 2: "
+        "quotient route 3, ambient route 4)"
+    )
 
 
 def test_verify_rejects_even_d_range(capsys):

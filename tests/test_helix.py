@@ -91,6 +91,16 @@ def test_seed_must_increase():
         Seed(1, 0, 5)
 
 
+@pytest.mark.parametrize(
+    "slopes",
+    [(0, 0.1, 1), (0, F(1, 2), 1.0), (False, F(1, 2), 1), (0, True, 2)],
+    ids=["float-mu1p", "float-mu1", "bool-mu0", "bool-mu1p"],
+)
+def test_seed_refuses_floats_and_bools(slopes):
+    with pytest.raises(TypeError):
+        Seed(*slopes)
+
+
 def test_horizon_must_be_positive():
     with pytest.raises(ValueError):
         invariants_from_seed(seed_0_half_d(5), 0)

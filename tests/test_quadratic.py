@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helixkit.bundles import ChernVector, euler_pairing
 from helixkit.errors import DimensionCapExceeded, UnsupportedD
@@ -78,6 +81,19 @@ def test_presentation_rejects_shape_mismatches():
         QuadraticPresentation(1, (0,), (M([], cols=0),))
     with pytest.raises(ValueError):
         QuadraticPresentation(0, (), ())
+
+
+@pytest.mark.parametrize(
+    "period, gen_dims, relations",
+    [
+        (True, (1,), (M([[1]]),)),
+        (1, (True,), (M([[1]]),)),
+    ],
+    ids=["bool-period", "bool-gen-dim"],
+)
+def test_presentation_rejects_bools(period, gen_dims, relations):
+    with pytest.raises(ValueError):
+        QuadraticPresentation(period, gen_dims, relations)
 
 
 def test_periodic_relation_columns_follow_the_cycle():
@@ -218,6 +234,24 @@ def test_dimension_cap_guards_ambient_size(monkeypatch):
         degree_dims(free_presentation(2), 4)
     monkeypatch.setenv("HELIXKIT_DIM_CAP", "1000000")
     assert degree_dims(free_presentation(2), 4).dim(0, 4) == 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_quotient_route_matches_ambient_route(seed):
+    # four generators give single draws of several seconds on the ambient route
+    p = random_presentation(random.Random(seed), max_gen=3)
+    for q in (p, koszul_dual(p)):
+        assert degree_dims(q, 4) == quadratic._ambient_degree_dims(q, 4)
+
+
+def test_fixture_dims_beyond_the_ambient_reach():
+    # degree 7 on five generators: the ambient route would rank inside 5**7
+    p, _ = classical_euler_fixture(4)
+    poly = degree_dims(p, 7)
+    ext = degree_dims(koszul_dual(p), 7)
+    assert [poly.dim(0, n) for n in range(8)] == [comb(4 + n, n) for n in range(8)]
+    assert [ext.dim(0, n) for n in range(8)] == [comb(5, n) for n in range(8)]
 
 
 def test_dim_accessor_rejects_out_of_range_degrees():
