@@ -19,6 +19,7 @@ from . import __version__
 from . import quadratic as qa
 from .bundles import ChernVector, Triad, hom_dims, mutate_triad_left, mutate_triad_right
 from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
+from .exact import _frac
 from .helix import (
     Seed,
     check_positivity,
@@ -35,6 +36,17 @@ from .sampling import (
 
 _VERIFY_SEED = 0x5EED5
 
+# exit code per error class, first match wins; one class per row (flat except tuple)
+_EXIT_CODES = (
+    (NotMutable, 1),
+    (OSError, 66),
+    (ValueError, 65),
+    (KeyError, 65),
+    (TypeError, 65),
+    (ZeroDivisionError, 65),
+    (DimensionCapExceeded, 65),
+)
+
 # tokens like -1/2 would otherwise be taken for option flags
 _FRACTION_TOKEN = re.compile(r"^-\d+/\d+$")
 
@@ -47,19 +59,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return _frac(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
 
 
 def _chern_arg(text: str) -> tuple[int, int]:
-    parts = text.strip().split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected rank:degree, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        rank, degree = (int(part) for part in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected rank:degree, got {text!r}")
+    return rank, degree
 
 
 def _drange_arg(text: str) -> tuple[int, int]:
@@ -221,7 +231,10 @@ def _run_hilbert(args) -> int:
 
 def _run_koszul_dual(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("presentation JSON is nested too deeply") from None
     pres = qa.QuadraticPresentation.from_json_dict(doc)
     dual = qa.koszul_dual(pres)
     # everything that can fail runs before the first byte of the report
@@ -393,16 +406,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NotMutable as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 66
-    except (ValueError, KeyError, TypeError, ZeroDivisionError,
-            DimensionCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 65
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

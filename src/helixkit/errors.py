@@ -54,4 +54,4 @@ class NotEquigeneratedSeed(ValueError):
 
 
 class DimensionCapExceeded(RuntimeError):
-    """A tensor-power ambient dimension exceeded the configured cap."""
+    """A tensor-power ambient dimension or a dense dual block exceeded the cap."""

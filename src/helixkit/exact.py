@@ -21,10 +21,13 @@ _ORDER_CAP = 512
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating-point input is not accepted")
-    if isinstance(x, bool):
-        raise TypeError("boolean input is not accepted")
+    """The one rational parser (API, JSON, argv): a Fraction comes back as is;
+    ints, "p/q" strings and other rationals are parsed exactly; floats and
+    bools are refused."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{type(x).__name__} input is not accepted")
     return Fraction(x)
 
 
@@ -75,6 +78,7 @@ class TruncatedSeries:
         return TruncatedSeries(x - y for x, y in zip(a, b))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Cauchy product truncated at the longer operand's order."""
         n = max(self.order, other.order)
         a, b = self.with_order(n).coeffs, other.with_order(n).coeffs
         out = [Fraction(0)] * (n + 1)
@@ -99,11 +103,6 @@ class TruncatedSeries:
                     acc += c[k] * out[n - k]
             out.append(-inv0 * acc)
         return TruncatedSeries(out)
-
-
-def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the longer operand's order."""
-    return s * t
 
 
 def first_series_mismatch(s: TruncatedSeries, t: TruncatedSeries) -> int | None:

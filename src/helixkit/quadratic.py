@@ -32,11 +32,11 @@ from .exact import (
     TruncatedSeries,
     _back_substitute,
     _echelon,
+    _frac,
     _sparse_rank,
     annihilator,
     first_series_mismatch,
     row_space_equal,
-    series_mul,
 )
 from .helix import Seed, invariants_from_seed
 
@@ -68,7 +68,7 @@ def _json_entry(value) -> Fraction:
     """A relation entry of presentation JSON: a "p/q" string, never a number."""
     if not isinstance(value, str):
         raise ValueError(f"relation entries must be 'p/q' strings, got {value!r}")
-    return Fraction(value)
+    return _frac(value)
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,6 @@ class QuadraticPresentation:
     def from_json_dict(cls, doc: dict) -> "QuadraticPresentation":
         period = _json_int(doc["period"], "period")
         gen_dims = tuple(_json_int(g, "gen_dims entry") for g in doc["gen_dims"])
-        if period < 1:
-            raise ValueError("period must be a positive integer")
         if len(gen_dims) != period:
             raise ValueError("gen_dims length must equal the period")
         by_index: dict[int, list[list[Fraction]]] = {}
@@ -145,7 +143,18 @@ class QuadraticPresentation:
 
 
 def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
-    """Same generator dims; relations replaced by their annihilators."""
+    """Same generator dims; relations replaced by their annihilators.
+
+    A dual block is dense, cols * (cols - rows) entries; a block above the
+    HELIXKIT_DIM_CAP environment value is refused before anything is built.
+    """
+    cap = _dim_cap()
+    for i, rel in enumerate(p.relations):
+        size = rel.cols * (rel.cols - rel.rows)
+        if size > cap:
+            raise DimensionCapExceeded(
+                f"dual relations at index {i} have {size} entries, exceeding cap {cap}"
+            )
     duals = tuple(
         annihilator(rel, rel.cols) for rel in p.relations
     )
@@ -391,7 +400,7 @@ def hilbert_B(model: EquigenModel, order: int) -> TruncatedSeries:
     if order < 3:
         raise ValueError("order must be at least 3")
     cubic = TruncatedSeries([1, 0, 0, -1]).with_order(order)
-    return series_mul(cubic, hilbert_A(model, order))
+    return cubic * hilbert_A(model, order)
 
 
 def cross_check_hilbert(model: EquigenModel, order: int) -> tuple[bool, int | None]:
@@ -426,7 +435,7 @@ def normal_quotient_check(model: EquigenModel, order: int) -> bool:
     if order < 6:
         raise ValueError("order must be at least 6")
     inv_cubic = TruncatedSeries([1, 0, 0, -1]).with_order(order).inverse()
-    lhs = series_mul(hilbert_B(model, order), inv_cubic)
+    lhs = hilbert_B(model, order) * inv_cubic
     return first_series_mismatch(lhs, hilbert_A(model, order)) is None
 
 

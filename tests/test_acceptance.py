@@ -22,7 +22,6 @@ from helixkit.exact import (
     SurdValue,
     TruncatedSeries,
     first_series_mismatch,
-    series_mul,
     surd_to_decimal,
 )
 from helixkit.helix import (
@@ -69,7 +68,7 @@ def test_criterion_01_hilbert_series_identities():
         a = hilbert_A(EquigenModel(d), 50)
         b = hilbert_B(EquigenModel(d), 50)
         assert TruncatedSeries([1, -d, d, -1]).with_order(50) * a == one
-        assert b == series_mul(cubic, a)
+        assert b == cubic * a
     a5 = hilbert_A(EquigenModel(5), 50).coeffs
     b5 = hilbert_B(EquigenModel(5), 50).coeffs
     assert list(a5[:5]) == [1, 5, 20, 76, 285]
@@ -220,13 +219,13 @@ def test_criterion_10_normal_family_series_signature():
     for d in ALL_D:
         a = hilbert_A(EquigenModel(d), 30)
         b = hilbert_B(EquigenModel(d), 30)
-        assert first_series_mismatch(series_mul(b, inv_cubic), a) is None
+        assert first_series_mismatch(b * inv_cubic, a) is None
     b5 = hilbert_B(EquigenModel(5), 30)
     bumped = list(b5.coeffs)
     bumped[3] += 1
     perturbed = TruncatedSeries(bumped)
     assert first_series_mismatch(
-        series_mul(perturbed, inv_cubic), hilbert_A(EquigenModel(5), 30)
+        perturbed * inv_cubic, hilbert_A(EquigenModel(5), 30)
     ) == 3
 
 

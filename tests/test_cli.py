@@ -218,9 +218,11 @@ def test_koszul_dual_dim_cap_is_65(capsys, tmp_path, monkeypatch):
         {**SYM2_DOC, "period": True},
         {"period": 1, "gen_dims": [True], "relations": [{"index": 0, "rows": [["1"]]}]},
         {**SYM2_DOC, "relations": [{"index": False, "rows": [["0", "1", "-1", "0"]]}]},
+        # its dual would be a dense 90,000 x 90,000 block; the cap refuses it first
+        {"period": 1, "gen_dims": [300], "relations": []},
     ],
     ids=["zero-denominator", "float-entry", "int-entry", "bool-entry", "bool-period",
-         "bool-gen-dim", "bool-index"],
+         "bool-gen-dim", "bool-index", "dense-dual"],
 )
 def test_koszul_dual_bad_document_is_65(capsys, tmp_path, doc):
     src = tmp_path / "bad.json"
@@ -228,7 +230,17 @@ def test_koszul_dual_bad_document_is_65(capsys, tmp_path, doc):
     code, out, err = run(capsys, "koszul-dual", str(src))
     assert code == 65
     assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_koszul_dual_deeply_nested_json_is_65(capsys, tmp_path):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "koszul-dual", str(src))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ----------------------------------------------------------------- limits

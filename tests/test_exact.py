@@ -16,11 +16,11 @@ from helixkit.exact import (
     RationalMatrix,
     SurdValue,
     TruncatedSeries,
+    _frac,
     _sparse_rank,
     annihilator,
     matrix_kernel,
     row_space_equal,
-    series_mul,
     subspace_sum_dim,
     surd_to_decimal,
 )
@@ -57,24 +57,24 @@ def test_inverse_requires_constant_term():
 def test_mul_telescopes():
     a = TruncatedSeries([1, -1]).with_order(3)
     b = TruncatedSeries([1, 1, 1, 1])
-    assert series_mul(a, b).coeffs == (1, 0, 0, 0)
+    assert (a * b).coeffs == (1, 0, 0, 0)
 
 
 def test_mul_against_inverse_is_one():
     s = TruncatedSeries([1, -5, 5, -1]).with_order(10)
-    assert series_mul(s, s.inverse()).coeffs == (1,) + (0,) * 10
+    assert (s * s.inverse()).coeffs == (1,) + (0,) * 10
 
 
 def test_mul_by_one_minus_t_cubed():
     a = TruncatedSeries(INV_5[:5])
-    out = series_mul(TruncatedSeries([1, 0, 0, -1]).with_order(4), a)
+    out = TruncatedSeries([1, 0, 0, -1]).with_order(4) * a
     assert out.coeffs == (1, 5, 20, 75, 280)
 
 
 def test_mul_pads_shorter_operand():
     a = TruncatedSeries([1, 1])
     b = TruncatedSeries([1, 0, 0, 0, 0])
-    assert series_mul(a, b).order == 4
+    assert (a * b).order == 4
 
 
 def test_series_order_cap():
@@ -89,7 +89,7 @@ def test_series_order_cap():
 )
 def test_inverse_roundtrip_property(tail, c0):
     s = TruncatedSeries([c0] + tail)
-    prod = series_mul(s, s.inverse())
+    prod = s * s.inverse()
     assert prod.coeffs == (1,) + (0,) * s.order
 
 
@@ -393,3 +393,15 @@ def test_no_floats_in_results():
     assert isinstance(v.a, Fraction) and isinstance(v.b, Fraction)
     k = matrix_kernel(RationalMatrix.from_rows([[1, 2, 3]]))
     assert all(isinstance(e, Fraction) for e in k.entries)
+
+
+def test_frac_keeps_fractions_and_parses_the_rest():
+    x = F(3, 4)
+    assert _frac(x) is x
+    assert [_frac(v) for v in (2, "-3/4", " 5 ")] == [F(2), F(-3, 4), F(5)]
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            _frac(bad)
+    for entries in ([0.5], [False]):
+        with pytest.raises(TypeError):
+            RationalMatrix(1, 1, entries)
