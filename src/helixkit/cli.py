@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 mutation impossible, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -41,7 +42,6 @@ _EXIT_CODES = (
     (NotMutable, 1),
     (OSError, 66),
     (ValueError, 65),
-    (KeyError, 65),
     (TypeError, 65),
     (ZeroDivisionError, 65),
     (DimensionCapExceeded, 65),
@@ -84,7 +84,9 @@ def _drange_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it."""
     top = _Parser(prog="helixkit", description=__doc__)
     top.add_argument("--version", action="version",
                      version=f"helixkit {__version__}")

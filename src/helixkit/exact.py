@@ -2,6 +2,11 @@
 series, and linear algebra over the rationals on one sparse elimination
 kernel.
 
+The kernel eliminates on primitive int rows, fraction-free: each rational
+row is cleared of denominators once on the way in, and Fractions appear
+again only at the edge, where RationalMatrix.rref divides each reduced row
+by its pivot entry.
+
 Everything here is pure and immutable. No operation constructs a float; the
 only decimal output is the string produced by :func:`surd_to_decimal`, and
 that is computed with integer square roots.
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import ColumnMismatch, RadicandMismatch, ZeroConstantTerm
@@ -23,11 +28,14 @@ _ORDER_CAP = 512
 def _frac(x) -> Fraction:
     """The one rational parser (API, JSON, argv): a Fraction comes back as is;
     ints, "p/q" strings and other rationals are parsed exactly; floats and
-    bools are refused."""
+    bools are refused, and so are strings in exponent notation, whose few
+    characters ("1e3000000") can stand for a number of unbounded size."""
     if type(x) is Fraction:
         return x
     if isinstance(x, (float, bool)):
         raise TypeError(f"{type(x).__name__} input is not accepted")
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise ValueError(f"exponent notation is not accepted: {x!r}")
     return Fraction(x)
 
 
@@ -355,7 +363,11 @@ class RationalMatrix:
         pivots = _echelon(_dense_to_sparse(self))
         order = _back_substitute(pivots)
         zero = Fraction(0)
-        flat = [pivots[c].get(j, zero) for c in order for j in range(self.cols)]
+        flat = []
+        for c in order:
+            row = pivots[c]
+            p = row[c]
+            flat += (Fraction(row[j], p) if j in row else zero for j in range(self.cols))
         flat += [zero] * ((self.rows - len(order)) * self.cols)
         return RationalMatrix(self.rows, self.cols, flat), order
 
@@ -391,12 +403,22 @@ def annihilator(m: RationalMatrix, ambient_dim: int) -> RationalMatrix:
     return matrix_kernel(m)
 
 
-def _subtract(row: dict[int, Fraction], c: int, piv: dict[int, Fraction]) -> None:
-    """row -= row[c] * piv in place, for a pivot row with piv[c] == 1.
+def _subtract(row: dict[int, int], c: int, piv: dict[int, int]) -> None:
+    """row <- (p * row - row[c] * piv) / content in place, for p = piv[c] > 0.
 
-    Clears column c of row and drops the entries that cancel.
+    Clears column c of row without a division, drops the entries that
+    cancel and leaves row primitive. Entries of row outside piv's support are
+    only scaled by a positive factor, so they keep their sign.
     """
     f = row.pop(c)
+    p = piv[c]
+    g = gcd(f, p)
+    if g != 1:
+        f //= g
+        p //= g
+    if p != 1:
+        for k in row:
+            row[k] *= p
     for k, v in piv.items():
         if k == c:
             continue
@@ -409,36 +431,53 @@ def _subtract(row: dict[int, Fraction], c: int, piv: dict[int, Fraction]) -> Non
             row[k] = nv
         else:
             del row[k]
+    _divide_content(row)
 
 
-def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Forward elimination of sparse rows: pivot column -> row scaled to 1 there.
+def _divide_content(row: dict[int, int]) -> None:
+    """Divide an int row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
 
-    Pivot on each row's least column, so every pivot row is zero left of its
-    pivot; rows with tiny support (the tensor spreads) stay tiny throughout,
-    which keeps this near linear.
+
+def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, int]]:
+    """Forward elimination of sparse rows: pivot column -> primitive int row.
+
+    Each rational row is scaled once by the lcm of its denominators and
+    divided by the gcd of its entries; from there elimination runs
+    fraction-free, in the spirit of Bareiss (1968), on these primitive int
+    rows, each stored positive at its pivot. Pivot on each row's least column, so every pivot
+    row is zero left of its pivot; rows with tiny support (the tensor
+    spreads) stay tiny throughout, which keeps this near linear.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v != 0}
+        row = {c: v for c, v in raw.items() if v}
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        _divide_content(row)
         while row:
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                inv = 1 / row[c]
-                pivots[c] = {k: v * inv for k, v in row.items()}
+                if row[c] < 0:
+                    row = {k: -v for k, v in row.items()}
+                pivots[c] = row
                 break
             _subtract(row, c, piv)
     return pivots
 
 
-def _back_substitute(pivots: dict[int, dict[int, Fraction]]) -> list[int]:
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> list[int]:
     """Turn the output of _echelon into reduced echelon form, in place.
 
-    Every pivot row ends up zero in every other pivot column. Returns the
-    pivot columns in increasing order. Rows are reduced from the last pivot
-    back, so each row is cleared only against rows already reduced, and those
-    add no pivot columns back.
+    Every pivot row ends up zero in every other pivot column and stays a
+    primitive int row, positive at its pivot; dividing it by that entry gives
+    the canonical RREF row. Returns the pivot columns in increasing order.
+    Rows are reduced from the last pivot back, so each row is cleared only
+    against rows already reduced, and those add no pivot columns back.
     """
     order = sorted(pivots)
     for c in reversed(order):

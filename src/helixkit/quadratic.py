@@ -64,6 +64,14 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_field(obj, key: str, where: str):
+    """obj[key] of presentation JSON; a missing key is named with its place."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{where} is missing {key!r}") from None
+
+
 def _json_entry(value) -> Fraction:
     """A relation entry of presentation JSON: a "p/q" string, never a number."""
     if not isinstance(value, str):
@@ -122,18 +130,24 @@ class QuadraticPresentation:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuadraticPresentation":
-        period = _json_int(doc["period"], "period")
-        gen_dims = tuple(_json_int(g, "gen_dims entry") for g in doc["gen_dims"])
+        where = "presentation JSON"
+        period = _json_int(_json_field(doc, "period", where), "period")
+        gen_dims = tuple(
+            _json_int(g, "gen_dims entry") for g in _json_field(doc, "gen_dims", where)
+        )
         if len(gen_dims) != period:
             raise ValueError("gen_dims length must equal the period")
         by_index: dict[int, list[list[Fraction]]] = {}
-        for item in doc.get("relations", []):
-            i = _json_int(item["index"], "relation index")
+        for k, item in enumerate(doc.get("relations", [])):
+            where = f"relation block {k}"
+            i = _json_int(_json_field(item, "index", where), "relation index")
             if not 0 <= i < period:
                 raise ValueError(f"relation index {i} out of range")
             if i in by_index:
                 raise ValueError(f"duplicate relation block for index {i}")
-            by_index[i] = [[_json_entry(s) for s in row] for row in item["rows"]]
+            by_index[i] = [
+                [_json_entry(s) for s in row] for row in _json_field(item, "rows", where)
+            ]
         rels = []
         for i in range(period):
             ambient = gen_dims[i] * gen_dims[(i + 1) % period]
@@ -243,7 +257,8 @@ def _quotient_step(nf, rel: RationalMatrix, lower: int, upper: int, g: int, need
 
     Returns dim A_n and, when need_map is set, the same map one degree up: the
     non-pivot columns become A_n's basis, and each pivot column is minus the
-    rest of its reduced pivot row.
+    rest of its reduced pivot row, divided by the row's pivot entry (the
+    kernel keeps int rows; the map holds Fractions).
     """
     g_left = rel.cols // g
     terms = [
@@ -271,11 +286,14 @@ def _quotient_step(nf, rel: RationalMatrix, lower: int, upper: int, g: int, need
     _back_substitute(pivots)
     free = (col for col in range(cols) if col not in pivots)
     basis = {col: k for k, col in enumerate(free)}
-    step = [
-        {basis[col]: _ONE} if col in basis
-        else {basis[f]: -x for f, x in pivots[col].items() if f != col}
-        for col in range(cols)
-    ]
+    step = []
+    for col in range(cols):
+        if col in basis:
+            step.append({basis[col]: _ONE})
+            continue
+        row = pivots[col]
+        p = row[col]
+        step.append({basis[f]: Fraction(-x, p) for f, x in row.items() if f != col})
     return len(basis), step
 
 

@@ -1,5 +1,6 @@
 """Command surface: parsing, rendering, exit codes, the verify suite."""
 
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,24 @@ def test_seed_table_invalid_seed_is_65(capsys):
 def test_seed_table_unparseable_fraction_is_64(capsys):
     code, _, _ = run(capsys, "seed-table", "0", "x", "5", "--n", "4")
     assert code == 64
+
+
+@pytest.mark.parametrize("token", ["1e3000000", "5E-1"])
+def test_seed_table_exponent_notation_is_64(capsys, token):
+    # Fraction would expand 1e3000000 to three million digits first
+    code, out, err = run(capsys, "seed-table", "0", "1", token, "--n", "3")
+    assert code == 64
+    assert out == ""
+    assert "not a fraction" in err
+
+
+def test_shared_parser_carries_no_state(capsys):
+    code, out, _ = run(capsys, "seed-table", "0", "5/2", "5", "--format", "csv")
+    assert code == 0 and out.startswith("n,d,r,dp,rp,slope\n")
+    assert run(capsys, "seed-table", "0", "5/2", "5", "--format", "xml")[0] == 64
+    code, out, _ = run(capsys, "seed-table", "0", "5/2", "5")
+    assert code == 0 and out.startswith("seed: mu0=0 mu1p=5/2 mu1=5\n")
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_unknown_flag_is_64(capsys):
@@ -232,6 +251,82 @@ def test_koszul_dual_bad_document_is_65(capsys, tmp_path, doc):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_koszul_dual_exponent_entry_is_65(capsys, tmp_path):
+    src = tmp_path / "exp.json"
+    doc = {**SYM2_DOC, "relations": [{"index": 0, "rows": [["0", "1e3000000", "-1", "0"]]}]}
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "koszul-dual", str(src))
+    assert code == 65
+    assert out == ""
+    assert err == "error: exponent notation is not accepted: '1e3000000'\n"
+
+
+@pytest.mark.parametrize(
+    "doc, missing",
+    [
+        ({"gen_dims": [2], "relations": []}, "presentation JSON is missing 'period'"),
+        ({"period": 1, "relations": []}, "presentation JSON is missing 'gen_dims'"),
+        ({**SYM2_DOC, "relations": [{"rows": []}]}, "relation block 0 is missing 'index'"),
+        ({**SYM2_DOC, "relations": [{"index": 0}]}, "relation block 0 is missing 'rows'"),
+    ],
+    ids=["period", "gen_dims", "index", "rows"],
+)
+def test_koszul_dual_names_the_missing_key(capsys, tmp_path, doc, missing):
+    src = tmp_path / "short.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "koszul-dual", str(src))
+    assert code == 65
+    assert out == ""
+    assert err == f"error: {missing}\n"
+
+
+# Two p/q presentations for the golden digests: a period-2 one, and a dense
+# one whose dual has non-trivial components up to degree 4.
+PQ_PERIODIC_DOC = {
+    "period": 2,
+    "gen_dims": [2, 3],
+    "relations": [
+        {"index": 0, "rows": [["3/7", "-1/2", "0", "5/11", "2", "-9/4"],
+                              ["0", "13/6", "1/3", "-7/5", "0", "1"]]},
+        {"index": 1, "rows": [["1", "-2/3", "0", "4/9", "-5/8", "0"],
+                              ["-11/12", "0", "7/2", "1/5", "0", "-3"],
+                              ["2/13", "1/17", "-1", "0", "6/7", "1/19"]]},
+    ],
+}
+PQ_DENSE_DOC = {
+    "period": 1,
+    "gen_dims": [3],
+    "relations": [{"index": 0, "rows": [
+        ["123456789/1000003", "-1/2", "7/3", "0", "22/7", "-355/113", "1", "0", "-5/6"],
+        ["0", "999999937/97", "-13/8", "1/1024", "0", "3", "-17/19", "2/3", "0"],
+        ["-4/5", "0", "1", "-31/32", "65537/3", "0", "0", "-1/7", "89/55"],
+        ["1/9", "2/9", "0", "0", "-1", "4/3", "0", "10/11", "0"],
+        ["0", "0", "-3/14", "5", "0", "1/6", "-8/15", "0", "1"],
+        ["6/5", "-1", "0", "0", "0", "0", "1/2", "0", "-2"],
+    ]}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        (SYM2_DOC, "f2d890beb31c2c864044d4b01629546e0440e180a0b492c363feb7a965e34b84"),
+        (PQ_PERIODIC_DOC, "0efc7ba4d9bdd128148eee19e79be0311a97628920fb4ff1253d4687e4143510"),
+        (PQ_DENSE_DOC, "f36ce00dda52f73a4e06250eca91b40c872bbb92a366cf589cb81a518c9f698e"),
+    ],
+    ids=["sym2", "pq-periodic", "pq-dense"],
+)
+def test_koszul_dual_report_is_byte_identical(capsys, tmp_path, doc, digest):
+    # golden: sha256 of the stdout of the sparse Fraction kernel this package
+    # used before it eliminated on int rows; the RREF is canonical, so any
+    # exact kernel must print the same bytes
+    src = tmp_path / "pres.json"
+    src.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "koszul-dual", str(src), "--dims", "4", "--check-double-dual")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_koszul_dual_deeply_nested_json_is_65(capsys, tmp_path):

@@ -6,6 +6,7 @@ reduction) before the module was written.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,9 @@ from helixkit.exact import (
     RationalMatrix,
     SurdValue,
     TruncatedSeries,
+    _back_substitute,
+    _dense_to_sparse,
+    _echelon,
     _frac,
     _sparse_rank,
     annihilator,
@@ -264,6 +268,110 @@ def test_rref_is_canonical(rows, cols, data):
         [[scales[k] * e for e in m.row(i)] for k, i in enumerate(order)], cols=cols
     )
     assert moved.rref() == (red, pivots)
+
+
+def gauss_jordan(rows, cols):
+    """Dense Fraction Gauss-Jordan reduction, the reference for the kernel:
+    the RREF padded with zero rows, and the pivot columns."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def reference_kernel(red, pivots, cols):
+    """Kernel basis read off a reference RREF: one row per free column f,
+    1 at f and minus the pivot rows' f entries at the pivot columns."""
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for k, pc in enumerate(pivots):
+            v[pc] = -red[k][f]
+        basis.append(v)
+    return basis
+
+
+big_pq_entries = st.builds(
+    F,
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=1, max_value=10**12),
+)
+
+
+@st.composite
+def pq_matrices(draw):
+    """p/q matrices with numerators and denominators up to 10^12, zero rows,
+    zero columns and rows that are combinations of earlier ones."""
+    cols = draw(st.integers(min_value=1, max_value=6))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=cols - 1)))
+    entry = st.one_of(st.just(F(0)), pq_entries, big_pq_entries)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(("fresh", "zero", "combination")))
+        if kind == "zero":
+            row = [F(0)] * cols
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            row = [sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(cols)]
+        else:
+            row = draw(st.lists(entry, min_size=cols, max_size=cols))
+        rows.append([F(0) if j in zero_cols else e for j, e in enumerate(row)])
+    return RationalMatrix.from_rows(rows, cols=cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pq_matrices(), st.data())
+def test_kernel_matches_dense_fraction_reference(m, data):
+    rows = [m.row(i) for i in range(m.rows)]
+    red, pivots = gauss_jordan(rows, m.cols)
+    assert m.rref() == (RationalMatrix.from_rows(red, cols=m.cols), pivots)
+    assert m.rank() == len(pivots)
+    assert matrix_kernel(m) == RationalMatrix.from_rows(
+        reference_kernel(red, pivots, m.cols), cols=m.cols
+    )
+    # a rescaled, reordered copy, sometimes with one entry moved off
+    order = data.draw(st.permutations(range(m.rows)))
+    scales = data.draw(
+        st.lists(big_pq_entries.filter(bool), min_size=m.rows, max_size=m.rows)
+    )
+    other = [[s * e for e in rows[i]] for s, i in zip(scales, order)]
+    if other and data.draw(st.booleans()):
+        i = data.draw(st.integers(min_value=0, max_value=len(other) - 1))
+        j = data.draw(st.integers(min_value=0, max_value=m.cols - 1))
+        other[i][j] += data.draw(big_pq_entries)
+    expected = gauss_jordan(other, m.cols) == (red, pivots)
+    assert row_space_equal(m, RationalMatrix.from_rows(other, cols=m.cols)) is expected
+
+
+def assert_primitive_pivot_rows(pivots):
+    for c, row in pivots.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+        assert row[c] > 0
+        assert min(row) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(pq_matrices())
+def test_echelon_keeps_primitive_int_rows(m):
+    pivots = _echelon(_dense_to_sparse(m))
+    assert_primitive_pivot_rows(pivots)
+    order = _back_substitute(pivots)
+    assert_primitive_pivot_rows(pivots)
+    for c in order:
+        assert not any(k in pivots for k in pivots[c] if k != c)
 
 
 def test_kernel_of_identity_is_empty():

@@ -245,6 +245,22 @@ def test_quotient_route_matches_ambient_route(seed):
         assert degree_dims(q, 4) == quadratic._ambient_degree_dims(q, 4)
 
 
+def test_random_draw_with_fraction_growth():
+    # draw 135 is the costliest of the first 150 draws of this stream; values
+    # frozen from the Fraction kernel, and the ambient route agrees
+    rng = random.Random(7)
+    for _ in range(135):
+        random_presentation(rng)
+    p = random_presentation(rng)
+    assert (p.period, p.gen_dims) == (3, (4, 4, 4))
+    assert degree_dims(p, 4).dims == (
+        (1, 4, 3, 0, 0), (1, 4, 11, 16, 0), (1, 4, 9, 0, 0)
+    )
+    assert degree_dims(koszul_dual(p), 4).dims == (
+        (1, 4, 13, 8, 0), (1, 4, 5, 0, 0), (1, 4, 7, 16, 0)
+    )
+
+
 def test_fixture_dims_beyond_the_ambient_reach():
     # degree 7 on five generators: the ambient route would rank inside 5**7
     p, _ = classical_euler_fixture(4)
