@@ -1,14 +1,13 @@
 """Rank/degree calculus for simple bundles on a smooth elliptic curve.
 
 Everything works at the level of the integer pair (rank, degree): the
-dimension pairing, the evaluation dichotomy, and the left/right mutations of
-pairs and of triads. Rank-zero data (torsion sheaves) is outside the model.
+dimension pairing and the left/right mutations of pairs and of triads.
+Rank-zero data (torsion sheaves) is outside the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -66,17 +65,6 @@ def hom_dim(e: ChernVector, f: ChernVector) -> int:
     return euler_pairing(e, f)
 
 
-class EvalClass(Enum):
-    INJECTIVE = "Injective"
-    SURJECTIVE = "Surjective"
-
-
-def classify_evaluation(e: ChernVector, f: ChernVector) -> EvalClass:
-    """Which side of the evaluation dichotomy a simple increasing pair is on."""
-    h = hom_dim(e, f)
-    return EvalClass.INJECTIVE if h * e.rank <= f.rank else EvalClass.SURJECTIVE
-
-
 def right_mutate(a: ChernVector, b: ChernVector) -> ChernVector:
     """Reflection of a rightward past b: (h r_B - r_A, h d_B - d_A)."""
     h = hom_dim(a, b)
@@ -113,9 +101,6 @@ class Triad:
                 raise NotSimple(f"{v} has non-coprime rank and degree")
         if not (slope(self.a) < slope(self.b) < slope(self.c)):
             raise SlopeOrderViolation("triad slopes must increase strictly")
-
-    def members(self) -> tuple[ChernVector, ChernVector, ChernVector]:
-        return (self.a, self.b, self.c)
 
     def __str__(self):
         return f"({self.a}, {self.b}, {self.c})"

@@ -146,7 +146,7 @@ def _run_seed_table(args) -> int:
         raise ValueError("--n must be at least 1")
     seed = Seed(args.mu0, args.mu1p, args.mu1)
     table = invariants_from_seed(seed, args.n)
-    report = check_positivity(seed, args.n)
+    report = check_positivity(table)
 
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
@@ -182,10 +182,7 @@ def _triad_line(step: int, t: Triad) -> str:
     slopes = ", ".join(
         str(Fraction(v.degree, v.rank)) for v in (t.a, t.b, t.c)
     )
-    return (
-        f"step {step}: ({t.a}, {t.b}, {t.c}) "
-        f"hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})"
-    )
+    return f"step {step}: {t} hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})"
 
 
 def _run_triad(args) -> int:
@@ -275,10 +272,11 @@ def _run_limits(args) -> int:
 
 def _verify_checks(ds, horizon, samples, rng):
     """Yield (name, ok, detail) for the nine suites in a fixed order."""
+    # the (0, d/2, d) tables, shared by three suites
+    family = {d: invariants_from_seed(Seed(0, Fraction(d, 2), d), horizon) for d in ds}
 
     def periodicity():
-        for d in ds:
-            table = invariants_from_seed(Seed(0, Fraction(d, 2), d), horizon)
+        for d, table in family.items():
             ok, why = verify_periodicity(table)
             if not ok:
                 return False, f"d={d}: {why}"
@@ -295,29 +293,27 @@ def _verify_checks(ds, horizon, samples, rng):
             h = hom_dims(t)
             got = hom_dims(mutate_triad_right(t))
             if (got.ab, got.ac, got.bc) != (h.ac, h.bc, h.ab):
-                return False, f"triad ({t.a}, {t.b}, {t.c})"
+                return False, f"triad {t}"
         return True, ""
 
     def roundtrip():
         for _ in range(max(samples, 50)):
             t = random_right_mutable_triad(rng)
             if mutate_triad_left(mutate_triad_right(t)) != t:
-                return False, f"triad ({t.a}, {t.b}, {t.c})"
+                return False, f"triad {t}"
         return True, ""
 
     def closed_form_equivalence():
         from .helix import closed_form
 
-        for d in ds:
-            table = invariants_from_seed(Seed(0, Fraction(d, 2), d), horizon)
+        for d, table in family.items():
             for row in table.rows:
                 if closed_form(d, row.n) != (row.r, row.d):
                     return False, f"d={d}, n={row.n}"
         return True, ""
 
     def ratio_bound():
-        for d in ds:
-            table = invariants_from_seed(Seed(0, Fraction(d, 2), d), horizon)
+        for d, table in family.items():
             if not verify_ratio_bound(table):
                 return False, f"d={d}"
         return True, ""

@@ -75,16 +75,6 @@ class TruncatedSeries:
         cs = self.coeffs[: order + 1]
         return TruncatedSeries(cs + (Fraction(0),) * (order + 1 - len(cs)))
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = max(self.order, other.order)
-        a, b = self.with_order(n).coeffs, other.with_order(n).coeffs
-        return TruncatedSeries(x + y for x, y in zip(a, b))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = max(self.order, other.order)
-        a, b = self.with_order(n).coeffs, other.with_order(n).coeffs
-        return TruncatedSeries(x - y for x, y in zip(a, b))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated at the longer operand's order."""
         n = max(self.order, other.order)
@@ -228,9 +218,6 @@ class SurdValue:
         num = s * SurdValue(o.a, -o.b, s.m)
         return SurdValue(num.a / den, num.b / den, s.m)
 
-    def __rtruediv__(self, other):
-        return SurdValue(other, 0, self.m).__truediv__(self)
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
@@ -341,14 +328,6 @@ class RationalMatrix:
             raise ValueError("empty matrix needs an explicit column count")
         return cls(len(rows), cols, [e for r in rows for e in r])
 
-    @classmethod
-    def identity(cls, n: int):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -390,17 +369,6 @@ def matrix_kernel(m: RationalMatrix) -> RationalMatrix:
             v[pc] = -red.entry(k, f)
         basis.append(v)
     return RationalMatrix.from_rows(basis, cols=m.cols)
-
-
-def annihilator(m: RationalMatrix, ambient_dim: int) -> RationalMatrix:
-    """Basis of the functionals vanishing on the row space of m.
-
-    Functionals are written as row vectors in the dual basis, so this is the
-    kernel of the pairing matrix m itself.
-    """
-    if m.cols != ambient_dim:
-        raise ColumnMismatch(f"matrix has {m.cols} columns, ambient dim is {ambient_dim}")
-    return matrix_kernel(m)
 
 
 def _subtract(row: dict[int, int], c: int, piv: dict[int, int]) -> None:
@@ -496,21 +464,6 @@ def _dense_to_sparse(m: RationalMatrix) -> Iterable[dict[int, Fraction]]:
     for i in range(m.rows):
         r = m.row(i)
         yield {j: e for j, e in enumerate(r) if e != 0}
-
-
-def subspace_sum_dim(bases: Sequence[RationalMatrix], ambient_dim: int) -> int:
-    """Dimension of the sum of the row spaces, i.e. rank of the vertical stack."""
-    for b in bases:
-        if b.cols != ambient_dim:
-            raise ColumnMismatch(
-                f"basis has {b.cols} columns, ambient dim is {ambient_dim}"
-            )
-
-    def all_rows():
-        for b in bases:
-            yield from _dense_to_sparse(b)
-
-    return _sparse_rank(all_rows())
 
 
 def row_space_equal(a: RationalMatrix, b: RationalMatrix) -> bool:

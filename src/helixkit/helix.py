@@ -77,9 +77,6 @@ class HelixTable:
     rows: tuple[Row, ...]
     degenerate_at: int | None
 
-    def row(self, n: int) -> Row:
-        return self.rows[n]
-
     def seed_triad(self) -> Triad:
         (d0, r0), (d1p, r1p), (d1, r1) = self.seed.pairs()
         return Triad(ChernVector(r0, d0), ChernVector(r1p, d1p), ChernVector(r1, d1))
@@ -159,22 +156,21 @@ class PositivityReport:
         return f"FailsAt({self.fail_index}, {self.fail_component})"
 
 
-def check_positivity(seed: Seed, n_max: int) -> PositivityReport:
-    """Three-valued positivity verdict for the rank components.
+def check_positivity(table: HelixTable) -> PositivityReport:
+    """Three-valued positivity verdict for the rank components of a table.
 
     Certified is reserved for the (0, d/2, d) family with odd d >= 5, where
-    positivity holds for every n; any other seed gets a horizon-bounded
-    answer or the first failure.
+    positivity holds for every n; any other seed gets a verdict up to the
+    table's last row or the first failure.
     """
-    d = seed.d_param
+    last = table.rows[-1]
+    d = table.d_param
     if d is not None and d >= 5:
-        return PositivityReport("Certified", n_max)
-    table = invariants_from_seed(seed, n_max)
+        return PositivityReport("Certified", last.n)
     if table.degenerate_at is not None:
-        bad = table.rows[-1]
-        component = "r" if bad.r <= 0 else "rp"
-        return PositivityReport("FailsAt", n_max, bad.n, component)
-    return PositivityReport("VerifiedToHorizon", n_max)
+        component = "r" if last.r <= 0 else "rp"
+        return PositivityReport("FailsAt", last.n, last.n, component)
+    return PositivityReport("VerifiedToHorizon", last.n)
 
 
 def _minor(x: Row, y: Row) -> int:

@@ -34,8 +34,8 @@ from .exact import (
     _echelon,
     _frac,
     _sparse_rank,
-    annihilator,
     first_series_mismatch,
+    matrix_kernel,
     row_space_equal,
 )
 from .helix import Seed, invariants_from_seed
@@ -169,9 +169,8 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
             raise DimensionCapExceeded(
                 f"dual relations at index {i} have {size} entries, exceeding cap {cap}"
             )
-    duals = tuple(
-        annihilator(rel, rel.cols) for rel in p.relations
-    )
+    # under the coordinatewise pairing the annihilator of R is the kernel of R
+    duals = tuple(matrix_kernel(rel) for rel in p.relations)
     return QuadraticPresentation(p.period, p.gen_dims, duals)
 
 
@@ -351,10 +350,6 @@ class WitnessReport:
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    @property
-    def label(self) -> str:
-        return "witness" if self.passed else "failed"
-
     def failures(self) -> list[tuple[int, int]]:
         return [(e.j, e.q) for e in self.entries if not e.ok]
 
@@ -455,30 +450,6 @@ def normal_quotient_check(model: EquigenModel, order: int) -> bool:
     inv_cubic = TruncatedSeries([1, 0, 0, -1]).with_order(order).inverse()
     lhs = hilbert_B(model, order) * inv_cubic
     return first_series_mismatch(lhs, hilbert_A(model, order)) is None
-
-
-def frobenius_profile(model: EquigenModel) -> tuple[int, int, int, int]:
-    """Dual dimension vector (1, d, d, 1); zero beyond degree three.
-
-    Internally revalidates that the vector, read as an alternating
-    denominator, actually annihilates the A series.
-    """
-    d = model.d
-    poly = TruncatedSeries([1, -d, d, -1]).with_order(8)
-    if poly * hilbert_A(model, 8) != TruncatedSeries([1]).with_order(8):
-        raise ArithmeticError("resolution ranks disagree with the A series")
-    return (1, d, d, 1)
-
-
-def equigenerated_detect(pairings) -> int | None:
-    """d when three consecutive pairing dims agree, else None."""
-    vals = tuple(pairings)
-    if len(vals) != 3:
-        raise ValueError("need exactly three consecutive pairing dimensions")
-    for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError("pairing dimensions must be positive integers")
-    return vals[0] if vals[0] == vals[1] == vals[2] else None
 
 
 def classical_euler_fixture(n: int):

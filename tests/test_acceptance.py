@@ -232,15 +232,15 @@ def test_criterion_10_normal_family_series_signature():
 def test_criterion_11_positivity_verdicts():
     """Certified family, horizon-verified d=3 line, and the failing seed."""
     for d in ODD_D:
-        rep = check_positivity(family_seed(d), 40)
+        rep = check_positivity(invariants_from_seed(family_seed(d), 40))
         assert rep.kind == "Certified"
-    rep3 = check_positivity(Seed(0, Fraction(3, 2), 3), 50)
+    table3 = invariants_from_seed(Seed(0, Fraction(3, 2), 3), 50)
+    rep3 = check_positivity(table3)
     assert rep3.kind == "VerifiedToHorizon"
     assert str(rep3) == "VerifiedToHorizon(50)"
-    rows = invariants_from_seed(Seed(0, Fraction(3, 2), 3), 50).rows
-    for row in rows:
+    for row in table3.rows:
         assert row.r == 1
         assert row.d == 3 * row.n
-    bad = check_positivity(Seed(0, Fraction(1, 2), 1), 10)
+    bad = check_positivity(invariants_from_seed(Seed(0, Fraction(1, 2), 1), 10))
     assert (bad.kind, bad.fail_index, bad.fail_component) == ("FailsAt", 2, "r")
     assert str(bad) == "FailsAt(2, r)"

@@ -1,5 +1,5 @@
-"""Rank/degree calculus: slopes, the dimension pairing, the evaluation
-dichotomy, and left/right mutations of pairs and triads."""
+"""Rank/degree calculus: slopes, the dimension pairing, and left/right
+mutations of pairs and triads."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,7 @@ import pytest
 
 from helixkit.bundles import (
     ChernVector,
-    EvalClass,
     Triad,
-    classify_evaluation,
     dualize,
     dualize_triad,
     euler_pairing,
@@ -83,12 +81,6 @@ def test_hom_dim_requires_simple():
         hom_dim(C(2, 4), C(1, 5))
     with pytest.raises(NotSimple):
         hom_dim(C(1, 0), C(2, 6))
-
-
-def test_classify_evaluation():
-    assert classify_evaluation(C(2, 1), C(5, 3)) is EvalClass.INJECTIVE
-    assert classify_evaluation(C(1, 0), C(1, 2)) is EvalClass.SURJECTIVE
-    assert classify_evaluation(C(1, 0), C(3, 1)) is EvalClass.INJECTIVE
 
 
 def test_right_mutate_examples():
@@ -211,15 +203,3 @@ def test_mutation_preserves_simplicity_and_raises_slope():
         assert out.is_simple
         assert slope(b) < slope(out)
         checked += 1
-
-
-def test_dichotomy_is_total_and_surjective_kernels_have_rank():
-    rng = random.Random(5)
-    for _ in range(400):
-        e, f = _random_ordered_pair(rng)
-        tag = classify_evaluation(e, f)
-        h = hom_dim(e, f)
-        if tag is EvalClass.SURJECTIVE:
-            assert h * e.rank - f.rank > 0
-        else:
-            assert h * e.rank <= f.rank

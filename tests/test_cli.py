@@ -202,6 +202,22 @@ def test_koszul_dual_reports(capsys, tmp_path):
     assert "koszulity-witness: PASS" in out
 
 
+def test_koszul_dual_witness_failure_is_exit_2(capsys, tmp_path):
+    # two relations on two letters; the alternating sum first misses at q=4
+    src = tmp_path / "two-rel.json"
+    src.write_text(json.dumps({
+        "period": 1,
+        "gen_dims": [2],
+        "relations": [{"index": 0, "rows": [["0", "0", "0", "-1"], ["1", "0", "2", "0"]]}],
+    }))
+    code, out, _ = run(capsys, "koszul-dual", str(src), "--witness", "3")
+    assert code == 0
+    assert out.endswith("koszulity-witness: PASS\n")
+    code, out, _ = run(capsys, "koszul-dual", str(src), "--witness", "4")
+    assert code == 2
+    assert out.endswith("koszulity-witness: FAIL (first at j=0, q=4)\n")
+
+
 def test_koszul_dual_missing_file_is_66(capsys, tmp_path):
     assert run(capsys, "koszul-dual", str(tmp_path / "nope.json"))[0] == 66
 

@@ -22,10 +22,8 @@ from helixkit.exact import (
     _echelon,
     _frac,
     _sparse_rank,
-    annihilator,
     matrix_kernel,
     row_space_equal,
-    subspace_sum_dim,
     surd_to_decimal,
 )
 
@@ -375,7 +373,7 @@ def test_echelon_keeps_primitive_int_rows(m):
 
 
 def test_kernel_of_identity_is_empty():
-    k = matrix_kernel(RationalMatrix.identity(3))
+    k = matrix_kernel(RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert k.rows == 0 and k.cols == 3
 
 
@@ -390,60 +388,13 @@ def test_kernel_of_single_row():
 
 
 def test_kernel_of_zero_matrix():
-    k = matrix_kernel(RationalMatrix.zeros(2, 5))
+    k = matrix_kernel(RationalMatrix.from_rows([[0] * 5] * 2))
     assert k.rows == 5 and k.rank() == 5
-
-
-def test_subspace_sum_idempotent():
-    b = RationalMatrix.from_rows([[1, 2]])
-    assert subspace_sum_dim([b, b], 2) == 1
-
-
-def test_subspace_sum_complementary_lines():
-    b1 = RationalMatrix.from_rows([[1, 0]])
-    b2 = RationalMatrix.from_rows([[0, 1]])
-    assert subspace_sum_dim([b1, b2], 2) == 2
-
-
-def test_subspace_sum_three_variable_spreads():
-    # the two degree-3 spreads of the commutator relations on three letters
-    # fill a 17-dim subspace of the 27-dim cube (frozen: brute-force rank)
-    g = 3
-    rel = []
-    for i in range(g):
-        for j in range(i + 1, g):
-            row = [0] * (g * g)
-            row[i * g + j], row[j * g + i] = 1, -1
-            rel.append(row)
-    left = []
-    right = []
-    for r in rel:
-        nz = [(k, v) for k, v in enumerate(r) if v]
-        for w in range(g):
-            row = [0] * g**3
-            for k, v in nz:
-                row[k * g + w] = v
-            left.append(row)
-        for u in range(g):
-            row = [0] * g**3
-            for k, v in nz:
-                row[u * g * g + k] = v
-            right.append(row)
-    dim = subspace_sum_dim(
-        [RationalMatrix.from_rows(left), RationalMatrix.from_rows(right)], 27
-    )
-    assert dim == 17
-    assert 27 - dim == 10
-
-
-def test_subspace_sum_column_mismatch():
-    with pytest.raises(ColumnMismatch):
-        subspace_sum_dim([RationalMatrix.from_rows([[1, 0]])], 3)
 
 
 def test_annihilator_of_antisymmetric_line():
     m = RationalMatrix.from_rows([[0, 1, -1, 0]])
-    ann = annihilator(m, 4)
+    ann = matrix_kernel(m)
     assert ann.rows == 3
     # the symmetric side lies inside the annihilator
     expected = RationalMatrix.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
@@ -451,15 +402,17 @@ def test_annihilator_of_antisymmetric_line():
 
 
 def test_annihilator_extremes():
-    full = RationalMatrix.identity(3)
-    assert annihilator(full, 3).rows == 0
+    full = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert matrix_kernel(full).rows == 0
     empty = RationalMatrix.from_rows([], cols=3)
-    assert annihilator(empty, 3).rows == 3
+    assert matrix_kernel(empty).rows == 3
 
 
-def test_annihilator_column_mismatch():
+def test_row_space_equal_column_mismatch():
     with pytest.raises(ColumnMismatch):
-        annihilator(RationalMatrix.from_rows([[1, 2]]), 5)
+        row_space_equal(
+            RationalMatrix.from_rows([[1, 2]]), RationalMatrix.from_rows([[1, 2, 0]])
+        )
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -490,7 +443,7 @@ def test_double_annihilator_restores_row_space(rows, cols, data):
         st.lists(small_entries, min_size=rows * cols, max_size=rows * cols)
     )
     m = RationalMatrix(rows, cols, tuple(F(e) for e in entries))
-    back = annihilator(annihilator(m, cols), cols)
+    back = matrix_kernel(matrix_kernel(m))
     assert row_space_equal(back, m)
 
 

@@ -110,7 +110,9 @@ def test_rows_match_iterated_triad_mutation():
     # one target, two code paths: table recursion vs triad mutation chain
     t = invariants_from_seed(seed_0_half_d(5), 10)
     tri = t.seed_triad()
-    assert tri.members() == (ChernVector(1, 0), ChernVector(2, 5), ChernVector(1, 5))
+    assert (tri.a, tri.b, tri.c) == (
+        ChernVector(1, 0), ChernVector(2, 5), ChernVector(1, 5)
+    )
     for i in range(1, 10):
         tri = mutate_triad_right(tri)
         ri, rn = t.rows[i], t.rows[i + 1]
@@ -133,26 +135,26 @@ def test_constant_hom_dims_along_the_chain():
 
 def test_positivity_certified():
     for d in (5, 7, 9, 11, 13):
-        rep = check_positivity(seed_0_half_d(d), 50)
+        rep = check_positivity(invariants_from_seed(seed_0_half_d(d), 50))
         assert rep.kind == "Certified"
         assert str(rep) == "Certified"
 
 
 def test_positivity_horizon_only_at_d3():
-    rep = check_positivity(seed_0_half_d(3), 50)
+    rep = check_positivity(invariants_from_seed(seed_0_half_d(3), 50))
     assert rep.kind == "VerifiedToHorizon" and rep.horizon == 50
     assert str(rep) == "VerifiedToHorizon(50)"
 
 
 def test_positivity_failure():
-    rep = check_positivity(Seed(0, F(1, 2), 1), 50)
+    rep = check_positivity(invariants_from_seed(Seed(0, F(1, 2), 1), 50))
     assert rep.kind == "FailsAt"
     assert (rep.fail_index, rep.fail_component) == (2, "r")
     assert str(rep) == "FailsAt(2, r)"
 
 
 def test_positivity_random_nondegenerate_is_horizon_verdict():
-    rep = check_positivity(Seed(F(-1, 2), F(1, 3), F(7, 2)), 20)
+    rep = check_positivity(invariants_from_seed(Seed(F(-1, 2), F(1, 3), F(7, 2)), 20))
     assert rep.kind in ("VerifiedToHorizon", "FailsAt")
 
 

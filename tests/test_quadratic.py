@@ -21,8 +21,6 @@ from helixkit.quadratic import (
     cross_check_hilbert,
     degree_dims,
     double_dual_check,
-    equigenerated_detect,
-    frobenius_profile,
     hilbert_A,
     hilbert_B,
     koszul_dual,
@@ -291,7 +289,6 @@ def test_dimtable_csv():
 def test_witness_symmetric_three_variables():
     rep = koszulity_witness(sym_presentation(3), 4)
     assert rep.passed
-    assert rep.label == "witness"
     e = next(x for x in rep.entries if x.j == 0 and x.q == 2)
     assert e.value == 0 and e.ok
 
@@ -326,7 +323,6 @@ def test_witness_flags_perturbed_dimension_data(monkeypatch):
     monkeypatch.setattr(quadratic, "hilbert_A", bumped)
     rep = koszulity_witness(EquigenModel(5), 6)
     assert not rep.passed
-    assert rep.label == "failed"
     assert any(e.j == 0 and e.q == 3 and not e.ok for e in rep.entries)
 
 
@@ -412,21 +408,6 @@ def test_normal_quotient_detects_perturbation(monkeypatch):
 
     monkeypatch.setattr(quadratic, "hilbert_B", bumped)
     assert not normal_quotient_check(EquigenModel(5), 12)
-
-
-def test_frobenius_profile():
-    assert frobenius_profile(EquigenModel(5)) == (1, 5, 5, 1)
-    assert frobenius_profile(EquigenModel(3)) == (1, 3, 3, 1)
-
-
-def test_equigenerated_detect():
-    assert equigenerated_detect((5, 5, 5)) == 5
-    assert equigenerated_detect((3, 3, 3)) == 3
-    assert equigenerated_detect((2, 5, 3)) is None
-    with pytest.raises(ValueError):
-        equigenerated_detect((0, 1, 1))
-    with pytest.raises(ValueError):
-        equigenerated_detect((1, 1))
 
 
 def test_equigen_model_rejects_small_d():
