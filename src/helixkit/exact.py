@@ -3,9 +3,8 @@ series, and linear algebra over the rationals on one sparse elimination
 kernel.
 
 The kernel eliminates on primitive int rows, fraction-free: each rational
-row is cleared of denominators once on the way in, and Fractions appear
-again only at the edge, where RationalMatrix.rref divides each reduced row
-by its pivot entry.
+row is cleared of denominators once on the way in (_dense_to_sparse), and
+Fractions leave only through RationalMatrix.rref and matrix_kernel.
 
 Everything here is pure and immutable. No operation constructs a float; the
 only decimal output is the string produced by :func:`surd_to_decimal`, and
@@ -331,16 +330,13 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row echelon form and the pivot column list.
 
         Pivot rows come first in column order, then the zero rows.
         """
-        pivots = _echelon(_dense_to_sparse(self))
-        order = _back_substitute(pivots)
+        pivots = _reduced(self)
+        order = sorted(pivots)
         zero = Fraction(0)
         flat = []
         for c in order:
@@ -357,17 +353,15 @@ class RationalMatrix:
 def matrix_kernel(m: RationalMatrix) -> RationalMatrix:
     """Basis rows of the right null space {v : m v^T = 0}.
 
-    Returns cols - rank(m) independent rows (possibly none).
+    Returns cols - rank(m) independent rows (possibly none), one per free
+    column: the transpose of the normal form.
     """
-    red, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            v[pc] = -red.entry(k, f)
-        basis.append(v)
+    dim, nf = _normal_form(_reduced(m), m.cols)
+    zero = Fraction(0)
+    basis = [[zero] * m.cols for _ in range(dim)]
+    for col, (q, row) in enumerate(nf):
+        for k, x in row.items():
+            basis[k][col] = Fraction(x, q)
     return RationalMatrix.from_rows(basis, cols=m.cols)
 
 
@@ -410,21 +404,19 @@ def _divide_content(row: dict[int, int]) -> None:
             row[k] //= g
 
 
-def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, int]]:
-    """Forward elimination of sparse rows: pivot column -> primitive int row.
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward elimination of sparse int rows: pivot column -> primitive int row.
 
-    Each rational row is scaled once by the lcm of its denominators and
-    divided by the gcd of its entries; from there elimination runs
-    fraction-free, in the spirit of Bareiss (1968), on these primitive int
-    rows, each stored positive at its pivot. Pivot on each row's least column, so every pivot
-    row is zero left of its pivot; rows with tiny support (the tensor
-    spreads) stay tiny throughout, which keeps this near linear.
+    Each row is divided by the gcd of its entries; from there elimination
+    runs fraction-free, in the spirit of Bareiss (1968), on primitive int
+    rows, each stored positive at its pivot. Pivot on each row's least
+    column, so every pivot row is zero left of its pivot; rows with tiny
+    support (the tensor spreads) stay tiny throughout, which keeps this near
+    linear.
     """
     pivots: dict[int, dict[int, int]] = {}
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
-        den = lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         _divide_content(row)
         while row:
             c = min(row)
@@ -438,38 +430,60 @@ def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _back_substitute(pivots: dict[int, dict[int, int]]) -> list[int]:
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> None:
     """Turn the output of _echelon into reduced echelon form, in place.
 
     Every pivot row ends up zero in every other pivot column and stays a
-    primitive int row, positive at its pivot; dividing it by that entry gives
-    the canonical RREF row. Returns the pivot columns in increasing order.
-    Rows are reduced from the last pivot back, so each row is cleared only
-    against rows already reduced, and those add no pivot columns back.
+    primitive int row, positive at its pivot, so equal row spaces give equal
+    dicts. Rows are reduced from the last pivot back, so each row is cleared
+    only against rows already reduced, and those add no pivot columns back.
     """
-    order = sorted(pivots)
-    for c in reversed(order):
+    for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for k in [k for k in row if k != c and k in pivots]:
             _subtract(row, k, pivots[k])
-    return order
 
 
-def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    """Rank of a set of sparse rows."""
+def _reduced(m: RationalMatrix) -> dict[int, dict[int, int]]:
+    """The canonical reduced echelon form of m's rows."""
+    pivots = _echelon(_dense_to_sparse(m))
+    _back_substitute(pivots)
+    return pivots
+
+
+def _normal_form(pivots: dict[int, dict[int, int]], cols: int) -> tuple[int, list]:
+    """(dim, [(q, int_row), ...]): each column as int_row / q on the free
+    columns of the reduced pivots, numbered 0..dim-1 in order. A free column
+    is itself; a pivot column is minus the rest of its row over its pivot q.
+    """
+    free = (col for col in range(cols) if col not in pivots)
+    basis = {col: k for k, col in enumerate(free)}
+    nf = []
+    for col in range(cols):
+        if col in basis:
+            nf.append((1, {basis[col]: 1}))
+            continue
+        row = pivots[col]
+        nf.append((row[col], {basis[f]: -x for f, x in row.items() if f != col}))
+    return len(basis), nf
+
+
+def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank of a set of sparse int rows."""
     return len(_echelon(rows))
 
 
-def _dense_to_sparse(m: RationalMatrix) -> Iterable[dict[int, Fraction]]:
+def _dense_to_sparse(m: RationalMatrix) -> Iterable[dict[int, int]]:
+    """The one Fraction -> int row step: m's rows, each sparse and scaled by
+    the lcm of its denominators."""
     for i in range(m.rows):
-        r = m.row(i)
-        yield {j: e for j, e in enumerate(r) if e != 0}
+        row = {j: e for j, e in enumerate(m.row(i)) if e}
+        den = lcm(*(e.denominator for e in row.values()))
+        yield {j: e.numerator * (den // e.denominator) for j, e in row.items()}
 
 
 def row_space_equal(a: RationalMatrix, b: RationalMatrix) -> bool:
     """Exact equality of row spaces (not just of dimensions)."""
     if a.cols != b.cols:
         raise ColumnMismatch("row spaces live in different ambient dimensions")
-    ra, pa = a.rref()
-    rb, pb = b.rref()
-    return pa == pb and ra.entries[: len(pa) * a.cols] == rb.entries[: len(pb) * b.cols]
+    return _reduced(a) == _reduced(b)

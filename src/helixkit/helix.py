@@ -293,15 +293,6 @@ class TwoSidedTable:
         v = self.entries[n]
         return Fraction(v.degree, v.rank)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "window": [-self.n_max, self.n_max],
-            "entries": [
-                {"n": n, "chern": [self.entries[n].rank, self.entries[n].degree]}
-                for n in sorted(self.entries)
-            ],
-        }
-
 
 def extend_two_sided(d: int, n_max: int) -> TwoSidedTable:
     """Entries 0..n_max from the table; entries -1..-n_max through the dual.

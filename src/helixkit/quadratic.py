@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -31,8 +31,10 @@ from .exact import (
     RationalMatrix,
     TruncatedSeries,
     _back_substitute,
+    _dense_to_sparse,
     _echelon,
     _frac,
+    _normal_form,
     _sparse_rank,
     first_series_mismatch,
     matrix_kernel,
@@ -41,8 +43,6 @@ from .exact import (
 from .helix import Seed, invariants_from_seed
 
 _DEFAULT_CAP = 10**6
-# the unit coordinate of a basis word in a normal-form map, tested by identity
-_ONE = Fraction(1)
 
 
 def _dim_cap() -> int:
@@ -207,18 +207,14 @@ def _spread_rows(p: QuadraticPresentation, i: int, n: int):
     """Sparse rows spanning every T^a (x) R (x) T^b inside the length-n word."""
     word = [p.gen_dims[(i + k) % p.period] for k in range(n)]
     for a in range(n - 1):
-        rel = p.relations[(i + a) % p.period]
-        if rel.rows == 0:
-            continue
         pre = prod(word[:a])
         suf = prod(word[a + 2 :])
         block = word[a] * word[a + 1] * suf
-        for k in range(rel.rows):
-            support = [(c, v) for c, v in enumerate(rel.row(k)) if v != 0]
+        for rel in _dense_to_sparse(p.relations[(i + a) % p.period]):
             for u in range(pre):
                 base = u * block
                 for w in range(suf):
-                    yield {base + c * suf + w: v for c, v in support}
+                    yield {base + c * suf + w: v for c, v in rel.items()}
 
 
 def _ambient_degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
@@ -250,32 +246,32 @@ def _quotient_step(nf, rel: RationalMatrix, lower: int, upper: int, g: int, need
 
     lower and upper are dim A_{n-2} and dim A_{n-1}, g the dimension of the
     last generator space V, and rel the relations between the last two
-    generator spaces. nf[c * g' + a] holds the word (basis element c of
-    A_{n-2}) * (generator a) on A_{n-1}'s basis, where g' = rel.cols // g.
-    Column k * g + b of A_{n-1} (x) V pairs basis element k with generator b.
-
-    Returns dim A_n and, when need_map is set, the same map one degree up: the
-    non-pivot columns become A_n's basis, and each pivot column is minus the
-    rest of its reduced pivot row, divided by the row's pivot entry (the
-    kernel keeps int rows; the map holds Fractions).
+    generator spaces. nf[c * g' + a] = (q, row) holds the word (basis element
+    c of A_{n-2}) * (generator a) on A_{n-1}'s basis as row / q, where
+    g' = rel.cols // g; each relation row is scaled by the lcm of its words'
+    q's. Column k * g + b of A_{n-1} (x) V pairs basis element k with
+    generator b. Returns dim A_n and, when need_map is set, the same map one
+    degree up (_normal_form).
     """
     g_left = rel.cols // g
     terms = [
-        [(col // g, col % g, v) for col, v in enumerate(rel.row(k)) if v]
-        for k in range(rel.rows)
+        [(col // g, col % g, v) for col, v in row.items()]
+        for row in _dense_to_sparse(rel)
     ]
 
     def rows():
         for c in range(lower):
             base = c * g_left
             for term in terms:
-                out: dict[int, Fraction] = {}
-                for a, b, v in term:
-                    for k, x in nf[base + a].items():
+                words = [(nf[base + a], b, v) for a, b, v in term]
+                den = lcm(*(q for (q, _), _, _ in words))
+                out: dict[int, int] = {}
+                for (q, word), b, v in words:
+                    s = v * (den // q)
+                    for k, x in word.items():
                         col = k * g + b
-                        w = v if x is _ONE else v * x
                         old = out.get(col)
-                        out[col] = w if old is None else old + w
+                        out[col] = s * x if old is None else old + s * x
                 yield out
 
     pivots = _echelon(rows())
@@ -283,17 +279,7 @@ def _quotient_step(nf, rel: RationalMatrix, lower: int, upper: int, g: int, need
     if not need_map:
         return cols - len(pivots), None
     _back_substitute(pivots)
-    free = (col for col in range(cols) if col not in pivots)
-    basis = {col: k for k, col in enumerate(free)}
-    step = []
-    for col in range(cols):
-        if col in basis:
-            step.append({basis[col]: _ONE})
-            continue
-        row = pivots[col]
-        p = row[col]
-        step.append({basis[f]: Fraction(-x, p) for f, x in row.items() if f != col})
-    return len(basis), step
+    return _normal_form(pivots, cols)
 
 
 def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
@@ -313,7 +299,7 @@ def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
     table = []
     for i in range(p.period):
         word = [p.gen_dims[(i + k) % p.period] for k in range(max_degree)]
-        nf = [{a: _ONE} for a in range(word[0])] if word else []
+        nf = [(1, {a: 1}) for a in range(word[0])] if word else []
         row = []
         for n, ambient in enumerate(accumulate(word, mul, initial=1)):
             _require_under_cap(ambient, cap, i, n)

@@ -363,11 +363,3 @@ def test_csv_shape():
         "1,5,1,5,2,5\n"
         "2,20,3,25,4,20/3\n"
     )
-
-
-def test_two_sided_json_uses_signed_indices():
-    ts = extend_two_sided(5, 2)
-    doc = ts.to_json_dict()
-    ns = [e["n"] for e in doc["entries"]]
-    assert ns == [-2, -1, 0, 1, 2]
-    assert doc["entries"][0]["chern"] == [11, -20]

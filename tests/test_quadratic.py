@@ -1,6 +1,8 @@
 """Presentation-level duality, dimension tables, and the series model."""
 
+import fractions
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -257,6 +259,32 @@ def test_random_draw_with_fraction_growth():
     assert degree_dims(koszul_dual(p), 4).dims == (
         (1, 4, 13, 8, 0), (1, 4, 5, 0, 0), (1, 4, 7, 16, 0)
     )
+
+
+def test_degree_dims_constructs_no_fraction():
+    # the quotient recursion runs on int rows only; 3.12 builds Fraction
+    # results through _from_coprime_ints, earlier versions through __new__
+    presentations = [koszul_dual(classical_euler_fixture(3)[0])]
+    presentations += [random_presentation(random.Random(k)) for k in range(20)]
+    built = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename == fractions.__file__
+            and code.co_name in ("__new__", "_from_coprime_ints")
+        ):
+            built.append(code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for p in presentations:
+            degree_dims(p, 5)
+    finally:
+        sys.setprofile(previous)
+    assert built == []
 
 
 def test_fixture_dims_beyond_the_ambient_reach():
