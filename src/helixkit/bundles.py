@@ -47,22 +47,19 @@ def euler_pairing(e: ChernVector, f: ChernVector) -> int:
     return f.degree * e.rank - e.degree * f.rank
 
 
-def _require_simple_increasing(e: ChernVector, f: ChernVector) -> None:
-    if not e.is_simple:
-        raise NotSimple(f"{e} has non-coprime rank and degree")
-    if not f.is_simple:
-        raise NotSimple(f"{f} has non-coprime rank and degree")
-    if slope(e) >= slope(f):
-        raise SlopeOrderViolation(f"need slope({e}) < slope({f})")
-
-
 def hom_dim(e: ChernVector, f: ChernVector) -> int:
     """Dimension of the map space for a simple pair of increasing slope.
 
-    Equals the pairing, which is then guaranteed positive.
+    Equals the pairing. Ranks are positive, so the pairing is positive
+    exactly when slope(e) < slope(f); no slope is built to compare.
     """
-    _require_simple_increasing(e, f)
-    return euler_pairing(e, f)
+    for v in (e, f):
+        if not v.is_simple:
+            raise NotSimple(f"{v} has non-coprime rank and degree")
+    h = euler_pairing(e, f)
+    if h <= 0:
+        raise SlopeOrderViolation(f"need slope({e}) < slope({f})")
+    return h
 
 
 def right_mutate(a: ChernVector, b: ChernVector) -> ChernVector:
@@ -99,7 +96,8 @@ class Triad:
         for v in (self.a, self.b, self.c):
             if not v.is_simple:
                 raise NotSimple(f"{v} has non-coprime rank and degree")
-        if not (slope(self.a) < slope(self.b) < slope(self.c)):
+        # ranks are positive: slope(e) < slope(f) iff euler_pairing(e, f) > 0
+        if euler_pairing(self.a, self.b) <= 0 or euler_pairing(self.b, self.c) <= 0:
             raise SlopeOrderViolation("triad slopes must increase strictly")
 
     def __str__(self):
@@ -118,7 +116,10 @@ class HomDims(NamedTuple):
 
 
 def hom_dims(t: Triad) -> HomDims:
-    return HomDims(hom_dim(t.a, t.b), hom_dim(t.a, t.c), hom_dim(t.b, t.c))
+    """The three pairings of a triad. A Triad is simple with increasing
+    slopes by construction, so these are its hom_dim values, unchecked."""
+    a, b, c = t.a, t.b, t.c
+    return HomDims(euler_pairing(a, b), euler_pairing(a, c), euler_pairing(b, c))
 
 
 def mutate_triad_right(t: Triad) -> Triad:

@@ -18,7 +18,14 @@ from fractions import Fraction
 
 from . import __version__
 from . import quadratic as qa
-from .bundles import ChernVector, Triad, hom_dims, mutate_triad_left, mutate_triad_right
+from .bundles import (
+    ChernVector,
+    Triad,
+    hom_dims,
+    mutate_triad_left,
+    mutate_triad_right,
+    slope,
+)
 from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
 from .exact import _frac
 from .helix import (
@@ -179,9 +186,7 @@ def _run_seed_table(args) -> int:
 
 def _triad_line(step: int, t: Triad) -> str:
     h = hom_dims(t)
-    slopes = ", ".join(
-        str(Fraction(v.degree, v.rank)) for v in (t.a, t.b, t.c)
-    )
+    slopes = ", ".join(str(slope(v)) for v in (t.a, t.b, t.c))
     return f"step {step}: {t} hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})"
 
 

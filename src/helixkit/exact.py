@@ -4,7 +4,9 @@ kernel.
 
 The kernel eliminates on primitive int rows, fraction-free: each rational
 row is cleared of denominators once on the way in (_dense_to_sparse), and
-Fractions leave only through RationalMatrix.rref and matrix_kernel.
+Fractions leave only through RationalMatrix.rref and matrix_kernel. Series
+arithmetic runs the same way, on integer numerators over one denominator
+(_int_coeffs), with one Fraction built per output coefficient.
 
 Everything here is pure and immutable. No operation constructs a float; the
 only decimal output is the string produced by :func:`surd_to_decimal`, and
@@ -75,31 +77,49 @@ class TruncatedSeries:
         return TruncatedSeries(cs + (Fraction(0),) * (order + 1 - len(cs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated at the longer operand's order."""
+        """Cauchy product truncated at the longer operand's order.
+
+        Both operands are scaled to integers; each output coefficient sums
+        over the nonzero terms of the operand that has fewer of them and
+        becomes one Fraction over the product of the two denominators.
+        """
         n = max(self.order, other.order)
-        a, b = self.with_order(n).coeffs, other.with_order(n).coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return TruncatedSeries(out)
+        (da, a), (db, b) = _int_coeffs(self), _int_coeffs(other)
+        terms = [(k, c) for k, c in enumerate(a) if c]
+        if sum(map(bool, b)) < len(terms):
+            terms, b = [(k, c) for k, c in enumerate(b) if c], a
+        b += [0] * (n + 1 - len(b))
+        den = da * db
+        return TruncatedSeries(
+            Fraction(sum(c * b[i - k] for k, c in terms if k <= i), den)
+            for i in range(n + 1)
+        )
 
     def inverse(self) -> "TruncatedSeries":
-        c = self.coeffs
-        if c[0] == 0:
+        """1/self to the same order, by an integer recurrence.
+
+        With den*self = c_0 + c_1 t + ... in integers, u_0 = 1 and
+        u_n = -sum_k c_k c_0^(k-1) u_(n-k) over the nonzero c_k (k >= 1);
+        the n-th coefficient of 1/self is den*u_n / c_0^(n+1).
+        """
+        den, c = _int_coeffs(self)
+        c0 = c[0]
+        if c0 == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        inv0 = 1 / c[0]
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if k < len(c) and c[k]:
-                    acc += c[k] * out[n - k]
-            out.append(-inv0 * acc)
-        return TruncatedSeries(out)
+        terms = [(k, ck * c0 ** (k - 1)) for k, ck in enumerate(c) if k and ck]
+        u = [1]
+        for n in range(1, len(c)):
+            u.append(-sum(w * u[n - k] for k, w in terms if k <= n))
+        return TruncatedSeries(
+            Fraction(den * un, c0 ** (n + 1)) for n, un in enumerate(u)
+        )
+
+
+def _int_coeffs(s: TruncatedSeries) -> tuple[int, list[int]]:
+    """(den, ints): s's coefficients scaled by the lcm of their denominators,
+    as _dense_to_sparse does for matrix rows."""
+    den = lcm(*(c.denominator for c in s.coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in s.coeffs]
 
 
 def first_series_mismatch(s: TruncatedSeries, t: TruncatedSeries) -> int | None:

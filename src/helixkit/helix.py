@@ -186,22 +186,27 @@ def verify_periodicity(table: HelixTable) -> tuple[bool, str | None]:
 
     Consecutive-pair minors match the mixed minor one step earlier (from
     n = 1), mixed minors reach two steps back (from n = 2), and both minor
-    kinds repeat with period three (from n = 3).
+    kinds repeat with period three (from n = 3). Each minor is computed once
+    (two determinants per row); the families then compare list entries, and
+    a failure names the first n at which its family breaks.
     """
     rows = table.rows
     if len(rows) < 5:
         raise TableTooShort("periodicity checks need at least rows 0..4")
     top = len(rows) - 1
+    # consec[n] is the minor of rows n+1, n; mixed[n] is row n's (n >= 1)
+    consec = [_minor(rows[n + 1], rows[n]) for n in range(top)]
+    mixed = [None] + [_mixed_minor(row) for row in rows[1:]]
     for n in range(1, top):
-        if _minor(rows[n + 1], rows[n]) != _mixed_minor(rows[n]):
+        if consec[n] != mixed[n]:
             return False, f"consecutive-vs-mixed minor identity fails at n={n}"
     for n in range(2, top):
-        if _mixed_minor(rows[n + 1]) != _minor(rows[n - 1], rows[n - 2]):
+        if mixed[n + 1] != consec[n - 2]:
             return False, f"mixed-minor recursion identity fails at n={n}"
     for n in range(3, top):
-        if _minor(rows[n + 1], rows[n]) != _minor(rows[n - 2], rows[n - 3]):
+        if consec[n] != consec[n - 3]:
             return False, f"period-3 identity (consecutive minors) fails at n={n}"
-        if _mixed_minor(rows[n + 1]) != _mixed_minor(rows[n - 2]):
+        if mixed[n + 1] != mixed[n - 2]:
             return False, f"period-3 identity (mixed minors) fails at n={n}"
     return True, None
 

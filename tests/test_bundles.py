@@ -3,8 +3,11 @@ mutations of pairs and triads."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helixkit.bundles import (
     ChernVector,
@@ -21,6 +24,7 @@ from helixkit.bundles import (
     slope,
 )
 from helixkit.errors import NotMutable, NotSimple, SlopeOrderViolation
+from helixkit.sampling import random_triad
 
 C = ChernVector
 
@@ -158,8 +162,6 @@ def test_mutate_triad_left_inverts_right():
 
 
 def _random_simple(rng, rmax=9, dmax=25):
-    from math import gcd
-
     while True:
         r = rng.randrange(1, rmax + 1)
         d = rng.randrange(-dmax, dmax + 1)
@@ -203,3 +205,49 @@ def test_mutation_preserves_simplicity_and_raises_slope():
         assert out.is_simple
         assert slope(b) < slope(out)
         checked += 1
+
+
+@st.composite
+def simple_vectors(draw):
+    """A coprime (rank, degree) pair; entries up to 2^210."""
+    bound = draw(st.sampled_from([9, 2**64, 2**210]))
+    r, d = draw(st.integers(1, bound)), draw(st.integers(-bound, bound))
+    g = gcd(r, abs(d))
+    return C(r // g, d // g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_vectors(), simple_vectors(), simple_vectors(), st.sampled_from(["", "ef", "fg"]))
+def test_slope_order_from_pairing_matches_fraction_slopes(e, f, g, equal):
+    # equal slopes of simple vectors mean equal vectors
+    if equal == "ef":
+        f = e
+    elif equal == "fg":
+        g = f
+    mu_e, mu_f, mu_g = (Fraction(v.degree, v.rank) for v in (e, f, g))
+    if mu_e < mu_f:
+        assert hom_dim(e, f) == euler_pairing(e, f) > 0
+    else:
+        with pytest.raises(SlopeOrderViolation):
+            hom_dim(e, f)
+    if mu_e < mu_f < mu_g:
+        Triad(e, f, g)
+    else:
+        with pytest.raises(SlopeOrderViolation):
+            Triad(e, f, g)
+
+
+def test_hom_dims_is_three_hom_dim_calls_along_mutation_chains():
+    rng = random.Random(50)
+    steps = 0
+    for _ in range(40):
+        t = random_triad(rng)
+        mutate = rng.choice((mutate_triad_right, mutate_triad_left))
+        for _ in range(50):
+            assert hom_dims(t) == (hom_dim(t.a, t.b), hom_dim(t.a, t.c), hom_dim(t.b, t.c))
+            try:
+                t = mutate(t)
+            except NotMutable:
+                break
+            steps += 1
+    assert steps >= 500

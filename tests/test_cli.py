@@ -345,6 +345,48 @@ def test_koszul_dual_report_is_byte_identical(capsys, tmp_path, doc, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_NOT_MUTABLE = "error at step 1: member a not mutable (right mutation of 1:0 past 1:1 has rank 0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, err",
+    [
+        ("seed-table 0 5/2 5 --n 1960 --format table", 0,
+         "44705726f7982a3be990de74e1e5b3fd977d01e47846b84b6e8a952aad3ee873", ""),
+        ("seed-table 0 5/2 5 --n 1960 --format json", 0,
+         "d35662d3e348e48f5fd44c805cf9d6f54c2dd9af1d4b45fa604d6c269306054b", ""),
+        ("seed-table 0 5/2 5 --n 1960 --format csv", 0,
+         "fac1bcce5215da21b100d3af265a13c8b67dfc730f550ddbeec0cc3f5e7f9e16", ""),
+        ("seed-table -7 -9/2 -2 --n 1000", 0,
+         "e1a014522cf348b5e223f7007f6a5800950fa35562158149a59226f8cf8f6233", ""),
+        ("seed-table 2 4 21/2 --n 500", 0,
+         "f94fcef73204bd52f23498ad0fe63fdb37e86751aaeb3d377891557ed95cf3b7", ""),
+        ("hilbert --d 3 --order 512", 0,
+         "34d1a06a63112b2bbc5ca16b115a47dd0b33c93c656bee28492aa6d62e944fa1", ""),
+        ("hilbert --d 5 --order 512", 0,
+         "0126886e3b03ca4d821ce3f3ccb65cbe26bde2d3a23f3d22854bccdd19d78898", ""),
+        ("hilbert --d 40 --order 512", 0,
+         "2289920862706e8d3e9c3ae85b81357f1b424484af1afc0023198818a59dcad2", ""),
+        ("triad 1:0 2:5 1:5 --right --steps 300", 0,
+         "466efe77f206d3e6367398143231de1421f9807e7e6639cd661ba743b4ba711d", ""),
+        ("triad 1:5 4:25 3:20 --left --steps 300", 0,
+         "0b7bec66fd86e2971b372d8c5fc871dd027a621be6d9bd274e9c08d7f18343cc", ""),
+        ("triad 1:0 2:1 1:1 --right --steps 300", 1,
+         "20fd0eba7d5d39f9a63ab1cc5de93b23b429c030b0a10f45c52ca00f3fb19db3", _NOT_MUTABLE),
+    ],
+    ids=["family-table", "family-json", "family-csv", "twisted", "degenerate",
+         "hilbert-3", "hilbert-5", "hilbert-40", "triad-right", "triad-left",
+         "triad-exit-1"],
+)
+def test_tables_commands_are_byte_identical(capsys, argv, code, digest, err):
+    # golden: sha256 of the stdout of the Fraction series arithmetic, the
+    # eight-determinant periodicity check and the Fraction slope comparisons
+    # this package used before they ran on integers
+    got_code, out, got_err = run(capsys, *argv.split())
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_koszul_dual_deeply_nested_json_is_65(capsys, tmp_path):
     src = tmp_path / "deep.json"
     src.write_text("[" * 100000 + "]" * 100000)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helixkit.errors import ColumnMismatch, RadicandMismatch, ZeroConstantTerm
@@ -77,6 +77,52 @@ def test_mul_pads_shorter_operand():
     a = TruncatedSeries([1, 1])
     b = TruncatedSeries([1, 0, 0, 0, 0])
     assert (a * b).order == 4
+
+
+def _cauchy(a, b):
+    """Dense Fraction Cauchy product, truncated at the longer order."""
+    n = max(len(a), len(b))
+    a, b = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
+
+
+def _long_division(c):
+    """1/c by long division: q_n = (delta_n0 - sum_k c_k q_(n-k)) / c_0."""
+    q = []
+    for n in range(len(c)):
+        rest = sum((c[k] * q[n - k] for k in range(1, n + 1)), F(0))
+        q.append((F(n == 0) - rest) / c[0])
+    return q
+
+
+_p_over_q = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 1000))
+_nonzero_c0 = st.builds(F, st.integers(-60, 60).filter(bool), st.integers(1, 24))
+# tails mix single p/q coefficients with runs of zeros
+_tails = st.lists(
+    st.one_of(_p_over_q.map(lambda x: [x]), st.integers(1, 12).map(lambda k: [F(0)] * k)),
+    max_size=12,
+).map(lambda blocks: [x for block in blocks for x in block])
+CUBIC_512 = [F(1), F(-5), F(5), F(-1)] + [F(0)] * 509
+
+
+def _series(c0):
+    return st.builds(lambda head, tail: [head, *tail], c0, _tails)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(st.one_of(st.just(F(0)), _nonzero_c0)),
+       _series(st.one_of(st.just(F(0)), _nonzero_c0)))
+@example([F(1), F(0), F(0), F(-1)], CUBIC_512)
+@example(CUBIC_512, _long_division(CUBIC_512))
+def test_mul_matches_dense_cauchy_product(a, b):
+    assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == _cauchy(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(_nonzero_c0))
+@example(CUBIC_512)
+def test_inverse_matches_long_division(c):
+    assert list(TruncatedSeries(c).inverse().coeffs) == _long_division(c)
 
 
 def test_series_order_cap():

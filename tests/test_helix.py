@@ -179,15 +179,28 @@ def test_periodicity_short_table_rejected():
         verify_periodicity(invariants_from_seed(seed_0_half_d(5), 3))
 
 
-def test_periodicity_detects_tampering():
+def _tampered(index, **change):
     t = invariants_from_seed(seed_0_half_d(5), 6)
     rows = list(t.rows)
-    bad = rows[5]._replace(d=rows[5].d + 1)
-    rows[5] = bad
-    ok, detail = verify_periodicity(
-        HelixTable(seed=t.seed, d_param=t.d_param, rows=tuple(rows), degenerate_at=None)
-    )
-    assert not ok and detail
+    rows[index] = rows[index]._replace(
+        **{k: getattr(rows[index], k) + v for k, v in change.items()})
+    return HelixTable(seed=t.seed, d_param=t.d_param, rows=tuple(rows), degenerate_at=None)
+
+
+def test_periodicity_detects_tampering():
+    # frozen: the reports of the eight-determinant check, first family
+    ok, detail = verify_periodicity(_tampered(5, d=1))
+    assert (ok, detail) == (False, "consecutive-vs-mixed minor identity fails at n=4")
+
+
+@pytest.mark.parametrize("index, change, n", [
+    (-1, {"rp": 1}, 5),  # rp enters no consecutive minor, only the mixed ones
+    (0, {"d": 1}, 2),  # row 0 enters only the first consecutive minor
+])
+def test_periodicity_reports_mixed_minor_recursion(index, change, n):
+    # frozen: the reports of the eight-determinant check
+    ok, detail = verify_periodicity(_tampered(index, **change))
+    assert (ok, detail) == (False, f"mixed-minor recursion identity fails at n={n}")
 
 
 def test_periodicity_on_random_nondegenerate_seeds():
