@@ -217,24 +217,38 @@ def _require_odd_ge5(d: int) -> int:
     return (d - 3) * (d + 1)
 
 
-def closed_form(d: int, n: int) -> tuple[int, int]:
-    """(r_n, d_n) evaluated exactly in Q(sqrt m), m = (d-3)(d+1).
+def closed_form(d: int, n_max: int) -> list[tuple[int, int]]:
+    """[(r_n, d_n) for n = 0..n_max], evaluated exactly in Q(sqrt m).
 
-    The two conjugate growth factors are d-1 -+ sqrt m; the result must come
-    out a rational integer (hard failure otherwise).
+    m = (d-3)(d+1). With the conjugate growth factors x, y = d-1 -+ sqrt m,
+    r_n = ((x/2)^n (1+w) + (y/2)^n (1-w)) / 2 with w = (d-3)/sqrt m, and
+    d_n = ((y/2)^n - (x/2)^n) d/sqrt m. The powers of x/2 and y/2 are
+    carried from row to row (one surd product each), so the rows come from
+    surd arithmetic alone, independent of the integer recursion. Every row
+    must collapse to rational integers; the first that does not raises
+    ArithmeticError.
     """
     m = _require_odd_ge5(d)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x = SurdValue(d - 1, -1, m)
-    y = SurdValue(d - 1, 1, m)
-    w = SurdValue(0, Fraction(d - 3, m), m)  # (d-3)/sqrt(m)
-    r = (x**n * (w + 1) + y**n * (1 - w)) / Fraction(2 ** (n + 1))
-    deg = (y**n - x**n) * SurdValue(0, Fraction(d, m), m) / Fraction(2**n)
-    for v in (r, deg):
-        if not v.is_rational or v.a.denominator != 1:
-            raise ArithmeticError(f"closed form did not collapse to an integer: {v}")
-    return int(r.a), int(deg.a)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    half_x = SurdValue(Fraction(d - 1, 2), Fraction(-1, 2), m)
+    half_y = SurdValue(Fraction(d - 1, 2), Fraction(1, 2), m)
+    w = SurdValue(0, Fraction(d - 3, m), m)
+    up, down = (1 + w) / 2, (1 - w) / 2
+    s = SurdValue(0, Fraction(d, m), m)  # d/sqrt(m)
+    xn = yn = SurdValue(1, 0, m)
+    rows = []
+    for n in range(n_max + 1):
+        if n:
+            xn, yn = xn * half_x, yn * half_y
+        r, deg = xn * up + yn * down, (yn - xn) * s
+        for v in (r, deg):
+            if not v.is_rational or v.a.denominator != 1:
+                raise ArithmeticError(
+                    f"closed form did not collapse to an integer at n={n}: {v}"
+                )
+        rows.append((int(r.a), int(deg.a)))
+    return rows
 
 
 @dataclass(frozen=True)

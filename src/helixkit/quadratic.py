@@ -113,6 +113,21 @@ class QuadraticPresentation:
         object.__setattr__(self, "gen_dims", gen_dims)
         object.__setattr__(self, "relations", relations)
 
+    @classmethod
+    def _unchecked(cls, period, gen_dims, relations):
+        """The presentation with these fields (tuples), built without checks.
+
+        Only for the two constructions whose relation rows are independent
+        by construction: koszul_dual's kernel bases and the rref pivot rows
+        of sampling.random_presentation. JSON documents, the fixtures and
+        library callers go through __init__ and its rank check.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "gen_dims", gen_dims)
+        object.__setattr__(self, "relations", relations)
+        return self
+
     def to_json_dict(self) -> dict:
         return {
             "period": self.period,
@@ -161,6 +176,10 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
 
     A dual block is dense, cols * (cols - rows) entries; a block above the
     HELIXKIT_DIM_CAP environment value is refused before anything is built.
+    Each dual block is a kernel basis with an identity block on the free
+    columns, so its rows are independent by construction and are not
+    ranked again; the rank check runs where presentations enter, in
+    QuadraticPresentation.__init__.
     """
     cap = _dim_cap()
     for i, rel in enumerate(p.relations):
@@ -171,7 +190,7 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
             )
     # under the coordinatewise pairing the annihilator of R is the kernel of R
     duals = tuple(matrix_kernel(rel) for rel in p.relations)
-    return QuadraticPresentation(p.period, p.gen_dims, duals)
+    return QuadraticPresentation._unchecked(p.period, p.gen_dims, duals)
 
 
 def double_dual_check(p: QuadraticPresentation) -> bool:

@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
-from .bundles import ChernVector, Triad, mutate_triad_right
+from .bundles import ChernVector, Triad, euler_pairing, mutate_triad_right
 from .errors import NotMutable
 from .exact import RationalMatrix
 from .helix import Seed, invariants_from_seed
 from .quadratic import QuadraticPresentation
+
+# ranks are positive, so e sorts before f (slope(e) < slope(f)) exactly when
+# euler_pairing(e, f) > 0; comparing by that sign builds no Fraction slope
+_BY_SLOPE = cmp_to_key(lambda e, f: euler_pairing(f, e))
 
 
 def random_simple_pair(rng: random.Random) -> tuple[ChernVector, ChernVector]:
@@ -26,15 +31,19 @@ def random_simple_pair(rng: random.Random) -> tuple[ChernVector, ChernVector]:
         if gcd(r, abs(d)) != 1:
             continue
         v = ChernVector(r, d)
-        if out and out[0].degree * v.rank == v.degree * out[0].rank:
+        if out and euler_pairing(out[0], v) == 0:
             continue
         out.append(v)
-    out.sort(key=lambda v: Fraction(v.degree, v.rank))
+    out.sort(key=_BY_SLOPE)
     return out[0], out[1]
 
 
 def random_triad(rng: random.Random) -> Triad:
-    """A random slope-ordered triple of pairwise coprime-type vectors."""
+    """A random slope-ordered triple of pairwise coprime-type vectors.
+
+    Slopes are ordered and tested for strict order by the sign of
+    euler_pairing; a draw with two equal slopes is thrown away whole.
+    """
     while True:
         vs = []
         while len(vs) < 3:
@@ -43,9 +52,8 @@ def random_triad(rng: random.Random) -> Triad:
             if gcd(r, abs(d)) != 1:
                 continue
             vs.append(ChernVector(r, d))
-        vs.sort(key=lambda v: Fraction(v.degree, v.rank))
-        slopes = [Fraction(v.degree, v.rank) for v in vs]
-        if slopes[0] < slopes[1] < slopes[2]:
+        vs.sort(key=_BY_SLOPE)
+        if euler_pairing(vs[0], vs[1]) > 0 and euler_pairing(vs[1], vs[2]) > 0:
             return Triad(vs[0], vs[1], vs[2])
 
 
@@ -79,8 +87,9 @@ def random_presentation(
 ) -> QuadraticPresentation:
     """A random quadratic presentation with independent relation rows.
 
-    Candidate rows get small rational entries; reduction to echelon form
-    discards dependent ones so the construction invariant always holds.
+    Candidate rows get small rational entries; each block keeps only the
+    pivot rows of their rref, which are independent by construction, so the
+    presentation is built without __init__'s rank check.
     """
     p = period if period is not None else rng.choice([1, 2, 3])
     gens = tuple(rng.randint(1, max_gen) for _ in range(p))
@@ -95,4 +104,4 @@ def random_presentation(
         reduced, pivots = RationalMatrix.from_rows(rows, cols=ambient).rref()
         basis = [list(reduced.row(k)) for k in range(len(pivots))]
         rels.append(RationalMatrix.from_rows(basis, cols=ambient))
-    return QuadraticPresentation(p, gens, tuple(rels))
+    return QuadraticPresentation._unchecked(p, gens, tuple(rels))

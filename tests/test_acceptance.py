@@ -89,8 +89,7 @@ def test_criterion_03_closed_form_equals_recursion():
     """Surd closed form lands exactly on every recursion row, d up to 15."""
     for d in (5, 7, 9, 11, 13, 15):
         rows = invariants_from_seed(family_seed(d), 40).rows
-        for row in rows:
-            assert closed_form(d, row.n) == (row.r, row.d)
+        assert closed_form(d, 40) == [(row.r, row.d) for row in rows]
 
 
 def test_criterion_04_minor_periodicity():

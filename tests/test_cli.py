@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from helixkit import cli, quadratic
+from helixkit import cli, helix, quadratic
 from helixkit.exact import TruncatedSeries
 
 SEED_CSV = (
@@ -484,6 +484,30 @@ def test_verify_catches_route_disagreement(capsys, monkeypatch):
         "koszulity-witness: FAIL (fixture n=1, dim at i=0, degree 2: "
         "quotient route 3, ambient route 4)"
     )
+
+
+def test_verify_catches_closed_form_disagreement(capsys, monkeypatch):
+    real = helix.closed_form
+
+    def bumped(d, n_max):
+        rows = real(d, n_max)
+        r, deg = rows[3]
+        rows[3] = (r + 1, deg)
+        return rows
+
+    monkeypatch.setattr(helix, "closed_form", bumped)
+    code, out, _ = run(capsys, "verify", "--d-range", "5:7", "--horizon", "8",
+                       "--seed-samples", "2")
+    assert code == 2
+    assert "closed-form-equivalence: FAIL (d=5, n=3)" in out.splitlines()
+
+
+def test_verify_catches_double_dual_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(quadratic, "row_space_equal", lambda a, b: False)
+    code, out, _ = run(capsys, "verify", "--d-range", "5:5", "--horizon", "8",
+                       "--seed-samples", "2")
+    assert code == 2
+    assert "double-dual: FAIL (random presentation #0)" in out.splitlines()
 
 
 def test_verify_rejects_even_d_range(capsys):

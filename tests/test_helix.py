@@ -224,16 +224,14 @@ def test_periodicity_on_random_nondegenerate_seeds():
 
 
 def test_closed_form_examples():
-    assert closed_form(5, 0) == (1, 0)
-    assert closed_form(5, 2) == (3, 20)
-    assert closed_form(5, 3) == (11, 75)
+    assert closed_form(5, 0) == [(1, 0)]
+    assert closed_form(5, 3) == [(1, 0), (1, 5), (3, 20), (11, 75)]
 
 
 def test_closed_form_matches_recursion():
-    for d in (5, 7, 9, 11, 13, 15):
-        t = invariants_from_seed(seed_0_half_d(d), 40)
-        for row in t.rows:
-            assert closed_form(d, row.n) == (row.r, row.d)
+    for d in range(5, 42, 2):
+        rows = invariants_from_seed(seed_0_half_d(d), 200).rows
+        assert closed_form(d, 200) == [(row.r, row.d) for row in rows]
 
 
 def test_closed_form_domain():

@@ -83,6 +83,23 @@ def test_presentation_rejects_shape_mismatches():
         QuadraticPresentation(0, (), ())
 
 
+def test_built_presentations_pass_the_checks_they_skip():
+    # koszul_dual and random_presentation construct without __init__'s
+    # checks; pin the invariants their constructions guarantee
+    rng = random.Random(23)
+    fixtures = [classical_euler_fixture(n)[0] for n in range(1, 5)]
+    sources = [random_presentation(rng) for _ in range(50)]
+    sources += fixtures + [koszul_dual(p) for p in fixtures]
+    for p in sources:
+        dual = koszul_dual(p)
+        for q in (p, dual):
+            assert QuadraticPresentation(q.period, q.gen_dims, q.relations) == q
+        for rel, ann in zip(p.relations, dual.relations):
+            assert rel.rank() == rel.rows
+            assert ann.rank() == ann.rows
+            assert rel.rank() + ann.rank() == rel.cols == ann.cols
+
+
 @pytest.mark.parametrize(
     "period, gen_dims, relations",
     [
