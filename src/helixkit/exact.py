@@ -4,7 +4,11 @@ kernel.
 
 The kernel eliminates on primitive int rows, fraction-free: each rational
 row is cleared of denominators once on the way in (_dense_to_sparse), and
-Fractions leave only through RationalMatrix.rref and matrix_kernel. Series
+Fractions are built again only where a RationalMatrix must be returned, in
+one place (_fraction_matrix): RationalMatrix.rref, matrix_kernel and
+sampling.random_presentation. Callers that compare or count (rank,
+row_space_equal, quadratic.double_dual_check, quadratic.degree_dims) read
+the int rows and build no Fraction. Series
 arithmetic runs the same way, on integer numerators over one denominator
 (_int_coeffs), with one Fraction built per output coefficient.
 
@@ -355,16 +359,10 @@ class RationalMatrix:
 
         Pivot rows come first in column order, then the zero rows.
         """
-        pivots = _reduced(self)
-        order = sorted(pivots)
-        zero = Fraction(0)
-        flat = []
-        for c in order:
-            row = pivots[c]
-            p = row[c]
-            flat += (Fraction(row[j], p) if j in row else zero for j in range(self.cols))
-        flat += [zero] * ((self.rows - len(order)) * self.cols)
-        return RationalMatrix(self.rows, self.cols, flat), order
+        pivots = _reduced(_dense_to_sparse(self))
+        zeros = (Fraction(0),) * ((self.rows - len(pivots)) * self.cols)
+        flat = _fraction_matrix(pivots, self.cols).entries + zeros
+        return RationalMatrix(self.rows, self.cols, flat), sorted(pivots)
 
     def rank(self) -> int:
         return _sparse_rank(_dense_to_sparse(self))
@@ -374,15 +372,23 @@ def matrix_kernel(m: RationalMatrix) -> RationalMatrix:
     """Basis rows of the right null space {v : m v^T = 0}.
 
     Returns cols - rank(m) independent rows (possibly none), one per free
-    column: the transpose of the normal form.
+    column in column order: the Fraction view of _kernel_rows, each row
+    divided by its entry at its free column, so that entry is 1.
     """
-    dim, nf = _normal_form(_reduced(m), m.cols)
+    return _fraction_matrix(_kernel_rows(_reduced(_dense_to_sparse(m)), m.cols), m.cols)
+
+
+def _fraction_matrix(rows: dict[int, dict[int, int]], cols: int) -> RationalMatrix:
+    """The one way out of the kernel: int rows keyed by a lead column (a
+    pivot, or a kernel row's free column), in column order, each divided by
+    its entry at that column."""
     zero = Fraction(0)
-    basis = [[zero] * m.cols for _ in range(dim)]
-    for col, (q, row) in enumerate(nf):
-        for k, x in row.items():
-            basis[k][col] = Fraction(x, q)
-    return RationalMatrix.from_rows(basis, cols=m.cols)
+    flat = []
+    for c in sorted(rows):
+        row = rows[c]
+        lead = row[c]
+        flat += (Fraction(row[j], lead) if j in row else zero for j in range(cols))
+    return RationalMatrix(len(rows), cols, flat)
 
 
 def _subtract(row: dict[int, int], c: int, piv: dict[int, int]) -> None:
@@ -464,9 +470,9 @@ def _back_substitute(pivots: dict[int, dict[int, int]]) -> None:
             _subtract(row, k, pivots[k])
 
 
-def _reduced(m: RationalMatrix) -> dict[int, dict[int, int]]:
-    """The canonical reduced echelon form of m's rows."""
-    pivots = _echelon(_dense_to_sparse(m))
+def _reduced(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The canonical reduced echelon form of sparse int rows."""
+    pivots = _echelon(rows)
     _back_substitute(pivots)
     return pivots
 
@@ -488,6 +494,35 @@ def _normal_form(pivots: dict[int, dict[int, int]], cols: int) -> tuple[int, lis
     return len(basis), nf
 
 
+def _kernel_rows(
+    pivots: dict[int, dict[int, int]], cols: int
+) -> dict[int, dict[int, int]]:
+    """Int rows spanning the right kernel of a reduced echelon form, keyed by
+    free column.
+
+    The transpose of _normal_form, each row scaled by the lcm of its q's:
+    the row of free column f holds that lcm at f and -x * (lcm // q) at each
+    pivot column whose row (pivot entry q) holds x at f. It is zero on every
+    other free column, so the rows are independent.
+    """
+    terms: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(cols) if f not in pivots
+    }
+    for c, row in pivots.items():
+        q = row[c]
+        for f, x in row.items():
+            if f != c:
+                terms[f].append((c, x, q))
+    kernel = {}
+    for f, ts in terms.items():
+        den = lcm(*(q for _, _, q in ts))
+        row = {f: den}
+        for c, x, q in ts:
+            row[c] = -x * (den // q)
+        kernel[f] = row
+    return kernel
+
+
 def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank of a set of sparse int rows."""
     return len(_echelon(rows))
@@ -506,4 +541,4 @@ def row_space_equal(a: RationalMatrix, b: RationalMatrix) -> bool:
     """Exact equality of row spaces (not just of dimensions)."""
     if a.cols != b.cols:
         raise ColumnMismatch("row spaces live in different ambient dimensions")
-    return _reduced(a) == _reduced(b)
+    return _reduced(_dense_to_sparse(a)) == _reduced(_dense_to_sparse(b))

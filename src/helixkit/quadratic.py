@@ -34,11 +34,12 @@ from .exact import (
     _dense_to_sparse,
     _echelon,
     _frac,
+    _kernel_rows,
     _normal_form,
+    _reduced,
     _sparse_rank,
     first_series_mismatch,
     matrix_kernel,
-    row_space_equal,
 )
 from .helix import Seed, invariants_from_seed
 
@@ -171,6 +172,14 @@ class QuadraticPresentation:
         return cls(period, gen_dims, tuple(rels))
 
 
+def _require_duals_under_cap(sizes, cap: int) -> None:
+    for i, size in enumerate(sizes):
+        if size > cap:
+            raise DimensionCapExceeded(
+                f"dual relations at index {i} have {size} entries, exceeding cap {cap}"
+            )
+
+
 def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     """Same generator dims; relations replaced by their annihilators.
 
@@ -181,24 +190,33 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     ranked again; the rank check runs where presentations enter, in
     QuadraticPresentation.__init__.
     """
-    cap = _dim_cap()
-    for i, rel in enumerate(p.relations):
-        size = rel.cols * (rel.cols - rel.rows)
-        if size > cap:
-            raise DimensionCapExceeded(
-                f"dual relations at index {i} have {size} entries, exceeding cap {cap}"
-            )
+    _require_duals_under_cap(
+        (rel.cols * (rel.cols - rel.rows) for rel in p.relations), _dim_cap()
+    )
     # under the coordinatewise pairing the annihilator of R is the kernel of R
     duals = tuple(matrix_kernel(rel) for rel in p.relations)
     return QuadraticPresentation._unchecked(p.period, p.gen_dims, duals)
 
 
 def double_dual_check(p: QuadraticPresentation) -> bool:
-    """Row-space equality of relations with their double annihilator."""
-    dd = koszul_dual(koszul_dual(p))
-    return all(
-        row_space_equal(a, b) for a, b in zip(p.relations, dd.relations)
-    )
+    """Row-space equality of relations with their double annihilator.
+
+    The check stands for koszul_dual(koszul_dual(p)) compared with p by
+    row_space_equal, and refuses the same sizes before any elimination:
+    cols * (cols - rows) for the dual, then cols * rows for the double dual.
+    It runs on int rows throughout, three eliminations per block: each
+    block is reduced once, the reduced kernel of that is the dual, and the
+    reduced kernel of the dual must give back the same pivot rows.
+    """
+    rels, cap = p.relations, _dim_cap()
+    _require_duals_under_cap((rel.cols * (rel.cols - rel.rows) for rel in rels), cap)
+    _require_duals_under_cap((rel.cols * rel.rows for rel in rels), cap)
+    for rel in rels:
+        first = _reduced(_dense_to_sparse(rel))
+        dual = _reduced(_kernel_rows(first, rel.cols).values())
+        if _reduced(_kernel_rows(dual, rel.cols).values()) != first:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

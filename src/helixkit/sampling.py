@@ -13,7 +13,7 @@ from math import gcd
 
 from .bundles import ChernVector, Triad, euler_pairing, mutate_triad_right
 from .errors import NotMutable
-from .exact import RationalMatrix
+from .exact import _fraction_matrix, _reduced
 from .helix import Seed, invariants_from_seed
 from .quadratic import QuadraticPresentation
 
@@ -87,9 +87,12 @@ def random_presentation(
 ) -> QuadraticPresentation:
     """A random quadratic presentation with independent relation rows.
 
-    Candidate rows get small rational entries; each block keeps only the
-    pivot rows of their rref, which are independent by construction, so the
-    presentation is built without __init__'s rank check.
+    Each candidate entry is drawn as a half-integer num/den (num in -3..3,
+    den in 1..2) and kept as the int num * (2 // den), twice its value; each
+    block keeps the reduced pivot rows of its candidates, each divided by
+    its pivot entry (the nonzero rows of their rref). Those are independent
+    by construction, so the presentation is built without __init__'s rank
+    check.
     """
     p = period if period is not None else rng.choice([1, 2, 3])
     gens = tuple(rng.randint(1, max_gen) for _ in range(p))
@@ -98,10 +101,8 @@ def random_presentation(
         ambient = gens[i] * gens[(i + 1) % p]
         count = rng.randint(0, ambient)
         rows = [
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ambient)]
+            {j: rng.randint(-3, 3) * (2 // rng.randint(1, 2)) for j in range(ambient)}
             for _ in range(count)
         ]
-        reduced, pivots = RationalMatrix.from_rows(rows, cols=ambient).rref()
-        basis = [list(reduced.row(k)) for k in range(len(pivots))]
-        rels.append(RationalMatrix.from_rows(basis, cols=ambient))
+        rels.append(_fraction_matrix(_reduced(rows), ambient))
     return QuadraticPresentation._unchecked(p, gens, tuple(rels))

@@ -1,6 +1,7 @@
 """Command surface: parsing, rendering, exit codes, the verify suite."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -241,6 +242,22 @@ def test_koszul_dual_dim_cap_is_65(capsys, tmp_path, monkeypatch):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_koszul_dual_second_dual_cap_is_65(capsys, tmp_path, monkeypatch):
+    # eight of nine columns are relations: the dual block has 9 entries, the
+    # double dual 72, so only the double-dual check crosses a cap of 20
+    rows = [["1" if j == k else "0" for j in range(9)] for k in range(8)]
+    src = tmp_path / "eight-rel.json"
+    src.write_text(json.dumps(
+        {"period": 1, "gen_dims": [3], "relations": [{"index": 0, "rows": rows}]}
+    ))
+    monkeypatch.setenv("HELIXKIT_DIM_CAP", "20")
+    assert run(capsys, "koszul-dual", str(src))[0] == 0
+    code, out, err = run(capsys, "koszul-dual", str(src), "--check-double-dual")
+    assert code == 65
+    assert out == ""
+    assert err == "error: dual relations at index 0 have 72 entries, exceeding cap 20\n"
 
 
 @pytest.mark.parametrize(
@@ -503,7 +520,17 @@ def test_verify_catches_closed_form_disagreement(capsys, monkeypatch):
 
 
 def test_verify_catches_double_dual_disagreement(capsys, monkeypatch):
-    monkeypatch.setattr(quadratic, "row_space_equal", lambda a, b: False)
+    # the check compares the relations' reduced rows with those of their
+    # double dual, each block's third reduction: give that one an extra row
+    real, calls = quadratic._reduced, itertools.count(1)
+
+    def skewed(rows):
+        pivots = real(rows)
+        if next(calls) % 3 == 0:
+            pivots[-1] = {-1: 1}
+        return pivots
+
+    monkeypatch.setattr(quadratic, "_reduced", skewed)
     code, out, _ = run(capsys, "verify", "--d-range", "5:5", "--horizon", "8",
                        "--seed-samples", "2")
     assert code == 2

@@ -1,6 +1,7 @@
 """Presentation-level duality, dimension tables, and the series model."""
 
 import fractions
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -180,6 +181,64 @@ def test_double_dual_randomized():
         assert double_dual_check(random_presentation(rng))
 
 
+def composed_double_dual(p):
+    """The reference route: two Fraction duals, then row-space equality."""
+    dd = koszul_dual(koszul_dual(p))
+    return all(row_space_equal(a, b) for a, b in zip(p.relations, dd.relations))
+
+
+def pq_presentation():
+    """p/q blocks from dependent candidates: a zero row and a sum of rows
+    are dropped by the rref; one block is empty and one is full."""
+    r = ["1/2", "-2/3", "0", "3", "0", "5/7"]
+    s = ["0", "4/5", "-1", "0", "1/3", "0"]
+    candidates = [r, ["0"] * 6, s, [Fraction(x) + Fraction(y) for x, y in zip(r, s)]]
+    reduced, pivots = M(candidates).rref()
+    rel = M([reduced.row(k) for k in range(len(pivots))])
+    full = M([[Fraction(j == k, k + 1) for j in range(4)] for k in range(4)])
+    return QuadraticPresentation(3, (2, 3, 2), (rel, M([], cols=6), full))
+
+
+def reference_inputs():
+    for n in range(1, 5):
+        p, _ = classical_euler_fixture(n)
+        yield p
+        yield koszul_dual(p)
+    rng = random.Random(2024)
+    for _ in range(100):
+        yield random_presentation(rng)
+    yield pq_presentation()
+    yield koszul_dual(pq_presentation())
+
+
+def test_double_dual_check_agrees_with_the_composed_route():
+    for p in reference_inputs():
+        assert composed_double_dual(p)
+        assert double_dual_check(p)
+
+
+@pytest.mark.parametrize("fault", ["drop", "perturb"])
+@pytest.mark.parametrize("stage", [0, 1], ids=["dual", "double-dual"])
+def test_double_dual_check_catches_a_broken_kernel(monkeypatch, fault, stage):
+    # _kernel_rows runs twice per block, for the dual and then for the double
+    # dual; break only the given one, so the check cannot come out right
+    real, calls = quadratic._kernel_rows, itertools.count()
+
+    def broken(pivots, cols):
+        rows = real(pivots, cols)
+        if next(calls) % 2 == stage and rows and pivots:
+            if fault == "drop":
+                del rows[min(rows)]
+            else:
+                row, c = rows[min(rows)], min(pivots)
+                row[c] = row.get(c, 0) + 1
+        return rows
+
+    monkeypatch.setattr(quadratic, "_kernel_rows", broken)
+    for p in (sym_presentation(3), periodic_mixed(), pq_presentation()):
+        assert double_dual_check(p) is False
+
+
 # ------------------------------------------------------------- degree dims
 
 
@@ -279,8 +338,9 @@ def test_random_draw_with_fraction_growth():
 
 
 def test_degree_dims_constructs_no_fraction():
-    # the quotient recursion runs on int rows only; 3.12 builds Fraction
-    # results through _from_coprime_ints, earlier versions through __new__
+    # the quotient recursion and the double-dual check run on int rows only;
+    # 3.12 builds Fraction results through _from_coprime_ints, earlier
+    # versions through __new__
     presentations = [koszul_dual(classical_euler_fixture(3)[0])]
     presentations += [random_presentation(random.Random(k)) for k in range(20)]
     built = []
@@ -299,6 +359,7 @@ def test_degree_dims_constructs_no_fraction():
     try:
         for p in presentations:
             degree_dims(p, 5)
+            assert double_dual_check(p)
     finally:
         sys.setprofile(previous)
     assert built == []
