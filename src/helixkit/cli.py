@@ -164,6 +164,10 @@ def _run_seed_table(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
 
+    # the table prints row by row, so an entry past str()'s digit limit
+    # (sys.get_int_max_str_digits) would fail mid-table: convert the largest
+    # one first, and a table that cannot be printed prints nothing
+    str(max(abs(x) for row in table.rows for x in (row.d, row.r, row.dp, row.rp) if x))
     print(f"seed: mu0={seed.mu0} mu1p={seed.mu1p} mu1={seed.mu1}")
     for row in table.rows:
         line = f"n={row.n} d={row.d} r={row.r}"

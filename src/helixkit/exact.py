@@ -3,14 +3,15 @@ series, and linear algebra over the rationals on one sparse elimination
 kernel.
 
 The kernel eliminates on primitive int rows, fraction-free: each rational
-row is cleared of denominators once on the way in (_dense_to_sparse), and
-Fractions are built again only where a RationalMatrix must be returned, in
-one place (_fraction_matrix): RationalMatrix.rref, matrix_kernel and
-sampling.random_presentation. Callers that compare or count (rank,
-row_space_equal, quadratic.double_dual_check, quadratic.degree_dims) read
-the int rows and build no Fraction. Series
-arithmetic runs the same way, on integer numerators over one denominator
-(_int_coeffs), with one Fraction built per output coefficient.
+row is cleared of denominators once on the way in (_dense_to_sparse), which
+also gives the row's own denominator, so (den, row) stands for row / den in
+one form only. Quadratic presentations keep their relation blocks in that
+form from JSON parsing to JSON output, so koszul_dual, degree_dims and the
+double-dual check build no Fraction. Fractions are built again only where a
+RationalMatrix must be returned, in one place (_fraction_matrix):
+RationalMatrix.rref, matrix_kernel and a presentation's relations view.
+Series arithmetic runs the same way, on integer numerators over one
+denominator (_int_coeffs), with one Fraction built per output coefficient.
 
 Everything here is pure and immutable. No operation constructs a float; the
 only decimal output is the string produced by :func:`surd_to_decimal`, and
@@ -361,7 +362,7 @@ class RationalMatrix:
         """
         pivots = _reduced(_dense_to_sparse(self))
         zeros = (Fraction(0),) * ((self.rows - len(pivots)) * self.cols)
-        flat = _fraction_matrix(pivots, self.cols).entries + zeros
+        flat = _fraction_matrix(_by_lead(pivots), self.cols).entries + zeros
         return RationalMatrix(self.rows, self.cols, flat), sorted(pivots)
 
     def rank(self) -> int:
@@ -375,19 +376,25 @@ def matrix_kernel(m: RationalMatrix) -> RationalMatrix:
     column in column order: the Fraction view of _kernel_rows, each row
     divided by its entry at its free column, so that entry is 1.
     """
-    return _fraction_matrix(_kernel_rows(_reduced(_dense_to_sparse(m)), m.cols), m.cols)
+    kernel = _kernel_rows(_reduced(_dense_to_sparse(m)), m.cols)
+    return _fraction_matrix(_by_lead(kernel), m.cols)
 
 
-def _fraction_matrix(rows: dict[int, dict[int, int]], cols: int) -> RationalMatrix:
-    """The one way out of the kernel: int rows keyed by a lead column (a
-    pivot, or a kernel row's free column), in column order, each divided by
-    its entry at that column."""
+def _by_lead(rows: dict[int, dict[int, int]]) -> tuple:
+    """Primitive int rows keyed by a lead column (a pivot, or a kernel row's
+    free column), in column order, as (den, row) with den the row's positive
+    entry at that column: each row divided by that entry, in the one form
+    _dense_to_sparse gives it."""
+    return tuple((rows[c][c], rows[c]) for c in sorted(rows))
+
+
+def _fraction_matrix(rows: Sequence[tuple[int, dict]], cols: int) -> RationalMatrix:
+    """The one way out of the kernel: the RationalMatrix whose rows are the
+    int rows (den, row), each standing for row / den."""
     zero = Fraction(0)
     flat = []
-    for c in sorted(rows):
-        row = rows[c]
-        lead = row[c]
-        flat += (Fraction(row[j], lead) if j in row else zero for j in range(cols))
+    for den, row in rows:
+        flat += (Fraction(row[j], den) if j in row else zero for j in range(cols))
     return RationalMatrix(len(rows), cols, flat)
 
 
@@ -497,13 +504,14 @@ def _normal_form(pivots: dict[int, dict[int, int]], cols: int) -> tuple[int, lis
 def _kernel_rows(
     pivots: dict[int, dict[int, int]], cols: int
 ) -> dict[int, dict[int, int]]:
-    """Int rows spanning the right kernel of a reduced echelon form, keyed by
-    free column.
+    """Primitive int rows spanning the right kernel of a reduced echelon
+    form, keyed by free column.
 
-    The transpose of _normal_form, each row scaled by the lcm of its q's:
-    the row of free column f holds that lcm at f and -x * (lcm // q) at each
-    pivot column whose row (pivot entry q) holds x at f. It is zero on every
-    other free column, so the rows are independent.
+    The transpose of _normal_form, each row scaled by the lcm of its q's and
+    divided by its content: the row of free column f holds that lcm at f and
+    -x * (lcm // q) at each pivot column whose row (pivot entry q) holds x at
+    f, over their gcd. It is zero on every other free column, so the rows
+    are independent, and positive at f.
     """
     terms: dict[int, list[tuple[int, int, int]]] = {
         f: [] for f in range(cols) if f not in pivots
@@ -519,6 +527,7 @@ def _kernel_rows(
         row = {f: den}
         for c, x, q in ts:
             row[c] = -x * (den // q)
+        _divide_content(row)
         kernel[f] = row
     return kernel
 
@@ -528,13 +537,21 @@ def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     return len(_echelon(rows))
 
 
-def _dense_to_sparse(m: RationalMatrix) -> Iterable[dict[int, int]]:
-    """The one Fraction -> int row step: m's rows, each sparse and scaled by
-    the lcm of its denominators."""
-    for i in range(m.rows):
-        row = {j: e for j, e in enumerate(m.row(i)) if e}
+def _dense_to_sparse(m, *, with_den: bool = False) -> Iterable:
+    """The one Fraction -> int row step: the rows of m (a RationalMatrix, or
+    any rows of rationals and int zeros), each sparse and scaled by the lcm
+    den of its denominators; (den, row) pairs when with_den is set.
+
+    den > 0 has no factor in common with all of the row's ints, so (den, row)
+    is the one such form of the rational row row / den (a zero row is
+    (1, {})).
+    """
+    rows = (m.row(i) for i in range(m.rows)) if isinstance(m, RationalMatrix) else m
+    for dense in rows:
+        row = {j: e for j, e in enumerate(dense) if e}
         den = lcm(*(e.denominator for e in row.values()))
-        yield {j: e.numerator * (den // e.denominator) for j, e in row.items()}
+        ints = {j: e.numerator * (den // e.denominator) for j, e in row.items()}
+        yield (den, ints) if with_den else ints
 
 
 def row_space_equal(a: RationalMatrix, b: RationalMatrix) -> bool:

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -31,15 +31,16 @@ from .exact import (
     RationalMatrix,
     TruncatedSeries,
     _back_substitute,
+    _by_lead,
     _dense_to_sparse,
     _echelon,
     _frac,
+    _fraction_matrix,
     _kernel_rows,
     _normal_form,
     _reduced,
     _sparse_rank,
     first_series_mismatch,
-    matrix_kernel,
 )
 from .helix import Seed, invariants_from_seed
 
@@ -73,61 +74,118 @@ def _json_field(obj, key: str, where: str):
         raise ValueError(f"{where} is missing {key!r}") from None
 
 
-def _json_entry(value) -> Fraction:
-    """A relation entry of presentation JSON: a "p/q" string, never a number."""
+def _json_entry(value) -> Fraction | int:
+    """A relation entry of presentation JSON: a "p/q" string, never a number.
+
+    The string "0", most entries of a sparse block, is the int 0 without a
+    Fraction parse; every other string goes through the one parser.
+    """
+    if value == "0":
+        return 0
     if not isinstance(value, str):
         raise ValueError(f"relation entries must be 'p/q' strings, got {value!r}")
     return _frac(value)
+
+
+def _json_row(den: int, row: dict[int, int], cols: int) -> list[str]:
+    """The int row row / den as JSON entries, each the text str(Fraction)
+    gives for it."""
+    out = ["0"] * cols
+    for j, v in row.items():
+        g = gcd(v, den)
+        out[j] = str(v // den) if g == den else f"{v // g}/{den // g}"
+    return out
+
+
+def _checked_blocks(period, gen_dims, widths, blocks) -> tuple:
+    """The checks every presentation from outside passes, in order: the
+    period, one generator dim and one block per index, positive generator
+    dims, then per index the column count and independent rows.
+
+    widths holds each block's column count and blocks its (den, row) int
+    rows, read only once the shape checks have passed. Returns the blocks
+    as tuples.
+    """
+    if not isinstance(period, int) or isinstance(period, bool) or period < 1:
+        raise ValueError("period must be a positive integer")
+    if len(gen_dims) != period or len(widths) != period:
+        raise ValueError("need one generator dim and one relation matrix per index")
+    for g in gen_dims:
+        if not isinstance(g, int) or isinstance(g, bool) or g < 1:
+            raise ValueError("generator dims must be positive integers")
+    checked = []
+    for i, (cols, block) in enumerate(zip(widths, blocks)):
+        ambient = gen_dims[i] * gen_dims[(i + 1) % period]
+        if cols != ambient:
+            raise ValueError(
+                f"relations at index {i} need {ambient} columns, got {cols}"
+            )
+        block = tuple(block)
+        if _sparse_rank(row for _, row in block) != len(block):
+            raise ValueError(f"relation rows at index {i} are dependent")
+        checked.append(block)
+    return tuple(checked)
 
 
 @dataclass(frozen=True)
 class QuadraticPresentation:
     """period, generator dims per index, and relation rows per index.
 
-    relations[i] lives in the g_i * g_{i+1} tensor square with basis order
-    (u_a, w_b) -> a * g_{i+1} + b; its rows must be linearly independent.
+    Relation block i lives in the g_i * g_{i+1} tensor square with basis
+    order (u_a, w_b) -> a * g_{i+1} + b; its rows must be linearly
+    independent. Each block is stored once, as int rows: blocks[i] holds
+    (den, {col: num}) per row, standing for the row num / den, with den > 0
+    and no factor common to den and all the nums, so equal rows are stored
+    equal. relations is the RationalMatrix view of the blocks, built on
+    demand; the constructor takes RationalMatrix blocks and from_json_dict
+    takes "p/q" text.
     """
 
     period: int
     gen_dims: tuple[int, ...]
-    relations: tuple[RationalMatrix, ...]
+    blocks: tuple[tuple[tuple[int, dict[int, int]], ...], ...]
 
     def __init__(self, period, gen_dims, relations):
-        gen_dims = tuple(gen_dims)
-        relations = tuple(relations)
-        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
-            raise ValueError("period must be a positive integer")
-        if len(gen_dims) != period or len(relations) != period:
-            raise ValueError("need one generator dim and one relation matrix per index")
-        for g in gen_dims:
-            if not isinstance(g, int) or isinstance(g, bool) or g < 1:
-                raise ValueError("generator dims must be positive integers")
-        for i, rel in enumerate(relations):
-            ambient = gen_dims[i] * gen_dims[(i + 1) % period]
-            if rel.cols != ambient:
-                raise ValueError(
-                    f"relations at index {i} need {ambient} columns, got {rel.cols}"
-                )
-            if rel.rank() != rel.rows:
-                raise ValueError(f"relation rows at index {i} are dependent")
+        gen_dims, relations = tuple(gen_dims), tuple(relations)
+        blocks = _checked_blocks(
+            period,
+            gen_dims,
+            [rel.cols for rel in relations],
+            (_dense_to_sparse(rel, with_den=True) for rel in relations),
+        )
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "gen_dims", gen_dims)
-        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
-    def _unchecked(cls, period, gen_dims, relations):
+    def _unchecked(cls, period, gen_dims, blocks):
         """The presentation with these fields (tuples), built without checks.
 
-        Only for the two constructions whose relation rows are independent
-        by construction: koszul_dual's kernel bases and the rref pivot rows
-        of sampling.random_presentation. JSON documents, the fixtures and
-        library callers go through __init__ and its rank check.
+        Only for the constructions whose blocks are checked or independent
+        by construction: from_json_dict after its checks, koszul_dual's
+        kernel bases and the pivot rows of sampling.random_presentation.
+        The fixtures and library callers go through __init__ and its rank
+        check.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "gen_dims", gen_dims)
-        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "blocks", blocks)
         return self
+
+    def __hash__(self):
+        return hash((self.period, self.gen_dims, self.relations))
+
+    def _cols(self, i: int) -> int:
+        """Column count of relation block i: g_i * g_{i+1}."""
+        return self.gen_dims[i] * self.gen_dims[(i + 1) % self.period]
+
+    @property
+    def relations(self) -> tuple[RationalMatrix, ...]:
+        """The relation blocks as RationalMatrix values, built on each call."""
+        return tuple(
+            _fraction_matrix(rows, self._cols(i)) for i, rows in enumerate(self.blocks)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,16 +194,19 @@ class QuadraticPresentation:
             "relations": [
                 {
                     "index": i,
-                    "rows": [
-                        [str(v) for v in rel.row(k)] for k in range(rel.rows)
-                    ],
+                    "rows": [_json_row(den, row, self._cols(i)) for den, row in block],
                 }
-                for i, rel in enumerate(self.relations)
+                for i, block in enumerate(self.blocks)
             ],
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuadraticPresentation":
+        """The presentation of a JSON document, with every check of __init__.
+
+        The int rows are built straight from the entry strings; a ragged
+        block is refused before the checks of __init__ run.
+        """
         where = "presentation JSON"
         period = _json_int(_json_field(doc, "period", where), "period")
         gen_dims = tuple(
@@ -153,7 +214,7 @@ class QuadraticPresentation:
         )
         if len(gen_dims) != period:
             raise ValueError("gen_dims length must equal the period")
-        by_index: dict[int, list[list[Fraction]]] = {}
+        by_index: dict[int, list[list[Fraction | int]]] = {}
         for k, item in enumerate(doc.get("relations", [])):
             where = f"relation block {k}"
             i = _json_int(_json_field(item, "index", where), "relation index")
@@ -164,12 +225,17 @@ class QuadraticPresentation:
             by_index[i] = [
                 [_json_entry(s) for s in row] for row in _json_field(item, "rows", where)
             ]
-        rels = []
+        widths, blocks = [], []
         for i in range(period):
-            ambient = gen_dims[i] * gen_dims[(i + 1) % period]
             rows = by_index.get(i, [])
-            rels.append(RationalMatrix.from_rows(rows, cols=ambient))
-        return cls(period, gen_dims, tuple(rels))
+            width = len(rows[0]) if rows else gen_dims[i] * gen_dims[(i + 1) % period]
+            if any(len(row) != width for row in rows):
+                raise ValueError("ragged rows")
+            widths.append(width)
+            blocks.append(_dense_to_sparse(rows, with_den=True))
+        return cls._unchecked(
+            period, gen_dims, _checked_blocks(period, gen_dims, widths, blocks)
+        )
 
 
 def _require_duals_under_cap(sizes, cap: int) -> None:
@@ -185,16 +251,21 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
 
     A dual block is dense, cols * (cols - rows) entries; a block above the
     HELIXKIT_DIM_CAP environment value is refused before anything is built.
-    Each dual block is a kernel basis with an identity block on the free
-    columns, so its rows are independent by construction and are not
-    ranked again; the rank check runs where presentations enter, in
-    QuadraticPresentation.__init__.
+    Each dual block is the int kernel basis of the reduced block, one row
+    per free column f with den its entry at f (that entry of the row's
+    value is 1 and every other free column's is 0), so its rows are
+    independent by construction and are not ranked again; the rank check
+    runs where presentations enter, in __init__ and from_json_dict.
     """
+    cols = [p._cols(i) for i in range(p.period)]
     _require_duals_under_cap(
-        (rel.cols * (rel.cols - rel.rows) for rel in p.relations), _dim_cap()
+        (c * (c - len(block)) for c, block in zip(cols, p.blocks)), _dim_cap()
     )
     # under the coordinatewise pairing the annihilator of R is the kernel of R
-    duals = tuple(matrix_kernel(rel) for rel in p.relations)
+    duals = tuple(
+        _by_lead(_kernel_rows(_reduced(row for _, row in block), c))
+        for c, block in zip(cols, p.blocks)
+    )
     return QuadraticPresentation._unchecked(p.period, p.gen_dims, duals)
 
 
@@ -204,17 +275,17 @@ def double_dual_check(p: QuadraticPresentation) -> bool:
     The check stands for koszul_dual(koszul_dual(p)) compared with p by
     row_space_equal, and refuses the same sizes before any elimination:
     cols * (cols - rows) for the dual, then cols * rows for the double dual.
-    It runs on int rows throughout, three eliminations per block: each
-    block is reduced once, the reduced kernel of that is the dual, and the
-    reduced kernel of the dual must give back the same pivot rows.
+    It runs on the stored int rows throughout, three eliminations per block:
+    each block is reduced once, the reduced kernel of that is the dual, and
+    the reduced kernel of the dual must give back the same pivot rows.
     """
-    rels, cap = p.relations, _dim_cap()
-    _require_duals_under_cap((rel.cols * (rel.cols - rel.rows) for rel in rels), cap)
-    _require_duals_under_cap((rel.cols * rel.rows for rel in rels), cap)
-    for rel in rels:
-        first = _reduced(_dense_to_sparse(rel))
-        dual = _reduced(_kernel_rows(first, rel.cols).values())
-        if _reduced(_kernel_rows(dual, rel.cols).values()) != first:
+    cols, cap = [p._cols(i) for i in range(p.period)], _dim_cap()
+    _require_duals_under_cap((c * (c - len(b)) for c, b in zip(cols, p.blocks)), cap)
+    _require_duals_under_cap((c * len(b) for c, b in zip(cols, p.blocks)), cap)
+    for c, block in zip(cols, p.blocks):
+        first = _reduced(row for _, row in block)
+        dual = _reduced(_kernel_rows(first, c).values())
+        if _reduced(_kernel_rows(dual, c).values()) != first:
             return False
     return True
 
@@ -247,7 +318,7 @@ def _spread_rows(p: QuadraticPresentation, i: int, n: int):
         pre = prod(word[:a])
         suf = prod(word[a + 2 :])
         block = word[a] * word[a + 1] * suf
-        for rel in _dense_to_sparse(p.relations[(i + a) % p.period]):
+        for _, rel in p.blocks[(i + a) % p.period]:
             for u in range(pre):
                 base = u * block
                 for w in range(suf):
@@ -278,23 +349,21 @@ def _ambient_degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
     return DimTable(p.period, max_degree, tuple(table))
 
 
-def _quotient_step(nf, rel: RationalMatrix, lower: int, upper: int, g: int, need_map: bool):
+def _quotient_step(
+    nf, block, g_left: int, g: int, lower: int, upper: int, need_map: bool
+):
     """One degree of the quotient recursion A_n = coker(A_{n-2} (x) R -> A_{n-1} (x) V).
 
-    lower and upper are dim A_{n-2} and dim A_{n-1}, g the dimension of the
-    last generator space V, and rel the relations between the last two
-    generator spaces. nf[c * g' + a] = (q, row) holds the word (basis element
-    c of A_{n-2}) * (generator a) on A_{n-1}'s basis as row / q, where
-    g' = rel.cols // g; each relation row is scaled by the lcm of its words'
-    q's. Column k * g + b of A_{n-1} (x) V pairs basis element k with
-    generator b. Returns dim A_n and, when need_map is set, the same map one
-    degree up (_normal_form).
+    block holds the int rows of the relations between the last two generator
+    spaces, of dimensions g_left and g (V); lower and upper are dim A_{n-2}
+    and dim A_{n-1}. nf[c * g_left + a] = (q, row) holds the word (basis
+    element c of A_{n-2}) * (generator a) on A_{n-1}'s basis as row / q;
+    each relation row is scaled by the lcm of its words' q's. Column
+    k * g + b of A_{n-1} (x) V pairs basis element k with generator b.
+    Returns dim A_n and, when need_map is set, the same map one degree up
+    (_normal_form).
     """
-    g_left = rel.cols // g
-    terms = [
-        [(col // g, col % g, v) for col, v in row.items()]
-        for row in _dense_to_sparse(rel)
-    ]
+    terms = [[(col // g, col % g, v) for col, v in row.items()] for _, row in block]
 
     def rows():
         for c in range(lower):
@@ -343,9 +412,10 @@ def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
             if n < 2:
                 row.append(ambient)
                 continue
-            rel = p.relations[(i + n - 2) % p.period]
+            block = p.blocks[(i + n - 2) % p.period]
             dim, nf = _quotient_step(
-                nf, rel, row[n - 2], row[n - 1], word[n - 1], n < max_degree
+                nf, block, word[n - 2], word[n - 1], row[n - 2], row[n - 1],
+                n < max_degree,
             )
             row.append(dim)
         table.append(tuple(row))

@@ -13,7 +13,7 @@ from math import gcd
 
 from .bundles import ChernVector, Triad, euler_pairing, mutate_triad_right
 from .errors import NotMutable
-from .exact import _fraction_matrix, _reduced
+from .exact import _by_lead, _reduced
 from .helix import Seed, invariants_from_seed
 from .quadratic import QuadraticPresentation
 
@@ -89,10 +89,10 @@ def random_presentation(
 
     Each candidate entry is drawn as a half-integer num/den (num in -3..3,
     den in 1..2) and kept as the int num * (2 // den), twice its value; each
-    block keeps the reduced pivot rows of its candidates, each divided by
-    its pivot entry (the nonzero rows of their rref). Those are independent
-    by construction, so the presentation is built without __init__'s rank
-    check.
+    block stores the reduced pivot rows of its candidates as they come out
+    of the elimination, each over its pivot entry (the nonzero rows of their
+    rref). Those are independent by construction, so the presentation is
+    built without __init__'s rank check.
     """
     p = period if period is not None else rng.choice([1, 2, 3])
     gens = tuple(rng.randint(1, max_gen) for _ in range(p))
@@ -104,5 +104,5 @@ def random_presentation(
             {j: rng.randint(-3, 3) * (2 // rng.randint(1, 2)) for j in range(ambient)}
             for _ in range(count)
         ]
-        rels.append(_fraction_matrix(_reduced(rows), ambient))
+        rels.append(_by_lead(_reduced(rows)))
     return QuadraticPresentation._unchecked(p, gens, tuple(rels))

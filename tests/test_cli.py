@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -64,6 +65,24 @@ def test_seed_table_json(capsys):
     assert doc["d"] == 5
     assert doc["rows"][2] == {"n": 2, "d": 20, "r": 3, "dp": 25, "rp": 4}
     assert doc["positivity"] == "Certified"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+def test_seed_table_past_the_digit_limit_prints_nothing(capsys):
+    # d = 10**100: row 60 has entries of about 6,000 digits, past the default
+    # limit of 4300, which once failed after 555 KB of table
+    m = str(10**100)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "seed-table", "0", f"{m}/2", m, "--n", "60")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_seed_table_invalid_seed_is_65(capsys):
@@ -294,6 +313,27 @@ def test_koszul_dual_exponent_entry_is_65(capsys, tmp_path):
     assert code == 65
     assert out == ""
     assert err == "error: exponent notation is not accepted: '1e3000000'\n"
+
+
+@pytest.mark.parametrize(
+    "entry, code",
+    [("0", 0), ("-0", 0), (" 0", 0), ("0/1", 0), ("00", 0), ("0.0", 0), ("1_0", 0),
+     ("1/2 ", 0), ("0e0", 65), ("0/0", 65), ("", 65), (0, 65)],
+)
+def test_koszul_dual_entry_contract(capsys, tmp_path, entry, code):
+    # exit codes measured before the string "0" skipped the rational parser;
+    # every other spelling of zero still prints the dual of SYM2_DOC
+    src = tmp_path / "entry.json"
+    row = [entry, "1", "-1", "0"]
+    src.write_text(json.dumps({**SYM2_DOC, "relations": [{"index": 0, "rows": [row]}]}))
+    got, out, err = run(capsys, "koszul-dual", str(src))
+    assert got == code
+    if code == 65:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    elif entry not in ("1_0", "1/2 "):
+        src.write_text(json.dumps(SYM2_DOC))
+        assert run(capsys, "koszul-dual", str(src)) == (0, out, "")
 
 
 @pytest.mark.parametrize(

@@ -338,11 +338,21 @@ def test_random_draw_with_fraction_growth():
 
 
 def test_degree_dims_constructs_no_fraction():
-    # the quotient recursion and the double-dual check run on int rows only;
-    # 3.12 builds Fraction results through _from_coprime_ints, earlier
-    # versions through __new__
+    # the quotient recursion, the double-dual check, the dual, the witness
+    # and the JSON output run on int rows only, whether the presentation
+    # came from a fixture, the sampler or a parsed JSON document; 3.12 builds
+    # Fraction results through _from_coprime_ints, earlier versions through
+    # __new__
     presentations = [koszul_dual(classical_euler_fixture(3)[0])]
+    presentations += [classical_euler_fixture(n)[0] for n in (1, 2)]
     presentations += [random_presentation(random.Random(k)) for k in range(20)]
+    presentations += [
+        QuadraticPresentation.from_json_dict(p.to_json_dict())
+        for p in presentations[:8]
+    ]
+    presentations.append(
+        QuadraticPresentation.from_json_dict(pq_presentation().to_json_dict())
+    )
     built = []
 
     def hook(frame, event, arg):
@@ -360,6 +370,10 @@ def test_degree_dims_constructs_no_fraction():
         for p in presentations:
             degree_dims(p, 5)
             assert double_dual_check(p)
+            # the witness runs degree_dims on p and on its dual to degree 4
+            koszulity_witness(p, 4)
+            p.to_json_dict()
+            koszul_dual(p).to_json_dict()
     finally:
         sys.setprofile(previous)
     assert built == []
