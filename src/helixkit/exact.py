@@ -2,14 +2,15 @@
 series, and linear algebra over the rationals on one sparse elimination
 kernel.
 
-The kernel eliminates on primitive int rows, fraction-free: each rational
-row is cleared of denominators once on the way in (_dense_to_sparse), which
-also gives the row's own denominator, so (den, row) stands for row / den in
-one form only. Quadratic presentations keep their relation blocks in that
-form from JSON parsing to JSON output, so koszul_dual, degree_dims and the
-double-dual check build no Fraction. Fractions are built again only where a
-RationalMatrix must be returned, in one place (_fraction_matrix):
-RationalMatrix.rref, matrix_kernel and a presentation's relations view.
+A RationalMatrix is stored as int rows: each rational row is cleared of
+denominators once, on the way in (_dense_to_sparse), which also gives the
+row's own denominator, so (den, row) stands for row / den in one form only.
+The elimination kernel runs fraction-free on those rows, and the matrices it
+returns (rref, matrix_kernel) are int rows again (_by_lead,
+RationalMatrix._of). Fractions are built only when a matrix's entries are
+read. Quadratic presentations hold their relation blocks as such matrices
+from JSON parsing to JSON output, so koszul_dual, degree_dims and the
+double-dual check build no Fraction.
 Series arithmetic runs the same way, on integer numerators over one
 denominator (_int_coeffs), with one Fraction built per output coefficient.
 
@@ -327,19 +328,33 @@ def surd_to_decimal(x: SurdValue, digits: int) -> str:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable row-major matrix over the rationals."""
+    """Immutable matrix over the rationals, stored as int rows.
 
-    rows: int
+    int_rows holds one (den, {col: num}) pair per row, standing for the row
+    num / den, in the one form _dense_to_sparse gives it, so equal entries
+    are stored equal. rows, entries and row(i) are views that build their
+    Fractions when read.
+    """
+
     cols: int
-    entries: tuple[Fraction, ...]
+    int_rows: tuple[tuple[int, dict[int, int]], ...]
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         es = tuple(_frac(e) for e in entries)
         if rows < 0 or cols < 0 or len(es) != rows * cols:
             raise ValueError("entry count must equal rows*cols")
-        object.__setattr__(self, "rows", rows)
+        dense = (es[i * cols : (i + 1) * cols] for i in range(rows))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", es)
+        object.__setattr__(self, "int_rows", tuple(_dense_to_sparse(dense)))
+
+    @classmethod
+    def _of(cls, cols: int, int_rows: Iterable[tuple[int, dict[int, int]]]):
+        """The matrix of these int rows, each already in _dense_to_sparse's
+        form, built without checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "int_rows", tuple(int_rows))
+        return self
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None):
@@ -352,32 +367,47 @@ class RationalMatrix:
             raise ValueError("empty matrix needs an explicit column count")
         return cls(len(rows), cols, [e for r in rows for e in r])
 
+    def __hash__(self):
+        rows = tuple((den, frozenset(row.items())) for den, row in self.int_rows)
+        return hash((self.cols, rows))
+
+    @property
+    def rows(self) -> int:
+        return len(self.int_rows)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(e for i in range(self.rows) for e in self.row(i))
+
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        den, row = self.int_rows[i]
+        zero = Fraction(0)
+        return tuple(
+            Fraction(row[j], den) if j in row else zero for j in range(self.cols)
+        )
 
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row echelon form and the pivot column list.
 
         Pivot rows come first in column order, then the zero rows.
         """
-        pivots = _reduced(_dense_to_sparse(self))
-        zeros = (Fraction(0),) * ((self.rows - len(pivots)) * self.cols)
-        flat = _fraction_matrix(_by_lead(pivots), self.cols).entries + zeros
-        return RationalMatrix(self.rows, self.cols, flat), sorted(pivots)
+        pivots = _reduced(row for _, row in self.int_rows)
+        zeros = ((1, {}),) * (self.rows - len(pivots))
+        return RationalMatrix._of(self.cols, _by_lead(pivots) + zeros), sorted(pivots)
 
     def rank(self) -> int:
-        return _sparse_rank(_dense_to_sparse(self))
+        return _sparse_rank(row for _, row in self.int_rows)
 
 
 def matrix_kernel(m: RationalMatrix) -> RationalMatrix:
     """Basis rows of the right null space {v : m v^T = 0}.
 
     Returns cols - rank(m) independent rows (possibly none), one per free
-    column in column order: the Fraction view of _kernel_rows, each row
-    divided by its entry at its free column, so that entry is 1.
+    column in column order: _kernel_rows, each row divided by its entry at
+    its free column, so that entry is 1.
     """
-    kernel = _kernel_rows(_reduced(_dense_to_sparse(m)), m.cols)
-    return _fraction_matrix(_by_lead(kernel), m.cols)
+    kernel = _kernel_rows(_reduced(row for _, row in m.int_rows), m.cols)
+    return RationalMatrix._of(m.cols, _by_lead(kernel))
 
 
 def _by_lead(rows: dict[int, dict[int, int]]) -> tuple:
@@ -386,16 +416,6 @@ def _by_lead(rows: dict[int, dict[int, int]]) -> tuple:
     entry at that column: each row divided by that entry, in the one form
     _dense_to_sparse gives it."""
     return tuple((rows[c][c], rows[c]) for c in sorted(rows))
-
-
-def _fraction_matrix(rows: Sequence[tuple[int, dict]], cols: int) -> RationalMatrix:
-    """The one way out of the kernel: the RationalMatrix whose rows are the
-    int rows (den, row), each standing for row / den."""
-    zero = Fraction(0)
-    flat = []
-    for den, row in rows:
-        flat += (Fraction(row[j], den) if j in row else zero for j in range(cols))
-    return RationalMatrix(len(rows), cols, flat)
 
 
 def _subtract(row: dict[int, int], c: int, piv: dict[int, int]) -> None:
@@ -537,25 +557,24 @@ def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     return len(_echelon(rows))
 
 
-def _dense_to_sparse(m, *, with_den: bool = False) -> Iterable:
-    """The one Fraction -> int row step: the rows of m (a RationalMatrix, or
-    any rows of rationals and int zeros), each sparse and scaled by the lcm
-    den of its denominators; (den, row) pairs when with_den is set.
+def _dense_to_sparse(rows: Iterable[Sequence]) -> Iterable[tuple[int, dict]]:
+    """The one Fraction -> int row step: each row of rationals (and int
+    zeros) as (den, row), sparse and scaled by the lcm den of its
+    denominators.
 
     den > 0 has no factor in common with all of the row's ints, so (den, row)
     is the one such form of the rational row row / den (a zero row is
     (1, {})).
     """
-    rows = (m.row(i) for i in range(m.rows)) if isinstance(m, RationalMatrix) else m
     for dense in rows:
         row = {j: e for j, e in enumerate(dense) if e}
         den = lcm(*(e.denominator for e in row.values()))
-        ints = {j: e.numerator * (den // e.denominator) for j, e in row.items()}
-        yield (den, ints) if with_den else ints
+        yield den, {j: e.numerator * (den // e.denominator) for j, e in row.items()}
 
 
 def row_space_equal(a: RationalMatrix, b: RationalMatrix) -> bool:
     """Exact equality of row spaces (not just of dimensions)."""
     if a.cols != b.cols:
         raise ColumnMismatch("row spaces live in different ambient dimensions")
-    return _reduced(_dense_to_sparse(a)) == _reduced(_dense_to_sparse(b))
+    reduced = _reduced(row for _, row in a.int_rows)
+    return reduced == _reduced(row for _, row in b.int_rows)

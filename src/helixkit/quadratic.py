@@ -35,7 +35,6 @@ from .exact import (
     _dense_to_sparse,
     _echelon,
     _frac,
-    _fraction_matrix,
     _kernel_rows,
     _normal_form,
     _reduced,
@@ -97,95 +96,55 @@ def _json_row(den: int, row: dict[int, int], cols: int) -> list[str]:
     return out
 
 
-def _checked_blocks(period, gen_dims, widths, blocks) -> tuple:
-    """The checks every presentation from outside passes, in order: the
-    period, one generator dim and one block per index, positive generator
-    dims, then per index the column count and independent rows.
-
-    widths holds each block's column count and blocks its (den, row) int
-    rows, read only once the shape checks have passed. Returns the blocks
-    as tuples.
-    """
-    if not isinstance(period, int) or isinstance(period, bool) or period < 1:
-        raise ValueError("period must be a positive integer")
-    if len(gen_dims) != period or len(widths) != period:
-        raise ValueError("need one generator dim and one relation matrix per index")
-    for g in gen_dims:
-        if not isinstance(g, int) or isinstance(g, bool) or g < 1:
-            raise ValueError("generator dims must be positive integers")
-    checked = []
-    for i, (cols, block) in enumerate(zip(widths, blocks)):
-        ambient = gen_dims[i] * gen_dims[(i + 1) % period]
-        if cols != ambient:
-            raise ValueError(
-                f"relations at index {i} need {ambient} columns, got {cols}"
-            )
-        block = tuple(block)
-        if _sparse_rank(row for _, row in block) != len(block):
-            raise ValueError(f"relation rows at index {i} are dependent")
-        checked.append(block)
-    return tuple(checked)
-
-
 @dataclass(frozen=True)
 class QuadraticPresentation:
     """period, generator dims per index, and relation rows per index.
 
-    Relation block i lives in the g_i * g_{i+1} tensor square with basis
-    order (u_a, w_b) -> a * g_{i+1} + b; its rows must be linearly
-    independent. Each block is stored once, as int rows: blocks[i] holds
-    (den, {col: num}) per row, standing for the row num / den, with den > 0
-    and no factor common to den and all the nums, so equal rows are stored
-    equal. relations is the RationalMatrix view of the blocks, built on
-    demand; the constructor takes RationalMatrix blocks and from_json_dict
-    takes "p/q" text.
+    relations[i] lives in the g_i * g_{i+1} tensor square with basis order
+    (u_a, w_b) -> a * g_{i+1} + b; its rows must be linearly independent.
+    Each block is a RationalMatrix, so it is stored once, as int rows, from
+    JSON parsing through the dual and the degree dimensions to JSON output.
     """
 
     period: int
     gen_dims: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, dict[int, int]], ...], ...]
+    relations: tuple[RationalMatrix, ...]
 
     def __init__(self, period, gen_dims, relations):
         gen_dims, relations = tuple(gen_dims), tuple(relations)
-        blocks = _checked_blocks(
-            period,
-            gen_dims,
-            [rel.cols for rel in relations],
-            (_dense_to_sparse(rel, with_den=True) for rel in relations),
-        )
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
+            raise ValueError("period must be a positive integer")
+        if len(gen_dims) != period or len(relations) != period:
+            raise ValueError("need one generator dim and one relation matrix per index")
+        for g in gen_dims:
+            if not isinstance(g, int) or isinstance(g, bool) or g < 1:
+                raise ValueError("generator dims must be positive integers")
+        for i, rel in enumerate(relations):
+            ambient = gen_dims[i] * gen_dims[(i + 1) % period]
+            if rel.cols != ambient:
+                raise ValueError(
+                    f"relations at index {i} need {ambient} columns, got {rel.cols}"
+                )
+            if rel.rank() != rel.rows:
+                raise ValueError(f"relation rows at index {i} are dependent")
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "gen_dims", gen_dims)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "relations", relations)
 
     @classmethod
-    def _unchecked(cls, period, gen_dims, blocks):
+    def _unchecked(cls, period, gen_dims, relations):
         """The presentation with these fields (tuples), built without checks.
 
-        Only for the constructions whose blocks are checked or independent
-        by construction: from_json_dict after its checks, koszul_dual's
-        kernel bases and the pivot rows of sampling.random_presentation.
-        The fixtures and library callers go through __init__ and its rank
-        check.
+        Only for the two constructions whose relation rows are independent
+        by construction: koszul_dual's kernel bases and the pivot rows of
+        sampling.random_presentation. JSON documents, the fixtures and
+        library callers go through __init__ and its rank check.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "gen_dims", gen_dims)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "relations", relations)
         return self
-
-    def __hash__(self):
-        return hash((self.period, self.gen_dims, self.relations))
-
-    def _cols(self, i: int) -> int:
-        """Column count of relation block i: g_i * g_{i+1}."""
-        return self.gen_dims[i] * self.gen_dims[(i + 1) % self.period]
-
-    @property
-    def relations(self) -> tuple[RationalMatrix, ...]:
-        """The relation blocks as RationalMatrix values, built on each call."""
-        return tuple(
-            _fraction_matrix(rows, self._cols(i)) for i, rows in enumerate(self.blocks)
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,9 +153,11 @@ class QuadraticPresentation:
             "relations": [
                 {
                     "index": i,
-                    "rows": [_json_row(den, row, self._cols(i)) for den, row in block],
+                    "rows": [
+                        _json_row(den, row, rel.cols) for den, row in rel.int_rows
+                    ],
                 }
-                for i, block in enumerate(self.blocks)
+                for i, rel in enumerate(self.relations)
             ],
         }
 
@@ -225,17 +186,14 @@ class QuadraticPresentation:
             by_index[i] = [
                 [_json_entry(s) for s in row] for row in _json_field(item, "rows", where)
             ]
-        widths, blocks = [], []
+        rels = []
         for i in range(period):
             rows = by_index.get(i, [])
             width = len(rows[0]) if rows else gen_dims[i] * gen_dims[(i + 1) % period]
             if any(len(row) != width for row in rows):
                 raise ValueError("ragged rows")
-            widths.append(width)
-            blocks.append(_dense_to_sparse(rows, with_den=True))
-        return cls._unchecked(
-            period, gen_dims, _checked_blocks(period, gen_dims, widths, blocks)
-        )
+            rels.append(RationalMatrix._of(width, _dense_to_sparse(rows)))
+        return cls(period, gen_dims, rels)
 
 
 def _require_duals_under_cap(sizes, cap: int) -> None:
@@ -255,18 +213,17 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     per free column f with den its entry at f (that entry of the row's
     value is 1 and every other free column's is 0), so its rows are
     independent by construction and are not ranked again; the rank check
-    runs where presentations enter, in __init__ and from_json_dict.
+    runs where presentations enter, in __init__.
     """
-    cols = [p._cols(i) for i in range(p.period)]
     _require_duals_under_cap(
-        (c * (c - len(block)) for c, block in zip(cols, p.blocks)), _dim_cap()
+        (rel.cols * (rel.cols - rel.rows) for rel in p.relations), _dim_cap()
     )
     # under the coordinatewise pairing the annihilator of R is the kernel of R
-    duals = tuple(
-        _by_lead(_kernel_rows(_reduced(row for _, row in block), c))
-        for c, block in zip(cols, p.blocks)
-    )
-    return QuadraticPresentation._unchecked(p.period, p.gen_dims, duals)
+    duals = []
+    for rel in p.relations:
+        kernel = _kernel_rows(_reduced(row for _, row in rel.int_rows), rel.cols)
+        duals.append(RationalMatrix._of(rel.cols, _by_lead(kernel)))
+    return QuadraticPresentation._unchecked(p.period, p.gen_dims, tuple(duals))
 
 
 def double_dual_check(p: QuadraticPresentation) -> bool:
@@ -279,13 +236,13 @@ def double_dual_check(p: QuadraticPresentation) -> bool:
     each block is reduced once, the reduced kernel of that is the dual, and
     the reduced kernel of the dual must give back the same pivot rows.
     """
-    cols, cap = [p._cols(i) for i in range(p.period)], _dim_cap()
-    _require_duals_under_cap((c * (c - len(b)) for c, b in zip(cols, p.blocks)), cap)
-    _require_duals_under_cap((c * len(b) for c, b in zip(cols, p.blocks)), cap)
-    for c, block in zip(cols, p.blocks):
-        first = _reduced(row for _, row in block)
-        dual = _reduced(_kernel_rows(first, c).values())
-        if _reduced(_kernel_rows(dual, c).values()) != first:
+    cap = _dim_cap()
+    _require_duals_under_cap((r.cols * (r.cols - r.rows) for r in p.relations), cap)
+    _require_duals_under_cap((r.cols * r.rows for r in p.relations), cap)
+    for rel in p.relations:
+        first = _reduced(row for _, row in rel.int_rows)
+        dual = _reduced(_kernel_rows(first, rel.cols).values())
+        if _reduced(_kernel_rows(dual, rel.cols).values()) != first:
             return False
     return True
 
@@ -318,7 +275,7 @@ def _spread_rows(p: QuadraticPresentation, i: int, n: int):
         pre = prod(word[:a])
         suf = prod(word[a + 2 :])
         block = word[a] * word[a + 1] * suf
-        for _, rel in p.blocks[(i + a) % p.period]:
+        for _, rel in p.relations[(i + a) % p.period].int_rows:
             for u in range(pre):
                 base = u * block
                 for w in range(suf):
@@ -412,7 +369,7 @@ def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
             if n < 2:
                 row.append(ambient)
                 continue
-            block = p.blocks[(i + n - 2) % p.period]
+            block = p.relations[(i + n - 2) % p.period].int_rows
             dim, nf = _quotient_step(
                 nf, block, word[n - 2], word[n - 1], row[n - 2], row[n - 1],
                 n < max_degree,
@@ -550,15 +507,9 @@ def classical_euler_fixture(n: int):
     if not 1 <= n <= 4:
         raise ValueError("fixture covers 1 <= n <= 4")
     m = n + 1
-    rows = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            row = [Fraction(0)] * (m * m)
-            row[a * m + b] = Fraction(1)
-            row[b * m + a] = Fraction(-1)
-            rows.append(row)
-    pres = QuadraticPresentation(
-        1, (m,), (RationalMatrix.from_rows(rows, cols=m * m),)
-    )
+    rows = [
+        (1, {a * m + b: 1, b * m + a: -1}) for a in range(m) for b in range(a + 1, m)
+    ]
+    pres = QuadraticPresentation(1, (m,), (RationalMatrix._of(m * m, rows),))
     expected = tuple(comb(m, l) for l in range(m + 1)) + (0,)
     return pres, expected

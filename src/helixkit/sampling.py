@@ -13,7 +13,7 @@ from math import gcd
 
 from .bundles import ChernVector, Triad, euler_pairing, mutate_triad_right
 from .errors import NotMutable
-from .exact import _by_lead, _reduced
+from .exact import RationalMatrix, _by_lead, _reduced
 from .helix import Seed, invariants_from_seed
 from .quadratic import QuadraticPresentation
 
@@ -80,11 +80,7 @@ def random_seed_triple(rng: random.Random, n_max: int = 12) -> Seed:
             return seed
 
 
-def random_presentation(
-    rng: random.Random,
-    period: int | None = None,
-    max_gen: int = 4,
-) -> QuadraticPresentation:
+def random_presentation(rng: random.Random, max_gen: int = 4) -> QuadraticPresentation:
     """A random quadratic presentation with independent relation rows.
 
     Each candidate entry is drawn as a half-integer num/den (num in -3..3,
@@ -94,7 +90,7 @@ def random_presentation(
     rref). Those are independent by construction, so the presentation is
     built without __init__'s rank check.
     """
-    p = period if period is not None else rng.choice([1, 2, 3])
+    p = rng.choice([1, 2, 3])
     gens = tuple(rng.randint(1, max_gen) for _ in range(p))
     rels = []
     for i in range(p):
@@ -104,5 +100,5 @@ def random_presentation(
             {j: rng.randint(-3, 3) * (2 // rng.randint(1, 2)) for j in range(ambient)}
             for _ in range(count)
         ]
-        rels.append(_by_lead(_reduced(rows)))
+        rels.append(RationalMatrix._of(ambient, _by_lead(_reduced(rows))))
     return QuadraticPresentation._unchecked(p, gens, tuple(rels))

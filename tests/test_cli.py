@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +358,49 @@ def test_koszul_dual_names_the_missing_key(capsys, tmp_path, doc, missing):
     assert err == f"error: {missing}\n"
 
 
+SYM2_ROW = ["0", "1", "-1", "0"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"period": 0, "gen_dims": [], "relations": []},
+         "period must be a positive integer"),
+        ({"period": 2, "gen_dims": [2], "relations": []},
+         "gen_dims length must equal the period"),
+        ({"period": 1, "gen_dims": [0], "relations": []},
+         "generator dims must be positive integers"),
+        ({"period": 2, "gen_dims": [-1, 2], "relations": []},
+         "generator dims must be positive integers"),
+        ({"period": 2, "gen_dims": [-1, 2], "relations": [{"index": 1, "rows": [["1", "0"]]}]},
+         "generator dims must be positive integers"),
+        ({**SYM2_DOC, "relations": [{"index": 0, "rows": [["0", "1", "-1"]]}]},
+         "relations at index 0 need 4 columns, got 3"),
+        ({**SYM2_DOC, "relations": [{"index": 0, "rows": [SYM2_ROW, ["1", "0", "0"]]}]},
+         "ragged rows"),
+        ({**SYM2_DOC, "relations": [{"index": 0, "rows": [SYM2_ROW, ["0", "2", "-2", "0"]]}]},
+         "relation rows at index 0 are dependent"),
+        ({**SYM2_DOC, "relations": [{"index": 0, "rows": [SYM2_ROW]}] * 2},
+         "duplicate relation block for index 0"),
+        ({**SYM2_DOC, "relations": [{"index": 1, "rows": [SYM2_ROW]}]},
+         "relation index 1 out of range"),
+        ({**SYM2_DOC, "relations": [{"index": 0}]},
+         "relation block 0 is missing 'rows'"),
+        ({"gen_dims": [2], "relations": []},
+         "presentation JSON is missing 'period'"),
+    ],
+    ids=["period-0", "short-gen-dims", "gen-dim-0", "negative-gen-dim",
+         "negative-gen-dim-with-rows", "3-columns", "ragged", "dependent",
+         "duplicate-index", "index-out-of-range", "missing-rows", "missing-period"],
+)
+def test_koszul_dual_refusal_messages(capsys, tmp_path, doc, message):
+    # every document goes through the checked constructor; the lines were
+    # measured before from_json_dict shared __init__'s checks
+    src = tmp_path / "refused.json"
+    src.write_text(json.dumps(doc))
+    assert run(capsys, "koszul-dual", str(src)) == (65, "", f"error: {message}\n")
+
+
 # Two p/q presentations for the golden digests: a period-2 one, and a dense
 # one whose dual has non-trivial components up to degree 4.
 PQ_PERIODIC_DOC = {
@@ -591,3 +637,47 @@ def test_version_banner(capsys):
 def test_seed_table_formats_all_run(capsys, fmt):
     assert run(capsys, "seed-table", "-1/2", "1/3", "7/2", "--n", "6",
                "--format", fmt)[0] == 0
+
+
+# ------------------------------------------------------------------ README
+
+README_PATH = Path(__file__).resolve().parent.parent / "README.md"
+README = README_PATH.read_text(encoding="utf-8")
+
+
+def readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README, re.S | re.M)
+
+
+# each README example that shows its output: the command, then what it prints
+README_RUNS = [b for b in readme_blocks("text") if "\\\n" not in b]
+
+
+def test_readme_shows_four_command_outputs():
+    assert [shlex.split(b.splitlines()[0])[:2] for b in README_RUNS] == [
+        ["helixkit", "seed-table"], ["helixkit", "triad"], ["helixkit", "hilbert"],
+        ["helixkit", "limits"],
+    ]
+
+
+@pytest.mark.parametrize("block", README_RUNS, ids=lambda b: b.split()[1])
+def test_readme_command_output_as_written(capsys, block):
+    command, expected = block.split("\n", 1)
+    assert run(capsys, *shlex.split(command)[1:]) == (0, expected, "")
+
+
+def test_readme_koszul_dual_example_as_written(capsys, tmp_path, monkeypatch):
+    # the README's presentation document, run through its koszul-dual line
+    (doc,) = [b for b in readme_blocks("json") if '"gen_dims"' in b]
+    (block,) = [b for b in readme_blocks("text") if "koszul-dual" in b]
+    command = block.replace("\\\n", " ").splitlines()[0]
+    monkeypatch.chdir(tmp_path)
+    Path("presentation.json").write_text(doc)
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "double-dual: PASS" and lines[-1] == "koszulity-witness: PASS"
+    dual = json.loads(Path("dual.json").read_text())
+    assert dual["relations"][0]["rows"] == [
+        ["1", "0", "0", "0"], ["0", "1", "1", "0"], ["0", "0", "0", "1"]
+    ]

@@ -6,7 +6,7 @@ reduction) before the module was written.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -302,7 +302,7 @@ def test_rref_is_canonical(rows, cols, data):
         pc = pivots[k]
         assert row[pc] == 1 and not any(row[:pc])
         assert all(red.row(i)[pc] == 0 for i in range(rows) if i != k)
-    assert len(pivots) == _sparse_rank(_dense_to_sparse(m))
+    assert len(pivots) == _sparse_rank(row for _, row in m.int_rows)
     order = data.draw(st.permutations(range(rows)))
     scales = data.draw(
         st.lists(pq_entries.filter(bool), min_size=rows, max_size=rows)
@@ -311,6 +311,63 @@ def test_rref_is_canonical(rows, cols, data):
         [[scales[k] * e for e in m.row(i)] for k, i in enumerate(order)], cols=cols
     )
     assert moved.rref() == (red, pivots)
+
+
+def int_row(row):
+    """(den, {col: num}) of a rational row over the product of its
+    denominators, divided by the gcd of den and the nums."""
+    den = prod(e.denominator for e in row)
+    nums = {j: int(e * den) for j, e in enumerate(row) if e}
+    g = gcd(den, *nums.values())
+    return den // g, {j: v // g for j, v in nums.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.data(),
+)
+def test_equal_entries_give_equal_hash_equal_matrices(rows, cols, data):
+    # the int-row storage is invisible: however a matrix is built and its
+    # entries are spelled, equal entries compare equal and hash equal
+    n = rows * cols
+    entry = st.one_of(st.just(F(0)), pq_entries)
+    entries = data.draw(st.lists(entry, min_size=n, max_size=n))
+    dense = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+    scale = data.draw(st.integers(min_value=2, max_value=5))
+    unreduced = [f"{e.numerator * scale}/{e.denominator * scale}" for e in entries]
+    built = [
+        RationalMatrix(rows, cols, entries),
+        RationalMatrix(rows, cols, [str(e) for e in entries]),
+        RationalMatrix(rows, cols, unreduced),
+        RationalMatrix.from_rows(dense, cols=cols),
+        RationalMatrix._of(cols, map(int_row, dense)),
+    ]
+    assert list(_dense_to_sparse(dense)) == [int_row(r) for r in dense]
+    for m in built:
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m == built[0] and hash(m) == hash(built[0])
+        assert m.entries == tuple(entries)
+        assert all(type(e) is F for e in m.entries)
+        assert [m.row(i) for i in range(rows)] == [tuple(r) for r in dense]
+    # rref builds its rows with RationalMatrix._of from _by_lead's pivot rows
+    red, pivots = built[0].rref()
+    ref = RationalMatrix.from_rows(gauss_jordan(dense, cols)[0], cols=cols)
+    assert red == ref and hash(red) == hash(ref)
+    if any(entries):
+        assert built[0] != RationalMatrix(rows, cols, [F(0)] * n)
+
+
+def test_matrix_shapes_without_entries():
+    tall, wide = RationalMatrix(3, 0, []), RationalMatrix(0, 5, [])
+    assert (tall.rows, tall.cols, tall.entries) == (3, 0, ())
+    assert (wide.rows, wide.cols, wide.entries) == (0, 5, ())
+    assert tall.row(2) == ()
+    assert tall == RationalMatrix.from_rows([[], [], []])
+    assert wide == RationalMatrix.from_rows([], cols=5)
+    assert tall != RationalMatrix(2, 0, []) and wide != RationalMatrix(0, 4, [])
+    assert tall.rref() == (tall, []) and wide.rref() == (wide, [])
 
 
 def gauss_jordan(rows, cols):
@@ -409,7 +466,7 @@ def assert_primitive_pivot_rows(pivots):
 @settings(max_examples=100, deadline=None)
 @given(pq_matrices())
 def test_echelon_keeps_primitive_int_rows(m):
-    pivots = _echelon(_dense_to_sparse(m))
+    pivots = _echelon(row for _, row in m.int_rows)
     assert_primitive_pivot_rows(pivots)
     _back_substitute(pivots)
     assert_primitive_pivot_rows(pivots)

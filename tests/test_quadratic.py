@@ -142,6 +142,27 @@ def test_json_round_trip():
         assert a.entries == b.entries
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=5))
+def test_json_round_trip_is_equal_and_hash_equal(seed, scale):
+    # rows in lowest terms or spelled over a common factor parse to the same
+    # stored rows, so the round trip gives an equal, hash-equal presentation
+    def unreduced(text):
+        x = Fraction(text)
+        return f"{x.numerator * scale}/{x.denominator * scale}"
+
+    p = random_presentation(random.Random(seed))
+    for q in (p, koszul_dual(p)):
+        doc = q.to_json_dict()
+        back = QuadraticPresentation.from_json_dict(doc)
+        assert back == q and hash(back) == hash(q)
+        for block in doc["relations"]:
+            block["rows"] = [[unreduced(t) for t in row] for row in block["rows"]]
+        back = QuadraticPresentation.from_json_dict(doc)
+        assert back == q and hash(back) == hash(q)
+        assert back.to_json_dict() == q.to_json_dict()
+
+
 # ----------------------------------------------------------------- the dual
 
 
