@@ -47,16 +47,30 @@ def euler_pairing(e: ChernVector, f: ChernVector) -> int:
     return f.degree * e.rank - e.degree * f.rank
 
 
+def _require_simple(h: int, *vs: ChernVector) -> None:
+    """Raise NotSimple for the first v with gcd(h, rank, degree) != 1.
+
+    h must be a pairing with each v. A pairing is an integer combination of
+    the rank and degree of either vector, so gcd(rank, degree) divides it
+    (h = 0 included), and gcd(h, rank, degree) == gcd(rank, degree): the
+    verdict of is_simple, from a gcd of a small pairing with the rank and
+    degree instead of a gcd of the rank and degree themselves.
+    """
+    for v in vs:
+        if gcd(h, v.rank, v.degree) != 1:
+            raise NotSimple(f"{v} has non-coprime rank and degree")
+
+
 def hom_dim(e: ChernVector, f: ChernVector) -> int:
     """Dimension of the map space for a simple pair of increasing slope.
 
     Equals the pairing. Ranks are positive, so the pairing is positive
-    exactly when slope(e) < slope(f); no slope is built to compare.
+    exactly when slope(e) < slope(f); no slope is built to compare. The
+    simplicity of e and f is read off the pairing (_require_simple), and is
+    checked before the slope order.
     """
-    for v in (e, f):
-        if not v.is_simple:
-            raise NotSimple(f"{v} has non-coprime rank and degree")
     h = euler_pairing(e, f)
+    _require_simple(h, e, f)
     if h <= 0:
         raise SlopeOrderViolation(f"need slope({e}) < slope({f})")
     return h
@@ -86,18 +100,24 @@ def dualize(c: ChernVector) -> ChernVector:
 
 @dataclass(frozen=True)
 class Triad:
-    """Three simple vectors of strictly increasing slope."""
+    """Three simple vectors of strictly increasing slope.
+
+    Both checks read the pairings ab and bc: gcd(rank, degree) of a member
+    divides its pairing with any vector, so a member is simple exactly when
+    gcd(pairing, rank, degree) == 1 (_require_simple, a before b before c),
+    and, ranks being positive, slope(e) < slope(f) exactly when
+    euler_pairing(e, f) > 0. Simplicity is checked first.
+    """
 
     a: ChernVector
     b: ChernVector
     c: ChernVector
 
     def __post_init__(self):
-        for v in (self.a, self.b, self.c):
-            if not v.is_simple:
-                raise NotSimple(f"{v} has non-coprime rank and degree")
-        # ranks are positive: slope(e) < slope(f) iff euler_pairing(e, f) > 0
-        if euler_pairing(self.a, self.b) <= 0 or euler_pairing(self.b, self.c) <= 0:
+        ab, bc = euler_pairing(self.a, self.b), euler_pairing(self.b, self.c)
+        _require_simple(ab, self.a, self.b)
+        _require_simple(bc, self.c)
+        if ab <= 0 or bc <= 0:
             raise SlopeOrderViolation("triad slopes must increase strictly")
 
     def __str__(self):

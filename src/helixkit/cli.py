@@ -24,7 +24,6 @@ from .bundles import (
     hom_dims,
     mutate_triad_left,
     mutate_triad_right,
-    slope,
 )
 from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
 from .exact import _frac
@@ -33,6 +32,7 @@ from .helix import (
     check_positivity,
     invariants_from_seed,
     limit_slopes,
+    slope_text,
     verify_periodicity,
     verify_ratio_bound,
 )
@@ -169,13 +169,16 @@ def _run_seed_table(args) -> int:
     # one first, and a table that cannot be printed prints nothing
     str(max(abs(x) for row in table.rows for x in (row.d, row.r, row.dp, row.rp) if x))
     print(f"seed: mu0={seed.mu0} mu1p={seed.mu1p} mu1={seed.mu1}")
+    prev = None
     for row in table.rows:
-        line = f"n={row.n} d={row.d} r={row.r}"
+        d_text, r_text = str(row.d), str(row.r)
+        line = f"n={row.n} d={d_text} r={r_text}"
         if row.dp is not None:
             line += f" dp={row.dp} rp={row.rp}"
         if row.r > 0:
-            line += f" slope={Fraction(row.d, row.r)}"
+            line += f" slope={slope_text(row, prev, d_text, r_text)}"
         print(line)
+        prev = row
     if report.kind == "FailsAt":
         print(f"positivity: FailsAt n={report.fail_index} ({report.fail_component})")
     else:
@@ -190,8 +193,12 @@ def _run_seed_table(args) -> int:
 
 def _triad_line(step: int, t: Triad) -> str:
     h = hom_dims(t)
-    slopes = ", ".join(str(slope(v)) for v in (t.a, t.b, t.c))
-    return f"step {step}: {t} hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})"
+    texts = [(str(v.rank), str(v.degree)) for v in (t.a, t.b, t.c)]
+    members = ", ".join(f"{r}:{d}" for r, d in texts)
+    # a Triad's members are simple, rank >= 1 and coprime to the degree, so
+    # degree/rank is str(slope(v)) already in lowest terms
+    slopes = ", ".join(d if r == "1" else f"{d}/{r}" for r, d in texts)
+    return f"step {step}: ({members}) hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})"
 
 
 def _run_triad(args) -> int:

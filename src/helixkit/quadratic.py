@@ -31,7 +31,6 @@ from .exact import (
     RationalMatrix,
     TruncatedSeries,
     _back_substitute,
-    _by_lead,
     _dense_to_sparse,
     _echelon,
     _frac,
@@ -40,6 +39,7 @@ from .exact import (
     _reduced,
     _sparse_rank,
     first_series_mismatch,
+    matrix_kernel,
 )
 from .helix import Seed, invariants_from_seed
 
@@ -209,21 +209,18 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
 
     A dual block is dense, cols * (cols - rows) entries; a block above the
     HELIXKIT_DIM_CAP environment value is refused before anything is built.
-    Each dual block is the int kernel basis of the reduced block, one row
-    per free column f with den its entry at f (that entry of the row's
-    value is 1 and every other free column's is 0), so its rows are
-    independent by construction and are not ranked again; the rank check
-    runs where presentations enter, in __init__.
+    Each dual block is matrix_kernel of the block, one row per free column
+    f with den its entry at f (that entry of the row's value is 1 and every
+    other free column's is 0), so its rows are independent by construction
+    and are not ranked again; the rank check runs where presentations
+    enter, in __init__.
     """
     _require_duals_under_cap(
         (rel.cols * (rel.cols - rel.rows) for rel in p.relations), _dim_cap()
     )
     # under the coordinatewise pairing the annihilator of R is the kernel of R
-    duals = []
-    for rel in p.relations:
-        kernel = _kernel_rows(_reduced(row for _, row in rel.int_rows), rel.cols)
-        duals.append(RationalMatrix._of(rel.cols, _by_lead(kernel)))
-    return QuadraticPresentation._unchecked(p.period, p.gen_dims, tuple(duals))
+    duals = tuple(matrix_kernel(rel) for rel in p.relations)
+    return QuadraticPresentation._unchecked(p.period, p.gen_dims, duals)
 
 
 def double_dual_check(p: QuadraticPresentation) -> bool:

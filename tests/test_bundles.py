@@ -251,3 +251,76 @@ def test_hom_dims_is_three_hom_dim_calls_along_mutation_chains():
                 break
             steps += 1
     assert steps >= 500
+
+
+@st.composite
+def any_vectors(draw):
+    """A (rank, degree) pair with entries up to 2^200: as drawn, made
+    coprime, or scaled by a forced common factor."""
+    bound = draw(st.sampled_from([9, 2**64, 2**200]))
+    r, d = draw(st.integers(1, bound)), draw(st.integers(-bound, bound))
+    shape = draw(st.sampled_from(["drawn", "coprime", "factor"]))
+    if shape == "coprime":
+        g = gcd(r, d)
+        r, d = r // g, d // g
+    elif shape == "factor":
+        k = draw(st.sampled_from([2, 3, 6, 2**61 - 1, 3**120]))
+        r, d = k * r, k * d
+    return C(r, d)
+
+
+@st.composite
+def vector_lists(draw, n):
+    """n vectors, where a later one may repeat the slope of the one before
+    it, as an equal or scaled copy (pairing 0)."""
+    vs = [draw(any_vectors())]
+    while len(vs) < n:
+        v = draw(any_vectors())
+        k = draw(st.sampled_from([None, 1, 2, 5]))
+        if k is not None:
+            v = C(k * vs[-1].rank, k * vs[-1].degree)
+        vs.append(v)
+    return vs
+
+
+def _not_simple_message(vs):
+    first = next((v for v in vs if not v.is_simple), None)
+    return None if first is None else f"{first} has non-coprime rank and degree"
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_lists(2), st.booleans())
+def test_pair_checks_raise_not_simple_exactly_for_a_non_simple_member(pair, swap):
+    # the checks read simplicity off the pairing; is_simple reads it off
+    # gcd(rank, degree), and Fraction slopes give the order
+    e, f = reversed(pair) if swap else pair
+    expected = _not_simple_message((e, f))
+    for fn in (hom_dim, right_mutate, left_mutate):
+        if expected is not None:
+            with pytest.raises(NotSimple) as info:
+                fn(e, f)
+            assert str(info.value) == expected
+        elif slope(e) >= slope(f):
+            with pytest.raises(SlopeOrderViolation):
+                fn(e, f)
+        else:
+            try:
+                fn(e, f)
+            except NotMutable:
+                pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_lists(3), st.permutations(range(3)))
+def test_triad_raises_not_simple_exactly_for_a_non_simple_member(vs, order):
+    a, b, c = (vs[i] for i in order)
+    expected = _not_simple_message((a, b, c))
+    if expected is not None:
+        with pytest.raises(NotSimple) as info:
+            Triad(a, b, c)
+        assert str(info.value) == expected
+    elif not slope(a) < slope(b) < slope(c):
+        with pytest.raises(SlopeOrderViolation):
+            Triad(a, b, c)
+    else:
+        Triad(a, b, c)

@@ -464,6 +464,10 @@ _NOT_MUTABLE = "error at step 1: member a not mutable (right mutation of 1:0 pas
          "e1a014522cf348b5e223f7007f6a5800950fa35562158149a59226f8cf8f6233", ""),
         ("seed-table 2 4 21/2 --n 500", 0,
          "f94fcef73204bd52f23498ad0fe63fdb37e86751aaeb3d377891557ed95cf3b7", ""),
+        ("seed-table 2 4 21/2 --n 500 --format csv", 0,
+         "9f28570ca79bacd145b58ba83e7bf930161810be7197c0ff8a3eeac9a3cc6b88", ""),
+        ("seed-table -7 -9/2 -2 --n 1000 --format csv", 0,
+         "46d2d347ae4dadcc0c14855c61ab4da0c139fa457b8ee8e3f389df260b9eefee", ""),
         ("hilbert --d 3 --order 512", 0,
          "34d1a06a63112b2bbc5ca16b115a47dd0b33c93c656bee28492aa6d62e944fa1", ""),
         ("hilbert --d 5 --order 512", 0,
@@ -478,13 +482,15 @@ _NOT_MUTABLE = "error at step 1: member a not mutable (right mutation of 1:0 pas
          "20fd0eba7d5d39f9a63ab1cc5de93b23b429c030b0a10f45c52ca00f3fb19db3", _NOT_MUTABLE),
     ],
     ids=["family-table", "family-json", "family-csv", "twisted", "degenerate",
-         "hilbert-3", "hilbert-5", "hilbert-40", "triad-right", "triad-left",
-         "triad-exit-1"],
+         "degenerate-csv", "twisted-csv", "hilbert-3", "hilbert-5", "hilbert-40",
+         "triad-right", "triad-left", "triad-exit-1"],
 )
 def test_tables_commands_are_byte_identical(capsys, argv, code, digest, err):
     # golden: sha256 of the stdout of the Fraction series arithmetic, the
     # eight-determinant periodicity check and the Fraction slope comparisons
-    # this package used before they ran on integers
+    # this package used before they ran on integers; the two csv cases, of
+    # the four-product recursion and the Fraction slope column (row 4 of
+    # the degenerate table has r = -34 and prints 365/34)
     got_code, out, got_err = run(capsys, *argv.split())
     assert (got_code, got_err) == (code, err)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

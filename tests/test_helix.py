@@ -3,8 +3,11 @@ closed forms, limit slopes, and the two-sided extension."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helixkit.bundles import ChernVector, Triad, hom_dims, mutate_triad_right
 from helixkit.errors import (
@@ -16,12 +19,14 @@ from helixkit.errors import (
 from helixkit.exact import SurdValue
 from helixkit.helix import (
     HelixTable,
+    Row,
     Seed,
     check_positivity,
     closed_form,
     extend_two_sided,
     invariants_from_seed,
     limit_slopes,
+    slope_text,
     verify_periodicity,
     verify_ratio_bound,
 )
@@ -82,6 +87,43 @@ def test_table_degenerates():
     assert t.degenerate_at == 2
     last = t.rows[-1]
     assert (last.n, last.d, last.r) == (2, 0, -1)
+
+
+def four_product_table(seed, n_max):
+    """The recursion computing both minors of each step from the rows, four
+    products of table-size integers per row: (rows, degenerate_at)."""
+    (d0, r0), (d1p, r1p), (d1, r1) = seed.pairs()
+    rows = [(0, d0, r0, None, None), (1, d1, r1, d1p, r1p)]
+    for i in range(2, n_max + 1):
+        (_, pd, pr, pdp, prp), (_, qd, qr, _, _) = rows[i - 1], rows[i - 2]
+        minor = pd * qr - qd * pr
+        mixed = pd * prp - pdp * pr
+        d, r = mixed * pd - pdp, mixed * pr - prp
+        rows.append((i, d, r, minor * pd - qd, minor * pr - qr))
+        if r <= 0 or rows[-1][4] <= 0:
+            return rows, i
+    return rows, None
+
+
+@st.composite
+def seeds(draw):
+    """Strictly increasing slope triples, numerators up to 2^64; most of
+    them degenerate within a few rows."""
+    bound = draw(st.sampled_from([9, 2**64]))
+    mu = st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 12))
+    return Seed(*sorted(draw(st.lists(mu, min_size=3, max_size=3, unique=True))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds(), st.integers(1, 60))
+@example(Seed(0, F(1, 2), 1), 10)
+@example(Seed(F(-7), F(-9, 2), F(-2)), 60)
+@example(seed_0_half_d(5), 60)
+def test_carried_minor_matches_four_product_recursion(seed, n_max):
+    t = invariants_from_seed(seed, n_max)
+    rows, degenerate_at = four_product_table(seed, n_max)
+    assert as_tuples(t) == rows
+    assert t.degenerate_at == degenerate_at
 
 
 def test_seed_must_increase():
@@ -374,3 +416,24 @@ def test_csv_shape():
         "1,5,1,5,2,5\n"
         "2,20,3,25,4,20/3\n"
     )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(-(2**200), 2**200),
+    st.integers(1, 2**200),
+    st.sampled_from([1, 2, 6, 2**61 - 1, 3**100]),
+    st.sampled_from(["r", "-r", "r=1", "r=-1"]),
+    st.sampled_from(["row", "first", "proportional"]),
+    st.integers(-(2**200), 2**200),
+    st.integers(-(2**200), 2**200),
+)
+def test_slope_text_is_the_fraction_text(d, r, k, sign, before, x, y):
+    # a forced common factor k reaches the reduction branch; the row before
+    # is any row, none (c = 0), or one of the same slope (c = 0)
+    r = {"r": r, "-r": -r, "r=1": 1, "r=-1": -1}[sign]
+    d, r = k * d, k * r
+    prev = {"row": Row(0, x, y, None, None), "first": None,
+            "proportional": Row(0, 3 * d, 3 * r, None, None)}[before]
+    row = Row(1, d, r, x, y)
+    assert slope_text(row, prev, str(d), str(r)) == str(Fraction(d, r))
