@@ -20,6 +20,7 @@ from . import __version__
 from . import quadratic as qa
 from .bundles import (
     ChernVector,
+    HomDims,
     Triad,
     hom_dims,
     mutate_triad_left,
@@ -169,16 +170,14 @@ def _run_seed_table(args) -> int:
     # one first, and a table that cannot be printed prints nothing
     str(max(abs(x) for row in table.rows for x in (row.d, row.r, row.dp, row.rp) if x))
     print(f"seed: mu0={seed.mu0} mu1p={seed.mu1p} mu1={seed.mu1}")
-    prev = None
-    for row in table.rows:
+    for row, c in zip(table.rows, table.minors):
         d_text, r_text = str(row.d), str(row.r)
         line = f"n={row.n} d={d_text} r={r_text}"
         if row.dp is not None:
             line += f" dp={row.dp} rp={row.rp}"
         if row.r > 0:
-            line += f" slope={slope_text(row, prev, d_text, r_text)}"
+            line += f" slope={slope_text(row, c, d_text, r_text)}"
         print(line)
-        prev = row
     if report.kind == "FailsAt":
         print(f"positivity: FailsAt n={report.fail_index} ({report.fail_component})")
     else:
@@ -191,8 +190,7 @@ def _run_seed_table(args) -> int:
     return 0
 
 
-def _triad_line(step: int, t: Triad) -> str:
-    h = hom_dims(t)
+def _triad_line(step: int, t: Triad, h: HomDims) -> str:
     texts = [(str(v.rank), str(v.degree)) for v in (t.a, t.b, t.c)]
     members = ", ".join(f"{r}:{d}" for r, d in texts)
     # a Triad's members are simple, rank >= 1 and coprime to the degree, so
@@ -205,18 +203,36 @@ def _run_triad(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be nonnegative")
     t = Triad(ChernVector(*args.a), ChernVector(*args.b), ChernVector(*args.c))
-    print(_triad_line(0, t))
     mutate = mutate_triad_right if args.direction == "right" else mutate_triad_left
-    for step in range(1, args.steps + 1):
-        try:
-            t = mutate(t)
-        except NotMutable as exc:
-            print(
-                f"error at step {step}: member {exc.member} not mutable ({exc})",
-                file=sys.stderr,
-            )
-            return 1
-        print(_triad_line(step, t))
+    # every step runs before the first line, as in seed-table. str() refuses
+    # an int of more digits than sys.get_int_max_str_digits() (0: no limit);
+    # one of at most 3 * limit bits is below 8**limit, so it has no more, and
+    # only a step whose largest printed integer is longer converts it: the
+    # first that cannot be printed ends the run with nothing printed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    steps, stuck = [], None
+    for step in range(args.steps + 1):
+        if step:
+            try:
+                t = mutate(t)
+            except NotMutable as exc:
+                stuck = step, exc
+                break
+        h = hom_dims(t)
+        top = max(*h, t.a.rank, abs(t.a.degree), t.b.rank, abs(t.b.degree),
+                  t.c.rank, abs(t.c.degree))
+        if limit and top.bit_length() > 3 * limit:
+            str(top)
+        steps.append((t, h))
+    for step, (t, h) in enumerate(steps):
+        print(_triad_line(step, t, h))
+    if stuck is not None:
+        step, exc = stuck
+        print(
+            f"error at step {step}: member {exc.member} not mutable ({exc})",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -224,21 +240,24 @@ def _run_hilbert(args) -> int:
     model = qa.EquigenModel(args.d)
     if args.order < 3:
         raise ValueError("--order must be at least 3")
+    # A is inverted once; B and both checks reuse it. The A denominator has
+    # constant term 1, so both series have den 1: their nums are the
+    # coefficients
     a = qa.hilbert_A(model, args.order)
-    b = qa.hilbert_B(model, args.order)
-    print("A: " + " ".join(str(c) for c in a.coeffs))
-    print("B: " + " ".join(str(c) for c in b.coeffs))
+    b = qa._times_cubic(a)
+    print("A: " + " ".join(map(str, a.nums)))
+    print("B: " + " ".join(map(str, b.nums)))
     failed = False
     d = args.d
     if d == 3 or (d >= 5 and d % 2 == 1):
-        ok, where = qa.cross_check_hilbert(model, args.order)
+        ok, where = qa._cross_check_series(d, b)
         print("cross-check: PASS" if ok else
               f"cross-check: FAIL (first mismatch at i={where})")
         failed = failed or not ok
     else:
         print("cross-check: SKIPPED (only defined for d=3 and odd d>=5)")
     if args.order >= 6:
-        ok = qa.normal_quotient_check(model, args.order)
+        ok = qa._normal_quotient_series(a, b)
         print("normal-quotient: PASS" if ok else "normal-quotient: FAIL")
         failed = failed or not ok
     return 2 if failed else 0

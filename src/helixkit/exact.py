@@ -11,8 +11,11 @@ RationalMatrix._of). Fractions are built only when a matrix's entries are
 read. Quadratic presentations hold their relation blocks as such matrices
 from JSON parsing to JSON output, so koszul_dual, degree_dims and the
 double-dual check build no Fraction.
-Series arithmetic runs the same way, on integer numerators over one
-denominator (_int_coeffs), with one Fraction built per output coefficient.
+A TruncatedSeries is stored the same way: int numerators over one
+denominator, in one canonical form. Products, quotients, inverses,
+truncation and equality run on those ints, and its coeffs are Fractions
+built only when read, so the Hilbert series of the hilbert command build no
+Fraction per coefficient.
 
 Everything here is pure and immutable. No operation constructs a float; the
 only decimal output is the string produced by :func:`surd_to_decimal`, and
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import ColumnMismatch, RadicandMismatch, ZeroConstantTerm
@@ -55,23 +59,38 @@ def _frac(x) -> Fraction:
 class TruncatedSeries:
     """A power series known exactly modulo t^(order+1).
 
-    coeffs holds c_0 .. c_N; the order is len(coeffs) - 1 and is capped at
-    512 (far above anything the verification suites require).
+    Stored as int numerators over one denominator: the series is
+    sum_i nums[i] t^i / den, in the one form with den > 0 and no factor
+    common to den and every numerator, so equal series are stored equal and
+    ==, hashing, products, quotients, inverses and truncation all run on the
+    ints. coeffs is a view that builds the Fractions c_0 .. c_N when read.
+    The order is len(nums) - 1 and is capped at 512 (far above anything the
+    verification suites require).
     """
 
-    coeffs: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(_frac(c) for c in coeffs)
-        if not cs:
-            raise ValueError("a series needs at least its constant coefficient")
-        if len(cs) - 1 > _ORDER_CAP:
-            raise ValueError(f"series order {len(cs) - 1} exceeds the cap {_ORDER_CAP}")
-        object.__setattr__(self, "coeffs", cs)
+        cs = [_frac(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        _settle(self, den, [c.numerator * (den // c.denominator) for c in cs])
+
+    @classmethod
+    def _of(cls, den: int, nums: Iterable[int]) -> "TruncatedSeries":
+        """The series nums / den for ints with den != 0, in the one form."""
+        self = object.__new__(cls)
+        _settle(self, den, nums)
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def with_order(self, order: int) -> "TruncatedSeries":
         """Pad with zeros or truncate so that the order becomes `order`."""
@@ -79,61 +98,85 @@ class TruncatedSeries:
             raise ValueError("order must be nonnegative")
         if order > _ORDER_CAP:
             raise ValueError(f"series order {order} exceeds the cap {_ORDER_CAP}")
-        cs = self.coeffs[: order + 1]
-        return TruncatedSeries(cs + (Fraction(0),) * (order + 1 - len(cs)))
+        nums = self.nums[: order + 1]
+        return TruncatedSeries._of(self.den, nums + (0,) * (order + 1 - len(nums)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated at the longer operand's order.
 
-        Both operands are scaled to integers; each output coefficient sums
-        over the nonzero terms of the operand that has fewer of them and
-        becomes one Fraction over the product of the two denominators.
+        Each nonzero numerator c_k of the operand that has fewer of them adds
+        c_k times the other operand's numerators into the coefficients from
+        k on, so coefficient i gets exactly its terms with k <= i; the
+        denominator is the product of the two.
         """
         n = max(self.order, other.order)
-        (da, a), (db, b) = _int_coeffs(self), _int_coeffs(other)
-        terms = [(k, c) for k, c in enumerate(a) if c]
-        if sum(map(bool, b)) < len(terms):
-            terms, b = [(k, c) for k, c in enumerate(b) if c], a
-        b += [0] * (n + 1 - len(b))
-        den = da * db
-        return TruncatedSeries(
-            Fraction(sum(c * b[i - k] for k, c in terms if k <= i), den)
-            for i in range(n + 1)
-        )
+        a, b = self.nums, other.nums
+        if sum(map(bool, b)) < sum(map(bool, a)):
+            a, b = b, a
+        b += (0,) * (n + 1 - len(b))
+        out = [0] * (n + 1)
+        for k, c in enumerate(a):
+            if c:
+                out[k:] = map(add, out[k:], map(c.__mul__, b))
+        return TruncatedSeries._of(self.den * other.den, out)
 
-    def inverse(self) -> "TruncatedSeries":
-        """1/self to the same order, by an integer recurrence.
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """self / other to the longer operand's order, by an integer
+        recurrence.
 
-        With den*self = c_0 + c_1 t + ... in integers, u_0 = 1 and
-        u_n = -sum_k c_k c_0^(k-1) u_(n-k) over the nonzero c_k (k >= 1);
-        the n-th coefficient of 1/self is den*u_n / c_0^(n+1).
+        With b, c the numerators of self and other and c_0 != 0, v_n =
+        b_n c_0^n - sum_k c_k c_0^(k-1) v_(n-k) over the nonzero c_k with
+        1 <= k <= n; the n-th coefficient of b / c is v_n / c_0^(n+1), and
+        self / other is b / c times other.den / self.den.
         """
-        den, c = _int_coeffs(self)
+        n = max(self.order, other.order)
+        b, c = self.nums, other.nums
         c0 = c[0]
         if c0 == 0:
-            raise ZeroConstantTerm("cannot invert a series with zero constant term")
+            raise ZeroConstantTerm("cannot divide by a series with zero constant term")
         terms = [(k, ck * c0 ** (k - 1)) for k, ck in enumerate(c) if k and ck]
-        u = [1]
-        for n in range(1, len(c)):
-            u.append(-sum(w * u[n - k] for k, w in terms if k <= n))
-        return TruncatedSeries(
-            Fraction(den * un, c0 ** (n + 1)) for n, un in enumerate(u)
-        )
+        v, power, live = [], 1, 0
+        for i in range(n + 1):
+            while live < len(terms) and terms[live][0] <= i:
+                live += 1
+            bi = b[i] * power if i < len(b) else 0
+            v.append(bi - sum(w * v[i - k] for k, w in terms[:live]))
+            power *= c0
+        # v_i / c_0^(i+1) = v_i c_0^(n-i) / c_0^(n+1); power is c_0^(n+1)
+        nums, scale = [], other.den
+        for vi in reversed(v):
+            nums.append(vi * scale)
+            scale *= c0
+        return TruncatedSeries._of(self.den * power, reversed(nums))
+
+    def inverse(self) -> "TruncatedSeries":
+        """1/self to the same order."""
+        return TruncatedSeries._of(1, (1,)) / self
 
 
-def _int_coeffs(s: TruncatedSeries) -> tuple[int, list[int]]:
-    """(den, ints): s's coefficients scaled by the lcm of their denominators,
-    as _dense_to_sparse does for matrix rows."""
-    den = lcm(*(c.denominator for c in s.coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in s.coeffs]
+def _settle(s: TruncatedSeries, den: int, nums: Iterable[int]) -> None:
+    """Set s to nums / den in the one form: den > 0, coprime to the nums."""
+    nums = tuple(nums)
+    if not nums:
+        raise ValueError("a series needs at least its constant coefficient")
+    if len(nums) - 1 > _ORDER_CAP:
+        raise ValueError(f"series order {len(nums) - 1} exceeds the cap {_ORDER_CAP}")
+    if den < 0:
+        den, nums = -den, tuple(-x for x in nums)
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, tuple(x // g for x in nums)
+    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "nums", nums)
 
 
 def first_series_mismatch(s: TruncatedSeries, t: TruncatedSeries) -> int | None:
     """Index of the first differing coefficient, or None if equal throughout."""
     n = max(s.order, t.order)
-    a, b = s.with_order(n).coeffs, t.with_order(n).coeffs
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
+    a, b = s.with_order(n), t.with_order(n)
+    for i, (x, y) in enumerate(zip(a.nums, b.nums)):
+        if x * b.den != y * a.den:
             return i
     return None
 

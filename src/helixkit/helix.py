@@ -76,6 +76,9 @@ class HelixTable:
     d_param: int | None
     rows: tuple[Row, ...]
     degenerate_at: int | None
+    # minors[n] = d_n r_(n-1) - d_(n-1) r_n, the minor of row n with the row
+    # before it as the recursion carried it (0 for row 0)
+    minors: tuple[int, ...]
 
     def seed_triad(self) -> Triad:
         (d0, r0), (d1p, r1p), (d1, r1) = self.seed.pairs()
@@ -105,30 +108,28 @@ class HelixTable:
 
     def to_csv(self) -> str:
         lines = ["n,d,r,dp,rp,slope"]
-        prev = None
-        for r in self.rows:
+        for r, c in zip(self.rows, self.minors):
             d_text, r_text = str(r.d), str(r.r)
             dp = "" if r.dp is None else str(r.dp)
             rp = "" if r.rp is None else str(r.rp)
-            mu = slope_text(r, prev, d_text, r_text) if r.r != 0 else ""
+            mu = slope_text(r, c, d_text, r_text) if r.r != 0 else ""
             lines.append(f"{r.n},{d_text},{r_text},{dp},{rp},{mu}")
-            prev = r
         return "\n".join(lines) + "\n"
 
 
-def slope_text(row: Row, prev: Row | None, d_text: str, r_text: str) -> str:
+def slope_text(row: Row, c: int, d_text: str, r_text: str) -> str:
     """str(Fraction(row.d, row.r)) for row.r != 0, given d_text = str(row.d)
     and r_text = str(row.r).
 
     c = d r_prev - d_prev r is the minor of row with the row before it (0
-    for the first row). Every common factor of d and r divides c, so
-    g = gcd(c, d, r) is gcd(d, r); c is small, so g costs one reduction of d
-    and r by c instead of a gcd of two table-size integers. c = 0 leaves
-    g = gcd(d, r) computed directly. If g != 1 or r < 0 the Fraction is
-    built; otherwise the texts already printed are the slope.
+    for the first row), as HelixTable.minors carries it. Every common factor
+    of d and r divides c, so g = gcd(c, d, r) is gcd(d, r); c is small, so g
+    costs one reduction of d and r by c instead of a gcd of two table-size
+    integers. c = 0 leaves g = gcd(d, r) computed directly. If g != 1 or
+    r < 0 the Fraction is built; otherwise the texts already printed are the
+    slope.
     """
     d, r = row.d, row.r
-    c = 0 if prev is None else d * prev.r - prev.d * r
     if gcd(c, d, r) != 1 or r < 0:
         return str(Fraction(d, r))
     return d_text if r == 1 else f"{d_text}/{r_text}"
@@ -147,26 +148,27 @@ def invariants_from_seed(seed: Seed, n_max: int) -> HelixTable:
     = d_n rp_n - dp_n r_n = mixed_n. The consecutive minor each step needs
     is therefore the mixed minor of the step before, carried, and a row
     costs two products of table-size integers, not four. Only the minor of
-    the seed rows 1, 0 is computed. verify_periodicity recomputes every
-    minor from the finished rows.
+    the seed rows 1, 0 is computed. The table keeps these minors for its
+    slope column; verify_periodicity recomputes every minor from the
+    finished rows.
     """
     if n_max < 1:
         raise ValueError("need at least rows 0 and 1")
     (d0, r0), (d1p, r1p), (d1, r1) = seed.pairs()
     rows = [Row(0, d0, r0, None, None), Row(1, d1, r1, d1p, r1p)]
+    minors = [0, d1 * r0 - d0 * r1]
     degenerate_at = None
-    minor = d1 * r0 - d0 * r1  # of rows i-1, i-2
     for i in range(2, n_max + 1):
-        prev, prev2 = rows[i - 1], rows[i - 2]
+        prev, prev2, minor = rows[i - 1], rows[i - 2], minors[i - 1]
         dp, rp = minor * prev.d - prev2.d, minor * prev.r - prev2.r
         mixed = prev.d * prev.rp - prev.dp * prev.r
         d, r = mixed * prev.d - prev.dp, mixed * prev.r - prev.rp
         rows.append(Row(i, d, r, dp, rp))
+        minors.append(mixed)
         if r <= 0 or rp <= 0:
             degenerate_at = i
             break
-        minor = mixed
-    return HelixTable(seed, seed.d_param, tuple(rows), degenerate_at)
+    return HelixTable(seed, seed.d_param, tuple(rows), degenerate_at, tuple(minors))
 
 
 @dataclass(frozen=True)

@@ -459,8 +459,12 @@ def hilbert_B(model: EquigenModel, order: int) -> TruncatedSeries:
     """(1 - t^3) times the A series: same denominator, cubic numerator."""
     if order < 3:
         raise ValueError("order must be at least 3")
-    cubic = TruncatedSeries([1, 0, 0, -1]).with_order(order)
-    return cubic * hilbert_A(model, order)
+    return _times_cubic(hilbert_A(model, order))
+
+
+def _times_cubic(a: TruncatedSeries) -> TruncatedSeries:
+    """(1 - t^3) a: the B series of an A series, with no second inversion."""
+    return TruncatedSeries([1, 0, 0, -1]).with_order(a.order) * a
 
 
 def cross_check_hilbert(model: EquigenModel, order: int) -> tuple[bool, int | None]:
@@ -474,14 +478,18 @@ def cross_check_hilbert(model: EquigenModel, order: int) -> tuple[bool, int | No
         raise UnsupportedD(f"cross check covers d = 3 and odd d >= 5, got {d}")
     if order < 3:
         raise ValueError("order must be at least 3")
-    b = hilbert_B(model, order).coeffs
-    if b[0] != 1:
+    return _cross_check_series(d, hilbert_B(model, order))
+
+
+def _cross_check_series(d: int, b: TruncatedSeries) -> tuple[bool, int | None]:
+    """cross_check_hilbert on a B series already built, to b's order."""
+    if b.nums[0] != b.den:
         return False, 0
-    table = invariants_from_seed(Seed(0, Fraction(d, 2), d), order)
+    table = invariants_from_seed(Seed(0, Fraction(d, 2), d), b.order)
     origin = ChernVector(1, 0)
-    for i in range(1, order + 1):
+    for i in range(1, b.order + 1):
         row = table.rows[i]
-        if b[i] != euler_pairing(origin, ChernVector(row.r, row.d)):
+        if b.nums[i] != b.den * euler_pairing(origin, ChernVector(row.r, row.d)):
             return False, i
     return True, None
 
@@ -494,9 +502,13 @@ def normal_quotient_check(model: EquigenModel, order: int) -> bool:
     """
     if order < 6:
         raise ValueError("order must be at least 6")
-    inv_cubic = TruncatedSeries([1, 0, 0, -1]).with_order(order).inverse()
-    lhs = hilbert_B(model, order) * inv_cubic
-    return first_series_mismatch(lhs, hilbert_A(model, order)) is None
+    return _normal_quotient_series(hilbert_A(model, order), hilbert_B(model, order))
+
+
+def _normal_quotient_series(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    """normal_quotient_check on A and B series already built, to one order."""
+    cubic = TruncatedSeries([1, 0, 0, -1]).with_order(b.order)
+    return first_series_mismatch(b / cubic, a) is None
 
 
 def classical_euler_fixture(n: int):

@@ -1,5 +1,6 @@
 """Command surface: parsing, rendering, exit codes, the verify suite."""
 
+import fractions
 import hashlib
 import itertools
 import json
@@ -161,6 +162,24 @@ def test_triad_not_mutable_is_exit_1(capsys):
     assert "member a" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+def test_triad_past_the_digit_limit_prints_nothing(capsys):
+    # at the least limit, 640 digits, this run once wrote 4.3 MB of steps
+    # before the first one it could not print
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "triad", "1:0", "2:5", "1:5", "--right",
+                             "--steps", "2000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_triad_bad_pair_syntax_is_64(capsys):
     assert run(capsys, "triad", "1;0", "2:5", "1:5")[0] == 64
 
@@ -190,6 +209,59 @@ def test_hilbert_d3(capsys):
     assert "B: 1 3 6 9 12 15" in out
     assert "cross-check: PASS" in out
     assert "normal-quotient" not in out
+
+
+def _fractions_built(fn):
+    """The Fractions fn() builds, counted by a profile hook; 3.12 builds
+    Fraction results through _from_coprime_ints, earlier versions through
+    __new__."""
+    built = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename == fractions.__file__
+            and code.co_name in ("__new__", "_from_coprime_ints")
+        ):
+            built.append(code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return len(built)
+
+
+def test_hilbert_builds_no_fraction_per_coefficient(capsys):
+    # the series, both checks and the A/B lines run on int numerators, so
+    # the Fractions an op builds (seed slopes, the defining polynomials) do
+    # not grow with the order
+    counts = []
+    for order in ("50", "500"):
+        counts.append(_fractions_built(
+            lambda: run(capsys, "hilbert", "--d", "21", "--order", order)))
+        assert capsys.readouterr().out == ""
+    assert counts[0] == counts[1]
+
+
+def test_hilbert_inverts_the_A_denominator_once(capsys, monkeypatch):
+    # B, the cross-check and the normal-quotient check reuse the A series;
+    # dividing by 1 - t^3 is no inversion
+    real = TruncatedSeries.inverse
+    inverted = []
+
+    def counting(self):
+        inverted.append(self.nums[:4])
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counting)
+    code, out, _ = run(capsys, "hilbert", "--d", "21", "--order", "60")
+    assert code == 0
+    assert "cross-check: PASS" in out and "normal-quotient: PASS" in out
+    assert inverted == [(1, -21, 21, -1)]
 
 
 def test_hilbert_small_d_is_65(capsys):

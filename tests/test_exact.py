@@ -6,7 +6,7 @@ reduction) before the module was written.
 """
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,6 +123,53 @@ def test_mul_matches_dense_cauchy_product(a, b):
 @example(CUBIC_512)
 def test_inverse_matches_long_division(c):
     assert list(TruncatedSeries(c).inverse().coeffs) == _long_division(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(st.one_of(st.just(F(0)), _nonzero_c0)), _series(_nonzero_c0))
+@example(CUBIC_512, [F(1), F(0), F(0), F(-1)])
+def test_div_is_mul_by_inverse(b, c):
+    # the shorter operand is padded with zeros, as in the product
+    n = max(len(b), len(c)) - 1
+    assert TruncatedSeries(b) / TruncatedSeries(c) == (
+        TruncatedSeries(b) * TruncatedSeries(c).with_order(n).inverse()
+    )
+
+
+def _spelled(x, how):
+    if how == "int" and x.denominator == 1:
+        return x.numerator
+    if how == "text":
+        return f"{x.numerator}/{x.denominator}"
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(_p_over_q, st.integers(-50, 50).map(F)), min_size=1, max_size=12),
+    st.lists(st.sampled_from(["fraction", "int", "text"]), min_size=12, max_size=12),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(0, 14),
+)
+@example([F(1), F(1, 2)], ["fraction"] * 12, 3, 0)
+def test_series_spellings_are_one_value(cs, hows, k, order):
+    # int, Fraction and "p/q" coefficients, or ints over a den with a common
+    # factor k (of either sign), are one stored form: equal and hash-equal,
+    # and so is every truncation or padding of them
+    den = lcm(*(c.denominator for c in cs))
+    nums = [c.numerator * (den // c.denominator) for c in cs]
+    spellings = [
+        TruncatedSeries(cs),
+        TruncatedSeries([_spelled(c, how) for c, how in zip(cs, hows)]),
+        TruncatedSeries._of(k * den, [k * x for x in nums]),
+    ]
+    for s in spellings:
+        assert s == spellings[0] and hash(s) == hash(spellings[0])
+        assert s.coeffs == tuple(cs)
+        assert all(type(x) is Fraction for x in s.coeffs)
+        cut = cs[: order + 1] + [F(0)] * (order + 1 - len(cs))
+        assert s.with_order(order) == TruncatedSeries(cut)
+        assert hash(s.with_order(order)) == hash(TruncatedSeries(cut))
 
 
 def test_series_order_cap():

@@ -226,7 +226,8 @@ def _tampered(index, **change):
     rows = list(t.rows)
     rows[index] = rows[index]._replace(
         **{k: getattr(rows[index], k) + v for k, v in change.items()})
-    return HelixTable(seed=t.seed, d_param=t.d_param, rows=tuple(rows), degenerate_at=None)
+    return HelixTable(seed=t.seed, d_param=t.d_param, rows=tuple(rows),
+                      degenerate_at=None, minors=t.minors)
 
 
 def test_periodicity_detects_tampering():
@@ -436,4 +437,5 @@ def test_slope_text_is_the_fraction_text(d, r, k, sign, before, x, y):
     prev = {"row": Row(0, x, y, None, None), "first": None,
             "proportional": Row(0, 3 * d, 3 * r, None, None)}[before]
     row = Row(1, d, r, x, y)
-    assert slope_text(row, prev, str(d), str(r)) == str(Fraction(d, r))
+    c = 0 if prev is None else d * prev.r - prev.d * r
+    assert slope_text(row, c, str(d), str(r)) == str(Fraction(d, r))
