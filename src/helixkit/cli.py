@@ -149,6 +149,18 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _require_printable(top: int) -> None:
+    """Raise the ValueError str() raises for top, if it would.
+
+    str() refuses an int of more digits than sys.get_int_max_str_digits()
+    (0: no limit). One of at most 3 * limit bits is below 8**limit, so it has
+    no more, and only a longer one is converted.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and top.bit_length() > 3 * limit:
+        str(top)
+
+
 def _run_seed_table(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
@@ -165,10 +177,10 @@ def _run_seed_table(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
 
-    # the table prints row by row, so an entry past str()'s digit limit
-    # (sys.get_int_max_str_digits) would fail mid-table: convert the largest
-    # one first, and a table that cannot be printed prints nothing
-    str(max(abs(x) for row in table.rows for x in (row.d, row.r, row.dp, row.rp) if x))
+    # the table prints row by row: a table that cannot be printed prints nothing
+    _require_printable(
+        max(abs(x) for row in table.rows for x in (row.d, row.r, row.dp, row.rp) if x)
+    )
     print(f"seed: mu0={seed.mu0} mu1p={seed.mu1p} mu1={seed.mu1}")
     for row, c in zip(table.rows, table.minors):
         d_text, r_text = str(row.d), str(row.r)
@@ -204,12 +216,8 @@ def _run_triad(args) -> int:
         raise ValueError("--steps must be nonnegative")
     t = Triad(ChernVector(*args.a), ChernVector(*args.b), ChernVector(*args.c))
     mutate = mutate_triad_right if args.direction == "right" else mutate_triad_left
-    # every step runs before the first line, as in seed-table. str() refuses
-    # an int of more digits than sys.get_int_max_str_digits() (0: no limit);
-    # one of at most 3 * limit bits is below 8**limit, so it has no more, and
-    # only a step whose largest printed integer is longer converts it: the
-    # first that cannot be printed ends the run with nothing printed
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # every step runs before the first line, as in seed-table: the first
+    # that cannot be printed ends the run with nothing printed
     steps, stuck = [], None
     for step in range(args.steps + 1):
         if step:
@@ -221,8 +229,7 @@ def _run_triad(args) -> int:
         h = hom_dims(t)
         top = max(*h, t.a.rank, abs(t.a.degree), t.b.rank, abs(t.b.degree),
                   t.c.rank, abs(t.c.degree))
-        if limit and top.bit_length() > 3 * limit:
-            str(top)
+        _require_printable(top)
         steps.append((t, h))
     for step, (t, h) in enumerate(steps):
         print(_triad_line(step, t, h))
@@ -240,24 +247,23 @@ def _run_hilbert(args) -> int:
     model = qa.EquigenModel(args.d)
     if args.order < 3:
         raise ValueError("--order must be at least 3")
-    # A is inverted once; B and both checks reuse it. The A denominator has
-    # constant term 1, so both series have den 1: their nums are the
-    # coefficients
+    # the A denominator has constant term 1, so both series have den 1:
+    # their nums are the coefficients
     a = qa.hilbert_A(model, args.order)
-    b = qa._times_cubic(a)
+    b = qa.hilbert_B(a)
     print("A: " + " ".join(map(str, a.nums)))
     print("B: " + " ".join(map(str, b.nums)))
     failed = False
-    d = args.d
-    if d == 3 or (d >= 5 and d % 2 == 1):
-        ok, where = qa._cross_check_series(d, b)
+    try:
+        ok, where = qa.cross_check_hilbert(model, b)
+    except UnsupportedD:
+        print("cross-check: SKIPPED (only defined for d=3 and odd d>=5)")
+    else:
         print("cross-check: PASS" if ok else
               f"cross-check: FAIL (first mismatch at i={where})")
-        failed = failed or not ok
-    else:
-        print("cross-check: SKIPPED (only defined for d=3 and odd d>=5)")
+        failed = not ok
     if args.order >= 6:
-        ok = qa._normal_quotient_series(a, b)
+        ok = qa.normal_quotient_check(a, b)
         print("normal-quotient: PASS" if ok else "normal-quotient: FAIL")
         failed = failed or not ok
     return 2 if failed else 0
@@ -309,6 +315,11 @@ def _verify_checks(ds, horizon, samples, rng):
     """Yield (name, ok, detail) for the nine suites in a fixed order."""
     # the (0, d/2, d) tables, shared by three suites
     family = {d: invariants_from_seed(Seed(0, Fraction(d, 2), d), horizon) for d in ds}
+    # the (A, B) series pairs, shared by the two series suites
+    series = {}
+    for d in ds:
+        a = qa.hilbert_A(qa.EquigenModel(d), max(6, min(horizon, 30)))
+        series[d] = a, qa.hilbert_B(a)
 
     def periodicity():
         for d, table in family.items():
@@ -354,15 +365,15 @@ def _verify_checks(ds, horizon, samples, rng):
         return True, ""
 
     def hilbert_crosscheck():
-        for d in ds:
-            ok, where = qa.cross_check_hilbert(qa.EquigenModel(d), min(horizon, 30))
+        for d, (_, b) in series.items():
+            ok, where = qa.cross_check_hilbert(qa.EquigenModel(d), b)
             if not ok:
                 return False, f"d={d}, first mismatch at i={where}"
         return True, ""
 
     def normal_quotient():
-        for d in ds:
-            if not qa.normal_quotient_check(qa.EquigenModel(d), max(6, min(horizon, 30))):
+        for d, (a, b) in series.items():
+            if not qa.normal_quotient_check(a, b):
                 return False, f"d={d}"
         return True, ""
 

@@ -8,7 +8,9 @@ time on the quotient side (each step eliminates only the new relations
 against a normal form of the previous degree), and the witness report folds
 both dimension tables into an alternating sum that must hit a delta. A
 parallel series model covers the equigenerated family where only
-dimensions, not relation spaces, are pinned down by the defining data d.
+dimensions, not relation spaces, are pinned down by the defining data d:
+hilbert_A inverts its cubic denominator once, and hilbert_B and both series
+checks take the series they work on, so a caller builds each series once.
 
 The dual basis pairing used throughout is the coordinatewise one on tensor
 squares: <f (x) g, u (x) w> = f(u) g(w), with factor order preserved.
@@ -25,7 +27,6 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .bundles import ChernVector, euler_pairing
 from .errors import DimensionCapExceeded, UnsupportedD
 from .exact import (
     RationalMatrix,
@@ -455,58 +456,42 @@ def hilbert_A(model: EquigenModel, order: int) -> TruncatedSeries:
     return TruncatedSeries([1, -d, d, -1]).with_order(order).inverse()
 
 
-def hilbert_B(model: EquigenModel, order: int) -> TruncatedSeries:
-    """(1 - t^3) times the A series: same denominator, cubic numerator."""
-    if order < 3:
-        raise ValueError("order must be at least 3")
-    return _times_cubic(hilbert_A(model, order))
-
-
-def _times_cubic(a: TruncatedSeries) -> TruncatedSeries:
-    """(1 - t^3) a: the B series of an A series, with no second inversion."""
+def hilbert_B(a: TruncatedSeries) -> TruncatedSeries:
+    """(1 - t^3) times the A series a, to a's order: same denominator, cubic
+    numerator, and no second inversion."""
     return TruncatedSeries([1, 0, 0, -1]).with_order(a.order) * a
 
 
-def cross_check_hilbert(model: EquigenModel, order: int) -> tuple[bool, int | None]:
-    """Compare B-series coefficients against pairings from the seed table.
+def cross_check_hilbert(
+    model: EquigenModel, b: TruncatedSeries
+) -> tuple[bool, int | None]:
+    """Compare a B series of model's d, to b's order, with the seed table.
 
-    The two routes share no code: one inverts a power series, the other runs
-    the integer recursion and evaluates a 2x2 determinant per row.
+    Coefficient i of b must be the pairing of (1, 0) with row i of the
+    (0, d/2, d) table, which is that row's d. The two routes share no code:
+    one inverts a power series, the other runs the integer recursion. The
+    check covers odd d (EquigenModel already requires d >= 3).
     """
     d = model.d
-    if d != 3 and (d < 5 or d % 2 == 0):
+    if d % 2 == 0:
         raise UnsupportedD(f"cross check covers d = 3 and odd d >= 5, got {d}")
-    if order < 3:
-        raise ValueError("order must be at least 3")
-    return _cross_check_series(d, hilbert_B(model, order))
-
-
-def _cross_check_series(d: int, b: TruncatedSeries) -> tuple[bool, int | None]:
-    """cross_check_hilbert on a B series already built, to b's order."""
     if b.nums[0] != b.den:
         return False, 0
-    table = invariants_from_seed(Seed(0, Fraction(d, 2), d), b.order)
-    origin = ChernVector(1, 0)
+    rows = invariants_from_seed(Seed(0, Fraction(d, 2), d), b.order).rows
     for i in range(1, b.order + 1):
-        row = table.rows[i]
-        if b.nums[i] != b.den * euler_pairing(origin, ChernVector(row.r, row.d)):
+        if b.nums[i] != b.den * rows[i].d:
             return False, i
     return True, None
 
 
-def normal_quotient_check(model: EquigenModel, order: int) -> bool:
-    """Does dividing the B series by 1 - t^3 reproduce the A series exactly.
+def normal_quotient_check(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    """Does dividing the B series b by 1 - t^3 reproduce the A series a exactly.
 
     This is the series-level signature of a degree-3 regular normal family
-    cutting B out of A.
+    cutting B out of A. a and b are taken to one order, at least 6.
     """
-    if order < 6:
+    if min(a.order, b.order) < 6:
         raise ValueError("order must be at least 6")
-    return _normal_quotient_series(hilbert_A(model, order), hilbert_B(model, order))
-
-
-def _normal_quotient_series(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """normal_quotient_check on A and B series already built, to one order."""
     cubic = TruncatedSeries([1, 0, 0, -1]).with_order(b.order)
     return first_series_mismatch(b / cubic, a) is None
 

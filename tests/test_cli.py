@@ -635,9 +635,8 @@ def test_verify_output_is_deterministic(capsys):
 def test_verify_catches_perturbed_series(capsys, monkeypatch):
     real = quadratic.hilbert_B
 
-    def bumped(model, n):
-        s = real(model, n)
-        cs = list(s.coeffs)
+    def bumped(a):
+        cs = list(real(a).coeffs)
         cs[3] += 1
         return TruncatedSeries(cs)
 
@@ -646,6 +645,36 @@ def test_verify_catches_perturbed_series(capsys, monkeypatch):
                        "--seed-samples", "2")
     assert code == 2
     assert "hilbert-crosscheck: FAIL" in out
+
+
+def test_verify_inverts_each_A_denominator_once(capsys, monkeypatch):
+    # the hilbert-crosscheck and normal-quotient suites share one (A, B)
+    # pair per d; the witness suite inverts its own A at order 6
+    real = TruncatedSeries.inverse
+    inverted = []
+
+    def counting(self):
+        inverted.append((self.nums[:4], self.order))
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counting)
+    code, _, _ = run(capsys, "verify", "--d-range", "5:9", "--horizon", "12",
+                     "--seed-samples", "0")
+    assert code == 0
+    assert sorted(inverted) == sorted(
+        ((1, -d, d, -1), order) for d in (5, 7, 9) for order in (12, 6)
+    )
+
+
+def test_verify_smallest_horizon_is_byte_identical(capsys):
+    # golden: sha256 of the stdout of the series suites at their own orders
+    # (5 for the cross-check, 6 for the normal quotient), before they shared
+    # one pair per d at order 6
+    code, out, err = run(capsys, "verify", "--horizon", "5", "--seed-samples", "0")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "757a1dd751ec560725cc6de66b70d8f8279c5c37e9b1a27af58a1f01b4fa6c63"
+    )
 
 
 def test_verify_catches_route_disagreement(capsys, monkeypatch):
@@ -759,3 +788,9 @@ def test_readme_koszul_dual_example_as_written(capsys, tmp_path, monkeypatch):
     assert dual["relations"][0]["rows"] == [
         ["1", "0", "0", "0"], ["0", "1", "1", "0"], ["0", "0", "0", "1"]
     ]
+
+
+def test_readme_library_example_as_written(capsys):
+    (block,) = readme_blocks("python")
+    exec(block, {})
+    assert capsys.readouterr().out == "5/2 + 5/4√12\n"

@@ -481,17 +481,20 @@ H_B_5 = [1, 5, 20, 75, 280, 1045, 3900, 14555, 54320, 202725, 756580]
 H_B_3 = [1, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30]
 
 
+def series_pair(d, order):
+    a = hilbert_A(EquigenModel(d), order)
+    return a, hilbert_B(a)
+
+
 def test_hilbert_frozen_tables():
     assert list(hilbert_A(EquigenModel(5), 10).coeffs) == H_A_5
-    assert list(hilbert_B(EquigenModel(5), 10).coeffs) == H_B_5
-    assert list(hilbert_B(EquigenModel(3), 10).coeffs) == H_B_3
+    assert list(series_pair(5, 10)[1].coeffs) == H_B_5
+    assert list(series_pair(3, 10)[1].coeffs) == H_B_3
 
 
 def test_hilbert_requires_order_three():
     with pytest.raises(ValueError):
         hilbert_A(EquigenModel(5), 2)
-    with pytest.raises(ValueError):
-        hilbert_B(EquigenModel(5), 2)
 
 
 def test_hilbert_denominator_identity():
@@ -506,14 +509,14 @@ def test_hilbert_linear_recursion():
         a = hilbert_A(EquigenModel(d), 12).coeffs
         for i in range(1, 10):
             assert a[i + 3] == d * a[i + 2] - d * a[i + 1] + a[i]
-        b = hilbert_B(EquigenModel(d), 6).coeffs
+        b = series_pair(d, 6)[1].coeffs
         assert a[3] == d * a[2] - d * a[1] + a[0]
         assert b[3] == d * b[2] - d * b[1] + b[0] - 1
 
 
 def test_hilbert_B_matches_table_degrees():
     for d in (5, 7):
-        b = hilbert_B(EquigenModel(d), 8).coeffs
+        b = series_pair(d, 8)[1].coeffs
         table = invariants_from_seed(Seed(0, Fraction(d, 2), d), 8)
         origin = ChernVector(1, 0)
         for i in range(1, 9):
@@ -522,33 +525,27 @@ def test_hilbert_B_matches_table_degrees():
 
 
 def test_cross_check_hilbert():
-    assert cross_check_hilbert(EquigenModel(5), 10) == (True, None)
-    assert cross_check_hilbert(EquigenModel(7), 10) == (True, None)
-    assert cross_check_hilbert(EquigenModel(3), 10) == (True, None)
+    assert cross_check_hilbert(EquigenModel(5), series_pair(5, 10)[1]) == (True, None)
+    assert cross_check_hilbert(EquigenModel(7), series_pair(7, 10)[1]) == (True, None)
+    assert cross_check_hilbert(EquigenModel(3), series_pair(3, 10)[1]) == (True, None)
     with pytest.raises(UnsupportedD):
-        cross_check_hilbert(EquigenModel(4), 10)
+        cross_check_hilbert(EquigenModel(4), series_pair(4, 10)[1])
     with pytest.raises(UnsupportedD):
-        cross_check_hilbert(EquigenModel(6), 10)
+        cross_check_hilbert(EquigenModel(6), series_pair(6, 10)[1])
 
 
 def test_normal_quotient_check():
-    assert normal_quotient_check(EquigenModel(5), 30)
-    assert normal_quotient_check(EquigenModel(7), 30)
+    assert normal_quotient_check(*series_pair(5, 30))
+    assert normal_quotient_check(*series_pair(7, 30))
     with pytest.raises(ValueError):
-        normal_quotient_check(EquigenModel(5), 5)
+        normal_quotient_check(*series_pair(5, 5))
 
 
-def test_normal_quotient_detects_perturbation(monkeypatch):
-    real = quadratic.hilbert_B
-
-    def bumped(model, n):
-        s = real(model, n)
-        cs = list(s.coeffs)
-        cs[3] += 1
-        return TruncatedSeries(cs)
-
-    monkeypatch.setattr(quadratic, "hilbert_B", bumped)
-    assert not normal_quotient_check(EquigenModel(5), 12)
+def test_normal_quotient_detects_perturbation():
+    a, b = series_pair(5, 12)
+    cs = list(b.coeffs)
+    cs[3] += 1
+    assert not normal_quotient_check(a, TruncatedSeries(cs))
 
 
 def test_equigen_model_rejects_small_d():
