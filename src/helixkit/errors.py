@@ -28,7 +28,7 @@ class NotSimple(ValueError):
 class NotMutable(RuntimeError):
     """The requested mutation would produce rank <= 0.
 
-    `member` names the triad component ("a" or "b") whose mutation failed,
+    `member` names the triad component ("a", "b" or "c") whose mutation failed,
     when the failure happened inside a triad step.
     """
 
@@ -46,7 +46,12 @@ class TableTooShort(ValueError):
 
 
 class UnsupportedD(ValueError):
-    """The requested formula is only defined for odd parameters >= 5."""
+    """A parameter d outside what the requested formula covers.
+
+    The closed forms, limits and verify's d range need odd d >= 5, the
+    equigenerated model needs an integer d >= 3, and the Hilbert cross check
+    covers d = 3 and odd d >= 5.
+    """
 
 
 class NotEquigeneratedSeed(ValueError):

@@ -17,6 +17,9 @@ truncation and equality run on those ints, and its coeffs are Fractions
 built only when read, so the Hilbert series of the hilbert command build no
 Fraction per coefficient.
 
+A SurdValue is placed on the line by one integer floor (_floor_surd), so
+surd order, floor and decimal rounding share that one exact routine.
+
 Everything here is pure and immutable. No operation constructs a float; the
 only decimal output is the string produced by :func:`surd_to_decimal`, and
 that is computed with integer square roots.
@@ -219,22 +222,6 @@ class SurdValue:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 m exactly
-        lhs, rhs = a * a, b * b * self.m
-        if a > 0:
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
-
     def _with(self, other) -> tuple["SurdValue", "SurdValue"]:
         if isinstance(other, (int, Fraction)):
             other = SurdValue(other, 0, self.m)
@@ -316,7 +303,7 @@ class SurdValue:
         s, o = self._with(other)
         if s is NotImplemented:
             return NotImplemented
-        return (s - o)._sign() < 0
+        return _floor_surd(s - o) < 0
 
     def __str__(self):
         if self.b == 0:
@@ -331,20 +318,23 @@ class SurdValue:
 
 
 def _floor_surd(v: SurdValue) -> int:
-    """Exact floor. Uses an isqrt estimate, then corrects by exact comparison."""
-    if v.b == 0:
-        return v.a.numerator // v.a.denominator
-    p, q = v.b.numerator, v.b.denominator
-    if p >= 0:
-        approx = Fraction(isqrt(p * p * v.m), q)
-    else:
-        approx = -Fraction(isqrt(p * p * v.m) + 1, q)
-    k = (v.a + approx).__floor__()
-    while v >= k + 1:
-        k += 1
-    while v < k:
-        k -= 1
-    return k
+    """Exact floor of v, in integers alone.
+
+    Write v = (p + q*sqrt(m)) / den with den the lcm of the denominators of
+    a and b. Then floor(v) = (p + s) // den, where s = isqrt(q^2 m) for
+    q > 0 and s = -isqrt(q^2 m) - 1 for q < 0. This holds because b != 0
+    only over a non-square m (SurdValue collapses square radicands), so
+    q*sqrt(m) is irrational and s is its floor.
+    """
+    a, b = v.a, v.b
+    den = lcm(a.denominator, b.denominator)
+    p = a.numerator * (den // a.denominator)
+    q = b.numerator * (den // b.denominator)
+    if q > 0:
+        p += isqrt(q * q * v.m)
+    elif q < 0:
+        p -= isqrt(q * q * v.m) + 1
+    return p // den
 
 
 def surd_to_decimal(x: SurdValue, digits: int) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 from .bundles import ChernVector, Triad, dualize, dualize_triad, mutate_triad_right
@@ -296,16 +296,16 @@ def limit_slopes(d: int) -> LimitReport:
     """Exact limiting slopes of the table in both directions.
 
     right = 2d / (sqrt m - (d-3)) computed by actual surd division;
-    left = d - right. Both irrational exactly when m is not a perfect square.
+    left = d - right. Both irrational exactly when m is not a perfect square,
+    which SurdValue already decided when it built right.
     """
     m = _require_odd_ge5(d)
     right = SurdValue(2 * d, 0, m) / SurdValue(-(d - 3), 1, m)
     left = SurdValue(d, 0, m) - right
-    s = isqrt(m)
     return LimitReport(
         right_limit=right,
         left_limit=left,
-        irrational=s * s != m,
+        irrational=not right.is_rational,
         decimal_right=surd_to_decimal(right, 7),
         decimal_left=surd_to_decimal(left, 7),
     )

@@ -411,7 +411,7 @@ def _alternating_report(period: int, bound: int, dual_dim, prim_dim) -> WitnessR
                 (-1) ** l * dual_dim(j, l) * prim_dim(j + l, n - l)
                 for l in range(n + 1)
             )
-            entries.append(WitnessEntry(j, j + n, int(s), s == (1 if n == 0 else 0)))
+            entries.append(WitnessEntry(j, j + n, s, s == (1 if n == 0 else 0)))
     return WitnessReport(tuple(entries))
 
 
@@ -423,7 +423,8 @@ def _witness_presentation(p: QuadraticPresentation, bound: int) -> WitnessReport
 
 
 def _witness_model(model: "EquigenModel", bound: int) -> WitnessReport:
-    a = hilbert_A(model, max(3, bound)).coeffs
+    # A inverts an int series with constant term 1: den is 1, nums are ints
+    a = hilbert_A(model, max(3, bound)).nums
     profile = (1, model.d, model.d, 1)
     return _alternating_report(
         3, bound, lambda j, l: profile[l] if l < 4 else 0, lambda i, n: a[n]
@@ -477,7 +478,7 @@ def cross_check_hilbert(
         raise UnsupportedD(f"cross check covers d = 3 and odd d >= 5, got {d}")
     if b.nums[0] != b.den:
         return False, 0
-    rows = invariants_from_seed(Seed(0, Fraction(d, 2), d), b.order).rows
+    rows = invariants_from_seed(Seed(0, Fraction(d, 2), d), max(1, b.order)).rows
     for i in range(1, b.order + 1):
         if b.nums[i] != b.den * rows[i].d:
             return False, i
@@ -488,12 +489,14 @@ def normal_quotient_check(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     """Does dividing the B series b by 1 - t^3 reproduce the A series a exactly.
 
     This is the series-level signature of a degree-3 regular normal family
-    cutting B out of A. a and b are taken to one order, at least 6.
+    cutting B out of A. a and b are compared as far as both go: to
+    n = min(a.order, b.order), which must be at least 6.
     """
-    if min(a.order, b.order) < 6:
+    n = min(a.order, b.order)
+    if n < 6:
         raise ValueError("order must be at least 6")
-    cubic = TruncatedSeries([1, 0, 0, -1]).with_order(b.order)
-    return first_series_mismatch(b / cubic, a) is None
+    cubic = TruncatedSeries([1, 0, 0, -1]).with_order(n)
+    return first_series_mismatch(b.with_order(n) / cubic, a.with_order(n)) is None
 
 
 def classical_euler_fixture(n: int):

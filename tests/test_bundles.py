@@ -138,6 +138,42 @@ def test_mutate_triad_right_reports_failing_member():
     with pytest.raises(NotMutable) as exc:
         mutate_triad_right(Triad(C(1, 0), C(2, 1), C(1, 1)))
     assert exc.value.member == "a"
+    assert str(exc.value) == "right mutation of 1:0 past 1:1 has rank 0"
+
+
+def _pairwise(steps, build):
+    """Run the pair mutations in order: build(*results), or the member and
+    message of the first that fails."""
+    out = []
+    for member, mutate, x, y in steps:
+        try:
+            out.append(mutate(x, y))
+        except NotMutable as exc:
+            return member, str(exc)
+    return build(*out)
+
+
+def test_triad_steps_are_the_pair_mutations_in_order():
+    rng = random.Random(51)
+    failed = set()
+    for _ in range(400):
+        t = random_triad(rng)
+        a, b, c = t.a, t.b, t.c
+        for step, want in (
+            (mutate_triad_right, _pairwise(
+                [("a", right_mutate, a, c), ("b", right_mutate, b, c)],
+                lambda ra, rb: Triad(c, ra, rb))),
+            (mutate_triad_left, _pairwise(
+                [("b", left_mutate, a, b), ("c", left_mutate, a, c)],
+                lambda lb, lc: Triad(lb, lc, a))),
+        ):
+            try:
+                got = step(t)
+            except NotMutable as exc:
+                got = exc.member, str(exc)
+                failed.add((step, exc.member))
+            assert got == want
+    assert failed >= {(mutate_triad_right, "b"), (mutate_triad_left, "b")}
 
 
 def test_hom_dims_examples():

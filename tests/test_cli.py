@@ -552,17 +552,28 @@ _NOT_MUTABLE = "error at step 1: member a not mutable (right mutation of 1:0 pas
          "0b7bec66fd86e2971b372d8c5fc871dd027a621be6d9bd274e9c08d7f18343cc", ""),
         ("triad 1:0 2:1 1:1 --right --steps 300", 1,
          "20fd0eba7d5d39f9a63ab1cc5de93b23b429c030b0a10f45c52ca00f3fb19db3", _NOT_MUTABLE),
+        ("limits --d 5", 0,
+         "ab90d2392caa5ff159752112e5910358936e00552298bfd7ce70925d585f29ed", ""),
+        ("limits --d 7", 0,
+         "3e630b7d2235518088533b5b9cbc78fc3776ad4bbf8688fd04490a76022bf3eb", ""),
+        ("limits --d 41", 0,
+         "565b18fda712234fad92e96e284cc02dbc0d1d7e926e7c5bdf6b41b8388a6a0b", ""),
+        ("limits --d 399", 0,
+         "0a18219ef9f209a39a648d6a468503cde3f0ce445806cd5e6c56ddf122331d56", ""),
     ],
     ids=["family-table", "family-json", "family-csv", "twisted", "degenerate",
          "degenerate-csv", "twisted-csv", "hilbert-3", "hilbert-5", "hilbert-40",
-         "triad-right", "triad-left", "triad-exit-1"],
+         "triad-right", "triad-left", "triad-exit-1", "limits-5", "limits-7",
+         "limits-41", "limits-399"],
 )
 def test_tables_commands_are_byte_identical(capsys, argv, code, digest, err):
     # golden: sha256 of the stdout of the Fraction series arithmetic, the
     # eight-determinant periodicity check and the Fraction slope comparisons
     # this package used before they ran on integers; the two csv cases, of
     # the four-product recursion and the Fraction slope column (row 4 of
-    # the degenerate table has r = -34 and prints 365/34)
+    # the degenerate table has r = -34 and prints 365/34); the four limits
+    # cases, of the Fraction sign test and the corrected isqrt floor that
+    # placed surds before one integer floor did
     got_code, out, got_err = run(capsys, *argv.split())
     assert (got_code, got_err) == (code, err)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ reduction) before the module was written.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +20,7 @@ from helixkit.exact import (
     _back_substitute,
     _dense_to_sparse,
     _echelon,
+    _floor_surd,
     _frac,
     _sparse_rank,
     matrix_kernel,
@@ -265,11 +266,23 @@ def test_surd_field_axioms(a1, b1, a2, b2, a3, b3):
         assert (x / y) * y == x
 
 
+def oracle_sign(v: SurdValue) -> int:
+    """Sign of a + b sqrt(m), from a^2 against b^2 m alone."""
+    sa, sb = (v.a > 0) - (v.a < 0), (v.b > 0) - (v.b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    d = v.a * v.a - v.b * v.b * v.m
+    return sa * ((d > 0) - (d < 0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(surd_parts, surd_parts, surd_parts, surd_parts)
 def test_surd_compare_agrees_with_decimals(a1, b1, a2, b2):
     x, y = SurdValue(a1, b1, 13), SurdValue(a2, b2, 13)
-    c = (x - y)._sign()
+    c = oracle_sign(x - y)
+    assert (x < y, x == y) == (c < 0, c == 0)
     diff = surd_to_decimal(x - y, 30)
     zero = "0." + "0" * 30
     if c == 0:
@@ -278,6 +291,31 @@ def test_surd_compare_agrees_with_decimals(a1, b1, a2, b2):
         assert diff.startswith("-")
     else:
         assert not diff.startswith("-") and diff != zero
+
+
+big_parts = st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+nonzero_big_parts = big_parts.filter(lambda b: b != 0)
+non_squares = st.integers(2, 10**40).filter(lambda m: isqrt(m) ** 2 != m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_parts, nonzero_big_parts, big_parts, big_parts, non_squares,
+       st.integers(1, 50))
+@example(F(7), F(-2), F(0), F(0), 12, 7)
+@example(F(-7), F(3), F(0), F(-3), 6, 3)
+@example(F(-5, 2), F(-5, 4), F(3), F(0), 12, 1)
+def test_surd_floor_order_and_rounding_agree_with_oracle(a, b, a2, b2, m, digits):
+    # b != 0 over a non-square m: x is irrational; y may be rational
+    x, y = SurdValue(a, b, m), SurdValue(a2, b2, m)
+    c = oracle_sign(x - y)
+    assert (x < y, x == y, x > y) == (c < 0, c == 0, c > 0)
+    for v in (x, y):
+        k = _floor_surd(v)
+        assert oracle_sign(v - k) >= 0 and oracle_sign(v - (k + 1)) < 0
+    # correctly rounded: within half a unit of the last digit, no tie
+    r = F(surd_to_decimal(x, digits))
+    half = F(1, 2 * 10**digits)
+    assert oracle_sign(x - r - half) < 0 < oracle_sign(x - r + half)
 
 
 # frozen: scaled-isqrt oracle, correctly rounded

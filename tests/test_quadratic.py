@@ -541,6 +541,27 @@ def test_normal_quotient_check():
         normal_quotient_check(*series_pair(5, 5))
 
 
+def test_cross_check_hilbert_order_0_compares_coefficient_0():
+    b = series_pair(5, 6)[1]
+    assert cross_check_hilbert(EquigenModel(5), b.with_order(0)) == (True, None)
+    assert cross_check_hilbert(EquigenModel(5), TruncatedSeries([2])) == (False, 0)
+
+
+def test_normal_quotient_compares_to_the_lower_order():
+    a, b = series_pair(5, 12)
+    assert normal_quotient_check(a, b.with_order(8))
+    assert normal_quotient_check(a.with_order(8), b)
+    with pytest.raises(ValueError):
+        normal_quotient_check(a, b.with_order(5))
+    # a coefficient bumped below the lower order still fails, either way round
+    bumped_b = list(b.with_order(8).nums)
+    bumped_b[7] += 1
+    assert not normal_quotient_check(a, TruncatedSeries(bumped_b))
+    bumped_a = list(a.with_order(8).nums)
+    bumped_a[7] += 1
+    assert not normal_quotient_check(TruncatedSeries(bumped_a), b)
+
+
 def test_normal_quotient_detects_perturbation():
     a, b = series_pair(5, 12)
     cs = list(b.coeffs)
