@@ -5,12 +5,15 @@ kernel.
 A RationalMatrix is stored as int rows: each rational row is cleared of
 denominators once, on the way in (_dense_to_sparse), which also gives the
 row's own denominator, so (den, row) stands for row / den in one form only.
-The elimination kernel runs fraction-free on those rows, and the matrices it
-returns (rref, matrix_kernel) are int rows again (_by_lead,
-RationalMatrix._of). Fractions are built only when a matrix's entries are
-read. Quadratic presentations hold their relation blocks as such matrices
-from JSON parsing to JSON output, so koszul_dual, degree_dims and the
-double-dual check build no Fraction.
+The elimination kernel runs fraction-free on those rows, through one
+reduction loop (_insert): rows the kernel borrows, such as a matrix's own,
+are copied first (_echelon), and rows a caller builds for it, such as the
+quotient recursion's, are inserted as they are. The matrices it returns
+(rref, matrix_kernel) are int rows again (_by_lead, RationalMatrix._of).
+Fractions are built only when a matrix's entries are read. Quadratic
+presentations hold their relation blocks as such matrices from JSON
+parsing to JSON output, so koszul_dual, degree_dims and the double-dual
+check build no Fraction.
 A TruncatedSeries is stored the same way: int numerators over one
 denominator, in one canonical form. Products, quotients, inverses,
 truncation and equality run on those ints, and its coeffs are Fractions
@@ -490,29 +493,40 @@ def _divide_content(row: dict[int, int]) -> None:
             row[k] //= g
 
 
+def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Reduce one int row against pivots and store what is left, in place.
+
+    This is the one reduction loop of the kernel. row must hold no zero
+    entry, and the caller gives it up: it is changed, and it or a copy of
+    it may be stored. It is divided by the gcd of its entries; from there
+    elimination runs fraction-free, in the spirit of Bareiss (1968), on
+    primitive int rows, each stored positive at its pivot. Pivot on the
+    row's least column, so every pivot row is zero left of its pivot; rows
+    with tiny support (the tensor spreads) stay tiny throughout, which keeps
+    this near linear. A row that reduces to zero is dropped.
+    """
+    _divide_content(row)
+    while row:
+        c = min(row)
+        piv = pivots.get(c)
+        if piv is None:
+            if row[c] < 0:
+                row = {k: -v for k, v in row.items()}
+            pivots[c] = row
+            return
+        _subtract(row, c, piv)
+
+
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Forward elimination of sparse int rows: pivot column -> primitive int row.
 
-    Each row is divided by the gcd of its entries; from there elimination
-    runs fraction-free, in the spirit of Bareiss (1968), on primitive int
-    rows, each stored positive at its pivot. Pivot on each row's least
-    column, so every pivot row is zero left of its pivot; rows with tiny
-    support (the tensor spreads) stay tiny throughout, which keeps this near
-    linear.
+    The rows are borrowed and left as they are: each is copied without its
+    zero entries and the copy goes through _insert. Code that builds its own
+    rows (the quotient recursion) calls _insert on them directly.
     """
     pivots: dict[int, dict[int, int]] = {}
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
-        _divide_content(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                if row[c] < 0:
-                    row = {k: -v for k, v in row.items()}
-                pivots[c] = row
-                break
-            _subtract(row, c, piv)
+        _insert(pivots, {c: v for c, v in raw.items() if v})
     return pivots
 
 

@@ -33,8 +33,8 @@ from .exact import (
     TruncatedSeries,
     _back_substitute,
     _dense_to_sparse,
-    _echelon,
     _frac,
+    _insert,
     _kernel_rows,
     _normal_form,
     _reduced,
@@ -312,30 +312,44 @@ def _quotient_step(
     block holds the int rows of the relations between the last two generator
     spaces, of dimensions g_left and g (V); lower and upper are dim A_{n-2}
     and dim A_{n-1}. nf[c * g_left + a] = (q, row) holds the word (basis
-    element c of A_{n-2}) * (generator a) on A_{n-1}'s basis as row / q;
-    each relation row is scaled by the lcm of its words' q's. Column
-    k * g + b of A_{n-1} (x) V pairs basis element k with generator b.
+    element c of A_{n-2}) * (generator a) on A_{n-1}'s basis as row / q.
+    Column k * g + b of A_{n-1} (x) V pairs basis element k with generator
+    b. Each image row is built here, in a fresh dict that drops entries as
+    they cancel, and goes straight into the kernel's one reduction loop
+    (exact._insert); no row is copied. Most words have q = 1, so the row is
+    scaled only when some q is not: then every term, q = 1 ones included, is
+    scaled by den // q, with den the lcm of the row's q's.
     Returns dim A_n and, when need_map is set, the same map one degree up
     (_normal_form).
     """
     terms = [[(col // g, col % g, v) for col, v in row.items()] for _, row in block]
-
-    def rows():
-        for c in range(lower):
-            base = c * g_left
-            for term in terms:
-                words = [(nf[base + a], b, v) for a, b, v in term]
-                den = lcm(*(q for (q, _), _, _ in words))
-                out: dict[int, int] = {}
-                for (q, word), b, v in words:
-                    s = v * (den // q)
-                    for k, x in word.items():
-                        col = k * g + b
-                        old = out.get(col)
-                        out[col] = s * x if old is None else old + s * x
-                yield out
-
-    pivots = _echelon(rows())
+    pivots: dict[int, dict[int, int]] = {}
+    for c in range(lower):
+        base = c * g_left
+        for term in terms:
+            den = 1
+            for a, _, _ in term:
+                q = nf[base + a][0]
+                if q != 1:
+                    den = lcm(den, q)
+            out: dict[int, int] = {}
+            for a, b, v in term:
+                q, word = nf[base + a]
+                if den != 1:
+                    v *= den // q
+                for k, x in word.items():
+                    col = k * g + b
+                    old = out.get(col)
+                    if old is None:
+                        out[col] = v * x
+                    else:
+                        old += v * x
+                        if old:
+                            out[col] = old
+                        else:
+                            del out[col]
+            if out:
+                _insert(pivots, out)
     cols = upper * g
     if not need_map:
         return cols - len(pivots), None
@@ -349,10 +363,12 @@ def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
     Per start index i the components are built one degree at a time from
     A_n = coker(A_{n-2} (x) R_{i+n-2} -> A_{n-1} (x) V_{i+n-1}), carrying a
     normal-form map from each degree to the next, so the work follows the
-    quotient dimensions, not the tensor power. _ambient_degree_dims is the
-    independent route to the same table. Ambient tensor dimensions above the
-    HELIXKIT_DIM_CAP environment value (default 10**6) are still refused
-    rather than attempted.
+    quotient dimensions, not the tensor power. Each step builds its image
+    rows and inserts them into the kernel's one reduction loop as it goes
+    (_quotient_step). _ambient_degree_dims is the independent route to the
+    same table. Ambient tensor dimensions above the HELIXKIT_DIM_CAP
+    environment value (default 10**6) are still refused rather than
+    attempted.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
