@@ -7,7 +7,7 @@ Rank-zero data (torsion sheaves) is outside the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -101,12 +101,21 @@ def dualize(c: ChernVector) -> ChernVector:
     return ChernVector(c.rank, -c.degree)
 
 
+class HomDims(NamedTuple):
+    ab: int
+    ac: int
+    bc: int
+
+
 @dataclass(frozen=True)
 class Triad:
     """Three simple vectors of strictly increasing slope.
 
-    Both checks read the pairings ab and bc: gcd(rank, degree) of a member
-    divides its pairing with any vector, so a member is simple exactly when
+    The constructor computes the three pairings once and keeps them in
+    _pairings, which hom_dims returns. The field takes no part in init, repr
+    or compare, so ==, hash and repr read a, b and c alone, and
+    dataclasses.replace runs the constructor and so recomputes it. Both checks read ab and bc: gcd(rank, degree) of a member divides
+    its pairing with any vector, so a member is simple exactly when
     gcd(pairing, rank, degree) == 1 (_require_simple, a before b before c),
     and, ranks being positive, slope(e) < slope(f) exactly when
     euler_pairing(e, f) > 0. Simplicity is checked first.
@@ -115,6 +124,7 @@ class Triad:
     a: ChernVector
     b: ChernVector
     c: ChernVector
+    _pairings: HomDims = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ab, bc = euler_pairing(self.a, self.b), euler_pairing(self.b, self.c)
@@ -122,6 +132,9 @@ class Triad:
         _require_simple(bc, self.c)
         if ab <= 0 or bc <= 0:
             raise SlopeOrderViolation("triad slopes must increase strictly")
+        object.__setattr__(
+            self, "_pairings", HomDims(ab, euler_pairing(self.a, self.c), bc)
+        )
 
     def __str__(self):
         return f"({self.a}, {self.b}, {self.c})"
@@ -132,17 +145,11 @@ def dualize_triad(t: Triad) -> Triad:
     return Triad(dualize(t.c), dualize(t.b), dualize(t.a))
 
 
-class HomDims(NamedTuple):
-    ab: int
-    ac: int
-    bc: int
-
-
 def hom_dims(t: Triad) -> HomDims:
-    """The three pairings of a triad. A Triad is simple with increasing
-    slopes by construction, so these are its hom_dim values, unchecked."""
-    a, b, c = t.a, t.b, t.c
-    return HomDims(euler_pairing(a, b), euler_pairing(a, c), euler_pairing(b, c))
+    """The three pairings of a triad, as its constructor computed them. A
+    Triad is simple with increasing slopes by construction, so these are
+    its hom_dim values; nothing is multiplied here."""
+    return t._pairings
 
 
 def mutate_triad_right(t: Triad) -> Triad:

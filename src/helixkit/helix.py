@@ -77,7 +77,10 @@ class HelixTable:
     rows: tuple[Row, ...]
     degenerate_at: int | None
     # minors[n] = d_n r_(n-1) - d_(n-1) r_n, the minor of row n with the row
-    # before it as the recursion carried it (0 for row 0)
+    # before it as the recursion carried it (0 for row 0). Row n is
+    # minors[n] * row n-1 - primed_(n-1), so minors[n] is also row n-1's
+    # mixed minor, and for n >= 4 the expansion in invariants_from_seed
+    # gives minors[n] = minors[n-3]: only minors[1..3] come from the rows
     minors: tuple[int, ...]
 
     def seed_triad(self) -> Triad:
@@ -143,14 +146,21 @@ def invariants_from_seed(seed: Seed, n_max: int) -> HelixTable:
     nonpositive rank component stops growth; the offending row is kept and
     flagged in degenerate_at.
 
-    Row n+1 = mixed_n * row n - primed_n, with mixed_n row n's mixed minor,
-    so the minor of rows n+1, n is d_{n+1} r_n - d_n r_{n+1}
-    = d_n rp_n - dp_n r_n = mixed_n. The consecutive minor each step needs
-    is therefore the mixed minor of the step before, carried, and a row
-    costs two products of table-size integers, not four. Only the minor of
-    the seed rows 1, 0 is computed. The table keeps these minors for its
-    slope column; verify_periodicity recomputes every minor from the
-    finished rows.
+    Write det(x, y) = x.d y.r - y.d x.r and c_k = minors[k]. Row i is
+    c_i * row i-1 - primed_(i-1) with c_i = det(row i-1, primed_(i-1)), row
+    i-1's mixed minor, so det(row i, row i-1) = c_i: the table's minors are
+    the mixed minors one row back. With primed_i = c_(i-1) row i-1 - row i-2,
+    row i's mixed minor expands for i >= 3 (primed_(i-1) then comes from the
+    recursion, not from the seed) as
+      c_(i+1) = -c_i det(row i-1, row i-2) - c_(i-1) det(primed_(i-1), row i-1)
+                + det(c_(i-2) row i-2 - row i-3, row i-2)
+              = -c_i c_(i-1) + c_(i-1) c_i + c_(i-2) = c_(i-2),
+    so minors[k] = minors[k-3] for every k >= 4 and every seed. Only
+    minors[1], minors[2] and minors[3] are computed from the rows; every
+    later row carries minors[k-3] and costs four products of a small minor
+    with a table-size integer, none of two table-size ones. The table keeps
+    these minors for its slope column; verify_periodicity recomputes every
+    minor from the finished rows.
     """
     if n_max < 1:
         raise ValueError("need at least rows 0 and 1")
@@ -161,7 +171,7 @@ def invariants_from_seed(seed: Seed, n_max: int) -> HelixTable:
     for i in range(2, n_max + 1):
         prev, prev2, minor = rows[i - 1], rows[i - 2], minors[i - 1]
         dp, rp = minor * prev.d - prev2.d, minor * prev.r - prev2.r
-        mixed = prev.d * prev.rp - prev.dp * prev.r
+        mixed = _mixed_minor(prev) if i < 4 else minors[i - 3]
         d, r = mixed * prev.d - prev.dp, mixed * prev.r - prev.rp
         rows.append(Row(i, d, r, dp, rp))
         minors.append(mixed)
@@ -221,6 +231,12 @@ def verify_periodicity(table: HelixTable) -> tuple[bool, str | None]:
     kinds repeat with period three (from n = 3). Each minor is computed once
     (two determinants per row); the families then compare list entries, and
     a failure names the first n at which its family breaks.
+
+    This is the one place minors are recomputed from the rows:
+    invariants_from_seed carries minors[k-3] as minors[k]. Rows built with
+    any carried values satisfy the first family by construction, so a wrong
+    carried minor at row k shows in the mixed-minor recursion family, at
+    n = k - 1.
     """
     rows = table.rows
     if len(rows) < 5:

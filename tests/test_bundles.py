@@ -1,12 +1,13 @@
 """Rank/degree calculus: slopes, the dimension pairing, and left/right
 mutations of pairs and triads."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helixkit.bundles import (
@@ -287,6 +288,50 @@ def test_hom_dims_is_three_hom_dim_calls_along_mutation_chains():
                 break
             steps += 1
     assert steps >= 500
+
+
+def _three_pairings(t):
+    return (euler_pairing(t.a, t.b), euler_pairing(t.a, t.c), euler_pairing(t.b, t.c))
+
+
+def test_stored_pairings_leave_eq_hash_and_repr_to_the_members():
+    t = Triad(C(1, 0), C(2, 5), C(1, 5))
+    assert repr(t) == (
+        "Triad(a=ChernVector(rank=1, degree=0), b=ChernVector(rank=2, degree=5),"
+        " c=ChernVector(rank=1, degree=5))"
+    )
+    assert hash(t) == hash((t.a, t.b, t.c))
+    u = Triad(C(1, 0), C(2, 5), C(1, 5))
+    object.__setattr__(u, "_pairings", (0, 0, 0))
+    assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
+    assert u != Triad(C(1, 0), C(2, 5), C(1, 6))
+
+
+def test_replace_recomputes_the_pairings():
+    t = Triad(C(1, 0), C(2, 5), C(1, 5))
+    u = dataclasses.replace(t, c=C(1, 6))
+    assert hom_dims(u) == _three_pairings(u) == (5, 6, 7)
+    assert hom_dims(t) == (5, 5, 5)
+    with pytest.raises(SlopeOrderViolation):
+        dataclasses.replace(t, c=C(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_vectors(), simple_vectors(), simple_vectors())
+def test_hom_dims_is_three_pairings_on_drawn_triads(e, f, g):
+    e, f, g = sorted((e, f, g), key=slope)
+    assume(slope(e) < slope(f) < slope(g))
+    t = Triad(e, f, g)
+    assert hom_dims(t) == _three_pairings(t)
+
+
+@pytest.mark.parametrize("mutate", [mutate_triad_right, mutate_triad_left])
+def test_hom_dims_is_three_pairings_along_300_step_chains(mutate):
+    t = Triad(C(1, 0), C(2, 5), C(1, 5))
+    for _ in range(300):
+        t = mutate(t)
+        assert hom_dims(t) == _three_pairings(t)
+    assert max(t.a.rank, t.b.rank, t.c.rank) > 10**150
 
 
 @st.composite

@@ -89,6 +89,23 @@ def test_seed_table_past_the_digit_limit_prints_nothing(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+def test_seed_table_of_9000_rows_past_the_least_digit_limit_prints_nothing(capsys):
+    # the whole table is still grown before the refusal, so this also bounds
+    # the cost of 9000 rows of the seed recursion
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "seed-table", "0", "5/2", "5", "--n", "9000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_seed_table_invalid_seed_is_65(capsys):
     code, _, err = run(capsys, "seed-table", "0", "5", "5/2", "--n", "4")
     assert code == 65

@@ -119,6 +119,7 @@ def seeds(draw):
 @example(Seed(0, F(1, 2), 1), 10)
 @example(Seed(F(-7), F(-9, 2), F(-2)), 60)
 @example(seed_0_half_d(5), 60)
+@example(seed_0_half_d(5), 2000)
 def test_carried_minor_matches_four_product_recursion(seed, n_max):
     t = invariants_from_seed(seed, n_max)
     rows, degenerate_at = four_product_table(seed, n_max)
@@ -243,6 +244,36 @@ def test_periodicity_detects_tampering():
 def test_periodicity_reports_mixed_minor_recursion(index, change, n):
     # frozen: the reports of the eight-determinant check
     ok, detail = verify_periodicity(_tampered(index, **change))
+    assert (ok, detail) == (False, f"mixed-minor recursion identity fails at n={n}")
+
+
+def _carried_table(seed, n_max, offset_at):
+    """The period-3 carried recursion with minors[offset_at] off by one and
+    carried on as such."""
+    (d0, r0), (d1p, r1p), (d1, r1) = seed.pairs()
+    rows = [Row(0, d0, r0, None, None), Row(1, d1, r1, d1p, r1p)]
+    minors = [0, d1 * r0 - d0 * r1]
+    for i in range(2, n_max + 1):
+        prev, prev2, minor = rows[i - 1], rows[i - 2], minors[i - 1]
+        if i < 4:
+            mixed = prev.d * prev.rp - prev.dp * prev.r
+        else:
+            mixed = minors[i - 3] + (1 if i == offset_at else 0)
+        rows.append(Row(i, mixed * prev.d - prev.dp, mixed * prev.r - prev.rp,
+                        minor * prev.d - prev2.d, minor * prev.r - prev2.r))
+        minors.append(mixed)
+    return HelixTable(seed, seed.d_param, tuple(rows), None, tuple(minors))
+
+
+@pytest.mark.parametrize("d", [5, 7])
+@pytest.mark.parametrize("offset_at, n", [(4, 3), (7, 6), (10, 9), (30, 29)])
+def test_periodicity_reports_a_wrong_carried_minor(d, offset_at, n):
+    # rows built from any carried minors pass the consecutive-vs-mixed
+    # family by construction; the recomputed mixed minor of row offset_at
+    # is the first to disagree
+    seed = seed_0_half_d(d)
+    assert _carried_table(seed, 30, None) == invariants_from_seed(seed, 30)
+    ok, detail = verify_periodicity(_carried_table(seed, 30, offset_at))
     assert (ok, detail) == (False, f"mixed-minor recursion identity fails at n={n}")
 
 
