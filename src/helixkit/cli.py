@@ -270,6 +270,9 @@ def _run_hilbert(args) -> int:
 
 
 def _run_koszul_dual(args) -> int:
+    for flag, value in (("--dims", args.dims), ("--witness", args.witness)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be nonnegative")
     with open(args.input, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -5,12 +5,14 @@ p) and, per index, a matrix of relation rows inside the g_i * g_{i+1} tensor
 square. Everything downstream is exact linear algebra on those rows: the
 dual presentation annihilates them, degree dimensions grow one degree at a
 time on the quotient side (each step eliminates only the new relations
-against a normal form of the previous degree), and the witness report folds
-both dimension tables into an alternating sum that must hit a delta. A
-parallel series model covers the equigenerated family where only
-dimensions, not relation spaces, are pinned down by the defining data d:
-hilbert_A inverts its cubic denominator once, and hilbert_B and both series
-checks take the series they work on, so a caller builds each series once.
+against a normal form of the previous degree) until degree 3 shows the
+relations to be a quadratic Groebner basis, after which the normal words are
+counted instead, and the witness report folds both dimension tables into an
+alternating sum that must hit a delta. A parallel series model covers the
+equigenerated family where only dimensions, not relation spaces, are pinned
+down by the defining data d: hilbert_A inverts its cubic denominator once,
+and hilbert_B and both series checks take the series they work on, so a
+caller builds each series once.
 
 The dual basis pairing used throughout is the coordinatewise one on tensor
 squares: <f (x) g, u (x) w> = f(u) g(w), with factor order preserved.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -33,6 +35,7 @@ from .exact import (
     TruncatedSeries,
     _back_substitute,
     _dense_to_sparse,
+    _echelon,
     _frac,
     _insert,
     _kernel_rows,
@@ -357,40 +360,119 @@ def _quotient_step(
     return _normal_form(pivots, cols)
 
 
+def _block_echelons(p: QuadraticPresentation) -> list[dict[int, dict[int, int]]]:
+    """Each relation block after _echelon, which pivots on each row's least
+    column: its pivot columns are the block's leading words."""
+    return [_echelon(row for _, row in rel.int_rows) for rel in p.relations]
+
+
+def _quotient_dims(p: QuadraticPresentation, echelons, i: int, max_degree: int):
+    """Yield dim A_{i,i+n} for n = 0..max_degree by the quotient recursion.
+
+    A_2 = V_i (x) V_{i+1} / R_i is read off echelons[i] (_block_echelons),
+    which is reduced in place for its normal-form map; its pivot columns
+    stay as they were. Each later degree is
+    A_n = coker(A_{n-2} (x) R_{i+n-2} -> A_{n-1} (x) V_{i+n-1}), built from
+    the map of the degree before (_quotient_step), so the work follows the
+    quotient dimensions, not the tensor power. The map is kept up to degree
+    max_degree - 1. A caller may stop reading after any degree and go on
+    later; no step runs twice.
+    """
+    word = [p.gen_dims[(i + k) % p.period] for k in range(max(max_degree, 2))]
+    yield from (1, word[0])[: max_degree + 1]
+    if max_degree < 2:
+        return
+    pivots, cols = echelons[i], word[0] * word[1]
+    if max_degree == 2:
+        yield cols - len(pivots)
+        return
+    _back_substitute(pivots)
+    upper, nf = _normal_form(pivots, cols)
+    yield upper
+    lower = word[0]
+    for n in range(3, max_degree + 1):
+        block = p.relations[(i + n - 2) % p.period].int_rows
+        dim, nf = _quotient_step(
+            nf, block, word[n - 2], word[n - 1], lower, upper, n < max_degree
+        )
+        lower, upper = upper, dim
+        yield dim
+
+
+def _normal_pairs(p: QuadraticPresentation, echelons) -> list[list[list[int]]]:
+    """Per relation block i, the letters b that may follow each letter a:
+    the pair (a, b), column a * g_{i+1} + b, is normal when it is not a
+    pivot column of echelons[i] (_block_echelons), a leading word."""
+    pairs = []
+    for i, lead in enumerate(echelons):
+        g = p.gen_dims[(i + 1) % p.period]
+        pairs.append([
+            [b for b in range(g) if a * g + b not in lead]
+            for a in range(p.gen_dims[i])
+        ])
+    return pairs
+
+
+def _normal_word_counts(p: QuadraticPresentation, pairs, i: int, max_degree: int):
+    """Yield the number of normal words of length n = 0..max_degree from
+    start index i: words whose adjacent letters all form normal pairs
+    (_normal_pairs), so that no leading word is a subword. A dynamic program
+    over the last letter, O(g^2) small ints per degree.
+    """
+    ends = [1] * p.gen_dims[i]
+    yield from (1, len(ends))[: max_degree + 1]
+    for n in range(2, max_degree + 1):
+        follow = pairs[(i + n - 2) % p.period]
+        counts = [0] * p.gen_dims[(i + n - 1) % p.period]
+        for a, e in enumerate(ends):
+            for b in follow[a]:
+                counts[b] += e
+        ends = counts
+        yield sum(ends)
+
+
 def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
     """Exact dimension of every quotient component up to the given length.
 
-    Per start index i the components are built one degree at a time from
-    A_n = coker(A_{n-2} (x) R_{i+n-2} -> A_{n-1} (x) V_{i+n-1}), carrying a
-    normal-form map from each degree to the next, so the work follows the
-    quotient dimensions, not the tensor power. Each step builds its image
-    rows and inserts them into the kernel's one reduction loop as it goes
-    (_quotient_step). _ambient_degree_dims is the independent route to the
-    same table. Ambient tensor dimensions above the HELIXKIT_DIM_CAP
-    environment value (default 10**6) are still refused rather than
-    attempted.
+    Every start index runs the quotient recursion (_quotient_dims) to degree
+    3. Past that, R is first tested as a quadratic Groebner basis. Column
+    a * g_{i+1} + b orders the words of one length lexicographically, first
+    letter most significant, and on words of one length that order is
+    compatible with concatenation. So the pivots _echelon takes, each row's
+    least column, are the leading words of R for a monomial order in which
+    the least word leads. The normal words, those with no leading word as a
+    subword, always span A. If in degree 3 their number equals dim
+    A_{i,i+3} at every start index i, every overlap of two leading words
+    resolves, and by Bergman's diamond lemma ("The diamond lemma for ring
+    theory", 1978) the normal words are a basis of A in every degree: A is
+    PBW (Priddy 1970; Polishchuk-Positselski, Quadratic Algebras, ch. 4).
+    The table is then the normal-word counts (_normal_word_counts), with no
+    elimination above degree 3. Otherwise every start index goes on with the
+    recursion from its degree-3 map. _ambient_degree_dims is the independent
+    reference route to the same table.
+
+    Ambient tensor dimensions above the HELIXKIT_DIM_CAP environment value
+    (default 10**6) are refused, for every cell before any work starts, even
+    though the work follows the quotient dimensions.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     cap = _dim_cap()
-    table = []
     for i in range(p.period):
-        word = [p.gen_dims[(i + k) % p.period] for k in range(max_degree)]
-        nf = [(1, {a: 1}) for a in range(word[0])] if word else []
-        row = []
+        word = (p.gen_dims[(i + k) % p.period] for k in range(max_degree))
         for n, ambient in enumerate(accumulate(word, mul, initial=1)):
             _require_under_cap(ambient, cap, i, n)
-            if n < 2:
-                row.append(ambient)
-                continue
-            block = p.relations[(i + n - 2) % p.period].int_rows
-            dim, nf = _quotient_step(
-                nf, block, word[n - 2], word[n - 1], row[n - 2], row[n - 1],
-                n < max_degree,
-            )
-            row.append(dim)
-        table.append(tuple(row))
-    return DimTable(p.period, max_degree, tuple(table))
+    echelons = _block_echelons(p)
+    rest = [_quotient_dims(p, echelons, i, max_degree) for i in range(p.period)]
+    low = [tuple(islice(dims, 4)) for dims in rest]
+    if max_degree >= 4:
+        pairs = _normal_pairs(p, echelons)
+        counts = [_normal_word_counts(p, pairs, i, max_degree) for i in range(p.period)]
+        if all(tuple(islice(c, 4)) == dims for c, dims in zip(counts, low)):
+            # a quadratic Groebner basis: the counts go on where the dims stop
+            rest = counts
+    table = tuple(dims + tuple(more) for dims, more in zip(low, rest))
+    return DimTable(p.period, max_degree, table)
 
 
 class WitnessEntry(NamedTuple):

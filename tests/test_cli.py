@@ -355,6 +355,30 @@ def test_koszul_dual_dim_cap_is_65(capsys, tmp_path, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_koszul_dual_dims_past_the_cap_names_the_degree(capsys, tmp_path, monkeypatch):
+    # the dual of the n = 2 fixture has 3 letters: 3**13 is the first
+    # tensor power above the default cap
+    monkeypatch.delenv("HELIXKIT_DIM_CAP", raising=False)
+    src = tmp_path / "fixture2.json"
+    src.write_text(json.dumps(quadratic.classical_euler_fixture(2)[0].to_json_dict()))
+    code, out, err = run(capsys, "koszul-dual", str(src), "--dims", "30")
+    assert (code, out) == (65, "")
+    assert err == "error: tensor dimension 1594323 at index 0, degree 13 exceeds cap 1000000\n"
+
+
+@pytest.mark.parametrize("flag", ["--dims", "--witness"])
+def test_koszul_dual_negative_degree_is_refused_before_the_file(capsys, tmp_path, flag):
+    # refused by flag name before the input is opened: a missing or
+    # malformed file gives the same exit 65 and message as a good one
+    good = tmp_path / "sym2.json"
+    good.write_text(json.dumps(SYM2_DOC))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (good, bad, tmp_path / "nope.json"):
+        code, out, err = run(capsys, "koszul-dual", str(path), flag, "-1")
+        assert (code, out, err) == (65, "", f"error: {flag} must be nonnegative\n")
+
+
 def test_koszul_dual_second_dual_cap_is_65(capsys, tmp_path, monkeypatch):
     # eight of nine columns are relations: the dual block has 9 entries, the
     # double dual 72, so only the double-dual check crosses a cap of 20

@@ -399,6 +399,11 @@ def assert_steps_match_reference(p, max_degree):
             for need_map in (False, True):
                 got = quadratic._quotient_step(*args, need_map)
                 assert got == reference_quotient_step(*args, need_map), (i, n)
+            if n == 2:
+                # degree_dims reads degree 2 off the block's echelon form
+                pivots = _echelon(row for _, row in block)
+                _back_substitute(pivots)
+                assert got == _normal_form(pivots, word[0] * word[1])
             dim, nf = got
             dims.append(dim)
         assert tuple(dims) == degree_dims(p, max_degree).dims[i]
@@ -506,6 +511,182 @@ def test_fixture_dims_beyond_the_ambient_reach():
     ext = degree_dims(koszul_dual(p), 7)
     assert [poly.dim(0, n) for n in range(8)] == [comb(4 + n, n) for n in range(8)]
     assert [ext.dim(0, n) for n in range(8)] == [comb(5, n) for n in range(8)]
+
+
+# ------------------------------------------------------------- count route
+
+
+def table_by_recursion(p, max_degree):
+    echelons = quadratic._block_echelons(p)
+    return tuple(
+        tuple(quadratic._quotient_dims(p, echelons, i, max_degree))
+        for i in range(p.period)
+    )
+
+
+def table_by_count(p, max_degree):
+    pairs = quadratic._normal_pairs(p, quadratic._block_echelons(p))
+    return tuple(
+        tuple(quadratic._normal_word_counts(p, pairs, i, max_degree))
+        for i in range(p.period)
+    )
+
+
+def certified(p):
+    """Do the normal words of length 3 number dim A_3 at every start index."""
+    return all(
+        c[3] == r[3] for c, r in zip(table_by_count(p, 3), table_by_recursion(p, 3))
+    )
+
+
+def counting_steps(monkeypatch):
+    """Wrap the quotient step; the returned list gets one entry per call."""
+    real, calls = quadratic._quotient_step, []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(quadratic, "_quotient_step", counted)
+    return calls
+
+
+def anticommutator_rows(g):
+    """x_a x_b + x_b x_a for a <= b: the exterior algebra on g letters."""
+    rows = []
+    for a in range(g):
+        for b in range(a, g):
+            row = [Fraction(0)] * (g * g)
+            row[a * g + b] += 1
+            row[b * g + a] += 1
+            rows.append(row)
+    return rows
+
+
+def invertible_lower(rng, n):
+    """A seeded lower-triangular p/q matrix with a nonzero diagonal."""
+    def entry(r, c):
+        if c > r:
+            return Fraction(0)
+        num = rng.choice((-3, -2, -1, 1, 2, 3)) if c == r else rng.randint(-3, 3)
+        return Fraction(num, rng.randint(1, 3))
+
+    return [[entry(r, c) for c in range(n)] for r in range(n)]
+
+
+def matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def change_of_variables(rows, g, rng):
+    """rows under x_a -> sum_c P[a][c] x_c, P = L U with seeded triangular
+    p/q factors, then mixed by a third such matrix: the image relation space
+    spanned by other rows, p/q throughout."""
+    lower, upper = invertible_lower(rng, g), invertible_lower(rng, g)
+    p = matmul(lower, [list(col) for col in zip(*upper)])
+    kron = [[p[a][c] * p[b][e] for c in range(g) for e in range(g)]
+            for a in range(g) for b in range(g)]
+    return matmul(invertible_lower(rng, len(rows)), matmul(rows, kron))
+
+
+def potential_presentation(w):
+    """The period-3 presentation of a 3-tensor w on d letters: R_0, R_1 and
+    R_2 contract w on its third, first and middle factor (R_2's rows in
+    V_2 (x) V_0, ordered (c, a))."""
+    d = len(w)
+    r = range(d)
+    blocks = (
+        [[w[a][b][c] for a in r for b in r] for c in r],
+        [[w[a][b][c] for b in r for c in r] for a in r],
+        [[w[a][b][c] for c in r for a in r] for b in r],
+    )
+    return QuadraticPresentation(3, (d, d, d), tuple(M(rows) for rows in blocks))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_count_route_recursion_and_ambient_agree_on_the_fixtures(n):
+    p, _ = classical_euler_fixture(n)
+    top = 5 if n < 4 else 4
+    for q in (p, koszul_dual(p)):
+        assert certified(q)
+        want = quadratic._ambient_degree_dims(q, top).dims
+        assert table_by_count(q, top) == table_by_recursion(q, top) == want
+        assert degree_dims(q, top).dims == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_route_on_commutators_and_anticommutators_in_new_variables(seed):
+    rng = random.Random(seed)
+    dens = set()
+    for g in (2, 3, 4):
+        for rows in (commutator_rows(g), anticommutator_rows(g)):
+            p = QuadraticPresentation(1, (g,), (M(change_of_variables(rows, g, rng)),))
+            dens.update(den for den, _ in p.relations[0].int_rows)
+            for q in (p, koszul_dual(p)):
+                assert certified(q)
+                want = quadratic._ambient_degree_dims(q, 4).dims
+                assert table_by_count(q, 4) == table_by_recursion(q, 4) == want
+                assert degree_dims(q, 6).dims == table_by_recursion(q, 6)
+    assert dens - {1}
+
+
+def test_certified_input_stops_the_recursion_at_degree_3(monkeypatch):
+    calls = counting_steps(monkeypatch)
+    p, _ = classical_euler_fixture(4)
+    assert degree_dims(p, 7).dims == ((1, 5, 15, 35, 70, 126, 210, 330),)
+    # degree 2 is read off the block's echelon form; degree 3 is the one step
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_certificate_at_some_indices_only_keeps_the_recursion(seed):
+    # draw 0 has period 2 and draw 17 period 3; at a start index whose
+    # normal words of length 3 number dim A_3, the counts still part from
+    # the dims further up, so every index must pass before any count is used
+    p = random_presentation(random.Random(seed), max_gen=3)
+    counts, dims = table_by_count(p, 5), table_by_recursion(p, 5)
+    at_3 = [c[3] == d[3] for c, d in zip(counts, dims)]
+    assert p.period == (2 if seed == 0 else 3)
+    assert any(at_3) and not all(at_3)
+    assert any(ok and c != d for ok, c, d in zip(at_3, counts, dims))
+    assert degree_dims(p, 5).dims == dims == quadratic._ambient_degree_dims(p, 5).dims
+
+
+def test_non_pbw_potential_keeps_the_recursion(monkeypatch):
+    # a seeded cubic tensor on 3 letters: 12 normal words of length 3
+    # against dim A_3 = 10, so every index runs the recursion to the end,
+    # each step (degrees 3, 4 and 5) once
+    rng = random.Random(3)
+    w = [[[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    p = potential_presentation(w)
+    assert [c[3] for c in table_by_count(p, 3)] == [12, 12, 12]
+    calls = counting_steps(monkeypatch)
+    assert degree_dims(p, 5).dims == ((1, 3, 6, 10, 15, 21),) * 3
+    assert len(calls) == 3 * 3
+    assert degree_dims(p, 4).dims == quadratic._ambient_degree_dims(p, 4).dims
+
+
+def test_cap_message_names_the_first_cell_over_it(monkeypatch):
+    monkeypatch.delenv("HELIXKIT_DIM_CAP", raising=False)
+    with pytest.raises(DimensionCapExceeded) as info:
+        degree_dims(classical_euler_fixture(4)[0], 9)
+    assert str(info.value) == (
+        "tensor dimension 1953125 at index 0, degree 9 exceeds cap 1000000"
+    )
+
+
+def test_cap_is_checked_for_every_cell_before_any_step(monkeypatch):
+    # only start index 2 crosses the cap (4 * 1 * 1 * 4 at degree 4)
+    calls = counting_steps(monkeypatch)
+    monkeypatch.setenv("HELIXKIT_DIM_CAP", "15")
+    p = QuadraticPresentation(
+        3, (1, 1, 4), (M([], cols=1), M([], cols=4), M([], cols=4))
+    )
+    with pytest.raises(DimensionCapExceeded) as info:
+        degree_dims(p, 4)
+    assert str(info.value) == "tensor dimension 16 at index 2, degree 4 exceeds cap 15"
+    assert calls == []
 
 
 def test_dim_accessor_rejects_out_of_range_degrees():
