@@ -37,11 +37,7 @@ from .helix import (
     verify_periodicity,
     verify_ratio_bound,
 )
-from .sampling import (
-    random_presentation,
-    random_right_mutable_triad,
-    random_seed_triple,
-)
+from .sampling import random_presentation, random_right_step, random_seed_table
 
 _VERIFY_SEED = 0x5EED5
 
@@ -283,7 +279,11 @@ def _run_koszul_dual(args) -> int:
     # everything that can fail runs before the first byte of the report
     double_dual = qa.double_dual_check(pres) if args.check_double_dual else None
     dims = qa.degree_dims(dual, args.dims) if args.dims is not None else None
-    rep = qa.koszulity_witness(pres, args.witness) if args.witness is not None else None
+    rep = None
+    if args.witness is not None:
+        # koszulity_witness of pres, on the dual already built
+        w = args.witness
+        rep = qa._dims_witness(qa.degree_dims(pres, w), qa.degree_dims(dual, w), w)
     rendered = json.dumps(dual.to_json_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -330,25 +330,26 @@ def _verify_checks(ds, horizon, samples, rng):
             if not ok:
                 return False, f"d={d}: {why}"
         for _ in range(samples):
-            seed = random_seed_triple(rng, 12)
-            ok, why = verify_periodicity(invariants_from_seed(seed, 12))
+            table = random_seed_table(rng, 12)
+            ok, why = verify_periodicity(table)
             if not ok:
+                seed = table.seed
                 return False, f"seed ({seed.mu0},{seed.mu1p},{seed.mu1}): {why}"
         return True, ""
 
     def rotation():
         for _ in range(max(samples, 50)):
-            t = random_right_mutable_triad(rng)
+            t, right = random_right_step(rng)
             h = hom_dims(t)
-            got = hom_dims(mutate_triad_right(t))
+            got = hom_dims(right)
             if (got.ab, got.ac, got.bc) != (h.ac, h.bc, h.ab):
                 return False, f"triad {t}"
         return True, ""
 
     def roundtrip():
         for _ in range(max(samples, 50)):
-            t = random_right_mutable_triad(rng)
-            if mutate_triad_left(mutate_triad_right(t)) != t:
+            t, right = random_right_step(rng)
+            if mutate_triad_left(right) != t:
                 return False, f"triad {t}"
         return True, ""
 
@@ -395,8 +396,12 @@ def _verify_checks(ds, horizon, samples, rng):
                 return False, f"d={d}, first at j={j}, q={q}"
         for n in (1, 2, 3):
             pres, _ = qa.classical_euler_fixture(n)
+            # one table per side to degree n + 2 serves both the ambient
+            # cross-check (to degree n + 1) and the witness
+            tables = []
             for side, p in (("", pres), (" dual", qa.koszul_dual(pres))):
-                fast = qa.degree_dims(p, n + 1).dims
+                tables.append(qa.degree_dims(p, n + 2))
+                fast = tables[-1].dims
                 slow = qa._ambient_degree_dims(p, n + 1).dims
                 for i, deg in itertools.product(range(p.period), range(n + 2)):
                     if fast[i][deg] != slow[i][deg]:
@@ -404,7 +409,7 @@ def _verify_checks(ds, horizon, samples, rng):
                             f"fixture n={n}{side}, dim at i={i}, degree {deg}: "
                             f"quotient route {fast[i][deg]}, ambient route {slow[i][deg]}"
                         )
-            rep = qa.koszulity_witness(pres, n + 2)
+            rep = qa._dims_witness(*tables, n + 2)
             if not rep.passed:
                 j, q = rep.failures()[0]
                 return False, f"fixture n={n}, first at j={j}, q={q}"

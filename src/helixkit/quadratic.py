@@ -16,7 +16,9 @@ caller builds each series once.
 
 The dual basis pairing used throughout is the coordinatewise one on tensor
 squares: <f (x) g, u (x) w> = f(u) g(w), with factor order preserved.
-double_dual_check exercises the self-consistency of that choice.
+double_dual_check certifies A^!! = A under that pairing from one elimination
+per block: the dual's rows are counted, tested for independence and paired
+with the given relation rows, which the elimination does not enter.
 """
 
 from __future__ import annotations
@@ -228,23 +230,51 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
 
 
 def double_dual_check(p: QuadraticPresentation) -> bool:
-    """Row-space equality of relations with their double annihilator.
+    """Certify A^!! = A: each relation block R is the annihilator of its dual.
+
+    One elimination per block: first = _reduced(R), and K = _kernel_rows(
+    first, cols), the rows koszul_dual's block is built from. Then
+    (a) K has cols - rows rows, where rows, the number of given rows, is
+        dim R, because a presentation's relation rows are independent;
+    (b) each K row is nonzero at its own key, a column in range, and zero
+        at every other key, so the K rows are independent;
+    (c) every given row of R (the stored int rows, not first) has dot
+        product 0 with every K row, summed in ints through a column index
+        of K.
+    By (c) R lies in ann(K), and by (a) and (b) dim ann(K) = cols - |K| =
+    dim R, so R = ann(K); then ann(R) = ann(ann(K)) = K, so K is the dual
+    block and ann(ann(R)) = R. The dot products read the given rows, not
+    the elimination, so a kernel row missing, wrong or dependent, or an
+    elimination that gained or lost a pivot, fails (a), (b) or (c).
 
     The check stands for koszul_dual(koszul_dual(p)) compared with p by
     row_space_equal, and refuses the same sizes before any elimination:
-    cols * (cols - rows) for the dual, then cols * rows for the double dual.
-    It runs on the stored int rows throughout, three eliminations per block:
-    each block is reduced once, the reduced kernel of that is the dual, and
-    the reduced kernel of the dual must give back the same pivot rows.
+    cols * (cols - rows) for the dual, then cols * rows, the dense size of
+    the given rows whose dot products (c) takes.
     """
     cap = _dim_cap()
     _require_duals_under_cap((r.cols * (r.cols - r.rows) for r in p.relations), cap)
     _require_duals_under_cap((r.cols * r.rows for r in p.relations), cap)
     for rel in p.relations:
-        first = _reduced(row for _, row in rel.int_rows)
-        dual = _reduced(_kernel_rows(first, rel.cols).values())
-        if _reduced(_kernel_rows(dual, rel.cols).values()) != first:
+        cols = rel.cols
+        kernel = _kernel_rows(_reduced(row for _, row in rel.int_rows), cols)
+        if len(kernel) != cols - rel.rows:
             return False
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for f, row in kernel.items():
+            if not (0 <= f < cols and row.get(f)):
+                return False
+            for c, x in row.items():
+                if c != f and x and c in kernel:
+                    return False
+                by_col.setdefault(c, []).append((f, x))
+        for _, row in rel.int_rows:
+            dots = dict.fromkeys(kernel, 0)
+            for c, v in row.items():
+                for f, x in by_col.get(c, ()):
+                    dots[f] += v * x
+            if any(dots.values()):
+                return False
     return True
 
 
@@ -515,9 +545,14 @@ def _alternating_report(period: int, bound: int, dual_dim, prim_dim) -> WitnessR
 
 def _witness_presentation(p: QuadraticPresentation, bound: int) -> WitnessReport:
     dual = koszul_dual(p)
-    prim = degree_dims(p, bound)
-    dual_dims = degree_dims(dual, bound)
-    return _alternating_report(p.period, bound, dual_dims.dim, prim.dim)
+    return _dims_witness(degree_dims(p, bound), degree_dims(dual, bound), bound)
+
+
+def _dims_witness(prim: DimTable, dual: DimTable, bound: int) -> WitnessReport:
+    """The witness of a presentation from its dim table and its dual's, both
+    to degree bound or beyond: a caller that holds the dual or the tables
+    builds none of them again."""
+    return _alternating_report(prim.period, bound, dual.dim, prim.dim)
 
 
 def _witness_model(model: "EquigenModel", bound: int) -> WitnessReport:

@@ -14,7 +14,7 @@ from math import gcd
 from .bundles import ChernVector, Triad, euler_pairing, mutate_triad_right
 from .errors import NotMutable
 from .exact import RationalMatrix, _by_lead, _reduced
-from .helix import Seed, invariants_from_seed
+from .helix import HelixTable, Seed, invariants_from_seed
 from .quadratic import QuadraticPresentation
 
 # ranks are positive, so e sorts before f (slope(e) < slope(f)) exactly when
@@ -57,27 +57,37 @@ def random_triad(rng: random.Random) -> Triad:
             return Triad(vs[0], vs[1], vs[2])
 
 
-def random_right_mutable_triad(rng: random.Random) -> Triad:
-    """A triad on which one rightward mutation step is defined."""
+def random_right_step(rng: random.Random) -> tuple[Triad, Triad]:
+    """A triad on which one rightward mutation step is defined, and that step."""
     while True:
         t = random_triad(rng)
         try:
-            mutate_triad_right(t)
+            return t, mutate_triad_right(t)
         except NotMutable:
             continue
-        return t
 
 
-def random_seed_triple(rng: random.Random, n_max: int = 12) -> Seed:
-    """A seed whose table stays rank-positive through row n_max."""
+def random_right_mutable_triad(rng: random.Random) -> Triad:
+    """A triad on which one rightward mutation step is defined."""
+    return random_right_step(rng)[0]
+
+
+def random_seed_table(rng: random.Random, n_max: int = 12) -> HelixTable:
+    """The table, to row n_max, of a seed whose table stays rank-positive
+    through that row."""
     while True:
         picks = set()
         while len(picks) < 3:
             picks.add(Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
         mu0, mu1p, mu1 = sorted(picks)
-        seed = Seed(mu0, mu1p, mu1)
-        if invariants_from_seed(seed, n_max).degenerate_at is None:
-            return seed
+        table = invariants_from_seed(Seed(mu0, mu1p, mu1), n_max)
+        if table.degenerate_at is None:
+            return table
+
+
+def random_seed_triple(rng: random.Random, n_max: int = 12) -> Seed:
+    """A seed whose table stays rank-positive through row n_max."""
+    return random_seed_table(rng, n_max).seed
 
 
 def random_presentation(rng: random.Random, max_gen: int = 4) -> QuadraticPresentation:

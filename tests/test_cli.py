@@ -1,9 +1,11 @@
 """Command surface: parsing, rendering, exit codes, the verify suite."""
 
+import collections
 import fractions
 import hashlib
 import itertools
 import json
+import random
 import re
 import shlex
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 from helixkit import cli, helix, quadratic
 from helixkit.exact import TruncatedSeries
+from helixkit.sampling import random_right_mutable_triad, random_seed_triple
 
 SEED_CSV = (
     "n,d,r,dp,rp,slope\n"
@@ -27,6 +30,13 @@ SYM2_DOC = {
     "period": 1,
     "gen_dims": [2],
     "relations": [{"index": 0, "rows": [["0", "1", "-1", "0"]]}],
+}
+
+# two relations on two letters: the witness first fails at q = 4
+TWO_REL_DOC = {
+    "period": 1,
+    "gen_dims": [2],
+    "relations": [{"index": 0, "rows": [["0", "0", "0", "-1"], ["1", "0", "2", "0"]]}],
 }
 
 
@@ -315,19 +325,41 @@ def test_koszul_dual_reports(capsys, tmp_path):
 
 
 def test_koszul_dual_witness_failure_is_exit_2(capsys, tmp_path):
-    # two relations on two letters; the alternating sum first misses at q=4
     src = tmp_path / "two-rel.json"
-    src.write_text(json.dumps({
-        "period": 1,
-        "gen_dims": [2],
-        "relations": [{"index": 0, "rows": [["0", "0", "0", "-1"], ["1", "0", "2", "0"]]}],
-    }))
+    src.write_text(json.dumps(TWO_REL_DOC))
     code, out, _ = run(capsys, "koszul-dual", str(src), "--witness", "3")
     assert code == 0
     assert out.endswith("koszulity-witness: PASS\n")
     code, out, _ = run(capsys, "koszul-dual", str(src), "--witness", "4")
     assert code == 2
     assert out.endswith("koszulity-witness: FAIL (first at j=0, q=4)\n")
+
+
+@pytest.mark.parametrize("doc, bound", [
+    (quadratic.classical_euler_fixture(3)[0].to_json_dict(), 5),
+    (TWO_REL_DOC, 4),
+], ids=["fixture-n3-pass", "two-rel-fail"])
+def test_koszul_dual_witness_builds_the_dual_once(capsys, tmp_path, monkeypatch,
+                                                  doc, bound):
+    # the bytes the library route gives, which builds the dual a second time
+    pres = quadratic.QuadraticPresentation.from_json_dict(doc)
+    rep = quadratic.koszulity_witness(pres, bound)
+    verdict = "PASS" if rep.passed else "FAIL (first at j={}, q={})".format(
+        *rep.failures()[0])
+    want = (json.dumps(quadratic.koszul_dual(pres).to_json_dict(), indent=2)
+            + f"\nkoszulity-witness: {verdict}\n")
+    real, calls = quadratic.koszul_dual, []
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(quadratic, "koszul_dual", counting)
+    src = tmp_path / "pres.json"
+    src.write_text(json.dumps(doc))
+    got = run(capsys, "koszul-dual", str(src), "--witness", str(bound))
+    assert got == (0 if rep.passed else 2, want, "")
+    assert len(calls) == 1
 
 
 def test_koszul_dual_missing_file_is_66(capsys, tmp_path):
@@ -765,21 +797,102 @@ def test_verify_catches_closed_form_disagreement(capsys, monkeypatch):
 
 
 def test_verify_catches_double_dual_disagreement(capsys, monkeypatch):
-    # the check compares the relations' reduced rows with those of their
-    # double dual, each block's third reduction: give that one an extra row
-    real, calls = quadratic._reduced, itertools.count(1)
+    # the check's one reduction per block gains a pivot on the least free
+    # column or loses its least pivot; either way the first draw fails
+    real = quadratic._reduced
 
-    def skewed(rows):
+    def gain(rows):
+        rows = list(rows)
         pivots = real(rows)
-        if next(calls) % 3 == 0:
-            pivots[-1] = {-1: 1}
+        free = next(c for c in itertools.count() if c not in pivots)
+        return real(rows + [{free: 1}])
+
+    def lose(rows):
+        pivots = real(rows)
+        if pivots:
+            del pivots[min(pivots)]
         return pivots
 
-    monkeypatch.setattr(quadratic, "_reduced", skewed)
+    for skewed in (gain, lose):
+        monkeypatch.setattr(quadratic, "_reduced", skewed)
+        code, out, _ = run(capsys, "verify", "--d-range", "5:5", "--horizon", "8",
+                           "--seed-samples", "2")
+        assert code == 2
+        assert "double-dual: FAIL (random presentation #0)" in out.splitlines()
+
+
+def test_verify_builds_each_fixture_dual_and_table_once(capsys, monkeypatch):
+    # per fixture: one dual, one table per side to degree n + 2 for both the
+    # ambient cross-check and the witness; the rotation and roundtrip suites
+    # take the right step their sampler built
+    counts = collections.Counter()
+    for name in ("koszul_dual", "degree_dims", "_ambient_degree_dims"):
+        def counting(*args, _real=getattr(quadratic, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(quadratic, name, counting)
+
+    def unused(t):
+        raise AssertionError("verify mutated a triad outside the sampler")
+
+    monkeypatch.setattr(cli, "mutate_triad_right", unused)
     code, out, _ = run(capsys, "verify", "--d-range", "5:5", "--horizon", "8",
-                       "--seed-samples", "2")
+                       "--seed-samples", "3")
+    assert code == 0, out
+    assert counts == {"koszul_dual": 3, "degree_dims": 6, "_ambient_degree_dims": 6}
+
+
+def verify_draws(samples):
+    """The first seed, rotation triad and roundtrip triad verify draws from
+    its rng with this --seed-samples, by the pinned sampler streams."""
+    rng = random.Random(cli._VERIFY_SEED)
+    seeds = [random_seed_triple(rng, 12) for _ in range(samples)]
+    rotation = [random_right_mutable_triad(rng) for _ in range(max(samples, 50))]
+    return seeds[0], rotation[0], random_right_mutable_triad(rng)
+
+
+def break_periodicity(monkeypatch):
+    real = cli.verify_periodicity
+
+    def broken(table):
+        if table.seed.d_param is None:
+            return False, "minor mismatch at n=3"
+        return real(table)
+
+    monkeypatch.setattr(cli, "verify_periodicity", broken)
+
+
+def break_rotation(monkeypatch):
+    real = cli.hom_dims
+    monkeypatch.setattr(cli, "hom_dims", lambda t: real(t)._replace(ab=real(t).ab + 1))
+
+
+def break_roundtrip(monkeypatch):
+    monkeypatch.setattr(cli, "mutate_triad_left", lambda t: t)
+
+
+@pytest.mark.parametrize("suite, breaker", [
+    ("periodicity", break_periodicity),
+    ("rotation", break_rotation),
+    ("roundtrip", break_roundtrip),
+])
+def test_verify_sample_failures_name_the_draw(capsys, monkeypatch, suite, breaker):
+    # each sampled suite reports the first seed or triad it drew; the
+    # family tables still pass, so the seed named is a sampled one
+    seed, rotated, roundtrip = verify_draws(3)
+    breaker(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--d-range", "5:5", "--horizon", "8",
+                       "--seed-samples", "3")
+    detail = {
+        "periodicity": f"seed ({seed.mu0},{seed.mu1p},{seed.mu1}): minor mismatch at n=3",
+        "rotation": f"triad {rotated}",
+        "roundtrip": f"triad {roundtrip}",
+    }[suite]
     assert code == 2
-    assert "double-dual: FAIL (random presentation #0)" in out.splitlines()
+    lines = out.splitlines()
+    assert f"{suite}: FAIL ({detail})" in lines
+    assert [line for line in lines if "FAIL" in line] == [f"{suite}: FAIL ({detail})"]
 
 
 def test_verify_rejects_even_d_range(capsys):

@@ -239,6 +239,15 @@ def reference_inputs():
         yield random_presentation(rng)
     yield pq_presentation()
     yield koszul_dual(pq_presentation())
+    # p/q commutators in new variables: rows far from reduced form, so the
+    # block's elimination does real work before the dot products
+    rng = random.Random(5)
+    for g in (2, 3, 4):
+        p = QuadraticPresentation(
+            1, (g,), (M(change_of_variables(commutator_rows(g), g, rng)),)
+        )
+        yield p
+        yield koszul_dual(p)
 
 
 def test_double_dual_check_agrees_with_the_composed_route():
@@ -247,24 +256,89 @@ def test_double_dual_check_agrees_with_the_composed_route():
         assert double_dual_check(p)
 
 
-@pytest.mark.parametrize("fault", ["drop", "perturb"])
-@pytest.mark.parametrize("stage", [0, 1], ids=["dual", "double-dual"])
-def test_double_dual_check_catches_a_broken_kernel(monkeypatch, fault, stage):
-    # _kernel_rows runs twice per block, for the dual and then for the double
-    # dual; break only the given one, so the check cannot come out right
-    real, calls = quadratic._kernel_rows, itertools.count()
+@st.composite
+def presentations(draw):
+    """p/q relation rows drawn entry by entry, each kept only if it raises
+    the rank of the rows kept before it; the rows are kept as drawn, not
+    reduced."""
+    period = draw(st.integers(min_value=1, max_value=3))
+    gens = draw(st.lists(st.integers(min_value=1, max_value=3),
+                         min_size=period, max_size=period))
+    entry = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                      st.integers(min_value=1, max_value=4))
+    blocks = []
+    for i in range(period):
+        cols = gens[i] * gens[(i + 1) % period]
+        kept = []
+        for row in draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                 max_size=cols)):
+            if M(kept + [row]).rank() > len(kept):
+                kept.append(row)
+        blocks.append(M(kept, cols=cols))
+    return QuadraticPresentation(period, gens, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+def test_double_dual_check_agrees_with_the_composed_route_on_drawn_rows(p):
+    for q in (p, koszul_dual(p)):
+        assert composed_double_dual(q)
+        assert double_dual_check(q)
+
+
+@pytest.mark.parametrize(
+    "fault", ["drop", "perturb", "multiple", "stray"], ids=lambda f: f"dual-{f}"
+)
+def test_double_dual_check_catches_a_broken_kernel(monkeypatch, fault):
+    # break the dual rows the certificate is built on: one row missing (a
+    # count too low), one entry off (a dot product not 0), one row replaced
+    # by a multiple of another (dependent rows), or one row moved outside
+    # the block's columns, where every dot product is 0
+    real = quadratic._kernel_rows
 
     def broken(pivots, cols):
         rows = real(pivots, cols)
-        if next(calls) % 2 == stage and rows and pivots:
-            if fault == "drop":
-                del rows[min(rows)]
-            else:
-                row, c = rows[min(rows)], min(pivots)
-                row[c] = row.get(c, 0) + 1
+        if fault == "drop" and rows:
+            del rows[min(rows)]
+        elif fault == "perturb" and rows and pivots:
+            row, c = rows[min(rows)], min(pivots)
+            row[c] = row.get(c, 0) + 1
+        elif fault == "multiple" and len(rows) > 1:
+            # the first row takes in the second, so each is nonzero at both
+            # keys, and the second becomes twice the first
+            first, second = sorted(rows)[:2]
+            for c, x in rows.pop(second).items():
+                rows[first][c] = rows[first].get(c, 0) + x
+            rows[second] = {c: 2 * x for c, x in rows[first].items()}
+        elif fault == "stray" and rows:
+            del rows[min(rows)]
+            rows[cols] = {cols: 1}
         return rows
 
     monkeypatch.setattr(quadratic, "_kernel_rows", broken)
+    for p in (sym_presentation(3), periodic_mixed(), pq_presentation()):
+        assert double_dual_check(p) is False
+
+
+@pytest.mark.parametrize("fault", ["gain", "lose"])
+def test_double_dual_check_catches_a_broken_elimination(monkeypatch, fault):
+    # the block's one reduction gains a pivot on its least free column (the
+    # given rows plus that unit row, reduced) or loses its least pivot: the
+    # dual rows built from it are then too few, or one of them pairs
+    # nonzero with a given row
+    real = quadratic._reduced
+
+    def skewed(rows):
+        rows = list(rows)
+        pivots = real(rows)
+        if fault == "gain":
+            free = next(c for c in itertools.count() if c not in pivots)
+            return real(rows + [{free: 1}])
+        if pivots:
+            del pivots[min(pivots)]
+        return pivots
+
+    monkeypatch.setattr(quadratic, "_reduced", skewed)
     for p in (sym_presentation(3), periodic_mixed(), pq_presentation()):
         assert double_dual_check(p) is False
 

@@ -10,12 +10,18 @@ ordered slopes by the pairing sign.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from helixkit.bundles import mutate_triad_right
+from helixkit.errors import NotMutable
+from helixkit.helix import Seed, invariants_from_seed
 from helixkit.sampling import (
     random_presentation,
     random_right_mutable_triad,
+    random_right_step,
+    random_seed_table,
     random_seed_triple,
     random_simple_pair,
     random_triad,
@@ -69,3 +75,46 @@ def test_sampler_stream_is_pinned(sampler):
     assert h.hexdigest() == digest
     # the next value shows whether the samplers made the same number of draws
     assert rng.random() == next_random
+
+
+# The samplers as they were before they returned the table or the step they
+# build: the reference for the stream of the samplers that now do.
+
+
+def reference_right_mutable_triad(rng):
+    while True:
+        t = random_triad(rng)
+        try:
+            mutate_triad_right(t)
+        except NotMutable:
+            continue
+        return t
+
+
+def reference_seed_triple(rng, n_max=12):
+    while True:
+        picks = set()
+        while len(picks) < 3:
+            picks.add(Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
+        seed = Seed(*sorted(picks))
+        if invariants_from_seed(seed, n_max).degenerate_at is None:
+            return seed
+
+
+def test_right_step_follows_the_reference_stream():
+    rng, ref = random.Random(2), random.Random(2)
+    for _ in range(DRAWS):
+        t, right = random_right_step(rng)
+        assert t == reference_right_mutable_triad(ref)
+        assert right == mutate_triad_right(t)
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n_max", [12, 30])
+def test_seed_table_follows_the_reference_stream(n_max):
+    rng, ref = random.Random(5), random.Random(5)
+    for _ in range(DRAWS):
+        table = random_seed_table(rng, n_max)
+        assert table.seed == reference_seed_triple(ref, n_max)
+        assert table == invariants_from_seed(table.seed, n_max)
+    assert rng.getstate() == ref.getstate()
