@@ -278,13 +278,20 @@ def _run_koszul_dual(args) -> int:
     dual = qa.koszul_dual(pres)
     # everything that can fail runs before the first byte of the report
     double_dual = qa.double_dual_check(pres) if args.check_double_dual else None
-    dims = qa.degree_dims(dual, args.dims) if args.dims is not None else None
-    rep = None
-    if args.witness is not None:
-        # koszulity_witness of pres, on the dual already built
-        w = args.witness
-        rep = qa._dims_witness(qa.degree_dims(pres, w), qa.degree_dims(dual, w), w)
-    rendered = json.dumps(dual.to_json_dict(), indent=2)
+    dims = rep = None
+    if args.dims is not None or args.witness is not None:
+        # one dual table serves --dims and the witness; it runs first and to
+        # the larger degree, so a cap refusal names the cell it names alone
+        top = max(d for d in (args.dims, args.witness) if d is not None)
+        table = qa.degree_dims(dual, top)
+        if args.dims is not None:
+            d = args.dims
+            dims = qa.DimTable(table.period, d, tuple(r[: d + 1] for r in table.dims))
+        if args.witness is not None:
+            # koszulity_witness of pres, on the dual already built
+            w = args.witness
+            rep = qa._dims_witness(qa.degree_dims(pres, w), table, w)
+    rendered = qa._json_text(dual)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered + "\n")

@@ -8,12 +8,16 @@ row's own denominator, so (den, row) stands for row / den in one form only.
 The elimination kernel runs fraction-free on those rows, through one
 reduction loop (_insert): rows the kernel borrows, such as a matrix's own,
 are copied first (_echelon), and rows a caller builds for it, such as the
-quotient recursion's, are inserted as they are. The matrices it returns
-(rref, matrix_kernel) are int rows again (_by_lead, RationalMatrix._of).
-Fractions are built only when a matrix's entries are read. Quadratic
-presentations hold their relation blocks as such matrices from JSON
-parsing to JSON output, so koszul_dual, degree_dims and the double-dual
-check build no Fraction.
+quotient recursion's, are inserted as they are. A matrix eliminates its own
+rows at most once: the first reader builds its reduced echelon form
+(_reduced) and the matrix keeps it, outside ==, hash and repr, for every
+later reader. rank, rref and matrix_kernel read that one form, and so do
+the quadratic presentations' rank check, dual, double-dual certificate and
+degree dimensions. The matrices it returns (rref, matrix_kernel) are int
+rows again (_by_lead, RationalMatrix._of). Fractions are built only when a
+matrix's entries are read. Quadratic presentations hold their relation
+blocks as such matrices from JSON parsing to JSON output, so koszul_dual,
+degree_dims and the double-dual check build no Fraction.
 A TruncatedSeries is stored the same way: int numerators over one
 denominator, in one canonical form. Products, quotients, inverses,
 truncation and equality run on those ints, and its coeffs are Fractions
@@ -30,7 +34,7 @@ that is computed with integer square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
@@ -369,11 +373,16 @@ class RationalMatrix:
     int_rows holds one (den, {col: num}) pair per row, standing for the row
     num / den, in the one form _dense_to_sparse gives it, so equal entries
     are stored equal. rows, entries and row(i) are views that build their
-    Fractions when read.
+    Fractions when read. _form is the reduced echelon form of the rows,
+    built by the first reader of _reduced_form and kept; it takes no part
+    in ==, hash or repr.
     """
 
     cols: int
     int_rows: tuple[tuple[int, dict[int, int]], ...]
+    _form: dict[int, dict[int, int]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         es = tuple(_frac(e) for e in entries)
@@ -407,6 +416,19 @@ class RationalMatrix:
         rows = tuple((den, frozenset(row.items())) for den, row in self.int_rows)
         return hash((self.cols, rows))
 
+    def _reduced_form(self) -> dict[int, dict[int, int]]:
+        """The reduced echelon form of the rows, pivot column -> primitive
+        int row (_reduced), built on the first call and kept.
+
+        Every elimination of the matrix's own rows reads this one form, so
+        no caller may change it.
+        """
+        form = self._form
+        if form is None:
+            form = _reduced(row for _, row in self.int_rows)
+            object.__setattr__(self, "_form", form)
+        return form
+
     @property
     def rows(self) -> int:
         return len(self.int_rows)
@@ -427,12 +449,12 @@ class RationalMatrix:
 
         Pivot rows come first in column order, then the zero rows.
         """
-        pivots = _reduced(row for _, row in self.int_rows)
+        pivots = self._reduced_form()
         zeros = ((1, {}),) * (self.rows - len(pivots))
         return RationalMatrix._of(self.cols, _by_lead(pivots) + zeros), sorted(pivots)
 
     def rank(self) -> int:
-        return _sparse_rank(row for _, row in self.int_rows)
+        return len(self._reduced_form())
 
 
 def matrix_kernel(m: RationalMatrix) -> RationalMatrix:
@@ -442,8 +464,7 @@ def matrix_kernel(m: RationalMatrix) -> RationalMatrix:
     column in column order: _kernel_rows, each row divided by its entry at
     its free column, so that entry is 1.
     """
-    kernel = _kernel_rows(_reduced(row for _, row in m.int_rows), m.cols)
-    return RationalMatrix._of(m.cols, _by_lead(kernel))
+    return RationalMatrix._of(m.cols, _by_lead(_kernel_rows(m._reduced_form(), m.cols)))
 
 
 def _by_lead(rows: dict[int, dict[int, int]]) -> tuple:
@@ -605,9 +626,9 @@ def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
 
 
 def _dense_to_sparse(rows: Iterable[Sequence]) -> Iterable[tuple[int, dict]]:
-    """The one Fraction -> int row step: each row of rationals (and int
-    zeros) as (den, row), sparse and scaled by the lcm den of its
-    denominators.
+    """The Fraction -> int row step of RationalMatrix: each row of
+    rationals (and int zeros) as (den, row), sparse and scaled by the lcm
+    den of its denominators.
 
     den > 0 has no factor in common with all of the row's ints, so (den, row)
     is the one such form of the rational row row / den (a zero row is
@@ -623,5 +644,4 @@ def row_space_equal(a: RationalMatrix, b: RationalMatrix) -> bool:
     """Exact equality of row spaces (not just of dimensions)."""
     if a.cols != b.cols:
         raise ColumnMismatch("row spaces live in different ambient dimensions")
-    reduced = _reduced(row for _, row in a.int_rows)
-    return reduced == _reduced(row for _, row in b.int_rows)
+    return a._reduced_form() == b._reduced_form()

@@ -14,9 +14,16 @@ down by the defining data d: hilbert_A inverts its cubic denominator once,
 and hilbert_B and both series checks take the series they work on, so a
 caller builds each series once.
 
+Each relation block is handled once, from input text to output text. Its int
+rows are read straight from the JSON entry strings, and it is eliminated at
+most once: its one reduced echelon form (RationalMatrix._reduced_form) is
+shared by the rank check of __init__, the dual, the double-dual certificate
+and degree_dims (the leading words and degree 2). koszul-dual writes the dual
+as JSON text directly (_json_text), from the entries _json_row gives.
+
 The dual basis pairing used throughout is the coordinatewise one on tensor
 squares: <f (x) g, u (x) w> = f(u) g(w), with factor order preserved.
-double_dual_check certifies A^!! = A under that pairing from one elimination
+double_dual_check certifies A^!! = A under that pairing from that one form
 per block: the dual's rows are counted, tested for independence and paired
 with the given relation rows, which the elimination does not enter.
 """
@@ -36,13 +43,10 @@ from .exact import (
     RationalMatrix,
     TruncatedSeries,
     _back_substitute,
-    _dense_to_sparse,
-    _echelon,
     _frac,
     _insert,
     _kernel_rows,
     _normal_form,
-    _reduced,
     _sparse_rank,
     first_series_mismatch,
     matrix_kernel,
@@ -79,17 +83,52 @@ def _json_field(obj, key: str, where: str):
         raise ValueError(f"{where} is missing {key!r}") from None
 
 
-def _json_entry(value) -> Fraction | int:
-    """A relation entry of presentation JSON: a "p/q" string, never a number.
+# no int str digit limit python accepts is below 640 (0 means none), so int()
+# reads a plain entry this short whatever the limit; a longer one takes
+# _frac's route and, past the limit, its refusal
+_PLAIN_LENGTH = 640
 
-    The string "0", most entries of a sparse block, is the int 0 without a
-    Fraction parse; every other string goes through the one parser.
+
+def _json_int_row(entries, where: str) -> tuple[int, int, dict[int, int]]:
+    """(width, den, row) of one relation row of presentation JSON, with
+    (den, row) in _dense_to_sparse's form: its value is row / den.
+
+    Every entry is a "p/q" string, never a number. The string "0", most
+    entries of a sparse block, is skipped. A plain entry, ASCII -?digits or
+    -?digits/digits with a nonzero denominator, is read with int and
+    reduced by one gcd; every other string goes through the one parser
+    (_frac), so it is accepted, valued and refused exactly as a Fraction
+    would be.
     """
-    if value == "0":
-        return 0
-    if not isinstance(value, str):
-        raise ValueError(f"relation entries must be 'p/q' strings, got {value!r}")
-    return _frac(value)
+    if not isinstance(entries, list):
+        kind = type(entries).__name__
+        raise ValueError(f"{where} has a row that is a {kind}, not a list")
+    parts: list[tuple[int, int, int]] = []
+    for j, text in enumerate(entries):
+        if text == "0":
+            continue
+        if not isinstance(text, str):
+            raise ValueError(f"relation entries must be 'p/q' strings, got {text!r}")
+        num, slash, den = text.partition("/")
+        plain = (
+            text.isascii()
+            and len(text) <= _PLAIN_LENGTH
+            and (num[1:] if num[:1] == "-" else num).isdigit()
+            and (not slash or den.isdigit())
+        )
+        if plain:
+            n, d = int(num), int(den) if slash else 1
+        if not plain or not d:
+            # _frac values the entry, or refuses it ("p/0" included)
+            x = _frac(text)
+            n, d = x.numerator, x.denominator
+        if n:
+            if d != 1:
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            parts.append((j, n, d))
+    den = lcm(*(d for _, _, d in parts))
+    return len(entries), den, {j: n * (den // d) for j, n, d in parts}
 
 
 def _json_row(den: int, row: dict[int, int], cols: int) -> list[str]:
@@ -181,7 +220,7 @@ class QuadraticPresentation:
         )
         if len(gen_dims) != period:
             raise ValueError("gen_dims length must equal the period")
-        by_index: dict[int, list[list[Fraction | int]]] = {}
+        by_index: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
         for k, item in enumerate(doc.get("relations", [])):
             where = f"relation block {k}"
             i = _json_int(_json_field(item, "index", where), "relation index")
@@ -189,17 +228,43 @@ class QuadraticPresentation:
                 raise ValueError(f"relation index {i} out of range")
             if i in by_index:
                 raise ValueError(f"duplicate relation block for index {i}")
-            by_index[i] = [
-                [_json_entry(s) for s in row] for row in _json_field(item, "rows", where)
-            ]
+            rows = _json_field(item, "rows", where)
+            if not isinstance(rows, list):
+                kind = type(rows).__name__
+                raise ValueError(f"{where} has rows that are a {kind}, not a list")
+            by_index[i] = [_json_int_row(row, where) for row in rows]
         rels = []
         for i in range(period):
             rows = by_index.get(i, [])
-            width = len(rows[0]) if rows else gen_dims[i] * gen_dims[(i + 1) % period]
-            if any(len(row) != width for row in rows):
+            width = rows[0][0] if rows else gen_dims[i] * gen_dims[(i + 1) % period]
+            if any(w != width for w, _, _ in rows):
                 raise ValueError("ragged rows")
-            rels.append(RationalMatrix._of(width, _dense_to_sparse(rows)))
+            rels.append(RationalMatrix._of(width, ((den, row) for _, den, row in rows)))
         return cls(period, gen_dims, rels)
+
+
+def _json_text(p: QuadraticPresentation) -> str:
+    """json.dumps(p.to_json_dict(), indent=2), written directly.
+
+    The text is put together from the entries _json_row gives, which are
+    ASCII digits, "-" and "/" and need no escape, in the layout the encoder
+    uses: one value per line, each nested level indented two more spaces,
+    and an empty list as [].
+    """
+    blocks = []
+    for i, rel in enumerate(p.relations):
+        rows = [
+            '[\n          "' + '",\n          "'.join(_json_row(den, row, rel.cols))
+            + '"\n        ]'
+            for den, row in rel.int_rows
+        ]
+        text = "[\n        " + ",\n        ".join(rows) + "\n      ]" if rows else "[]"
+        blocks.append(f'{{\n      "index": {i},\n      "rows": {text}\n    }}')
+    gens = ",\n    ".join(map(str, p.gen_dims))
+    return (
+        f'{{\n  "period": {p.period},\n  "gen_dims": [\n    {gens}\n  ],\n'
+        f'  "relations": [\n    ' + ",\n    ".join(blocks) + "\n  ]\n}"
+    )
 
 
 def _require_duals_under_cap(sizes, cap: int) -> None:
@@ -232,8 +297,10 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
 def double_dual_check(p: QuadraticPresentation) -> bool:
     """Certify A^!! = A: each relation block R is the annihilator of its dual.
 
-    One elimination per block: first = _reduced(R), and K = _kernel_rows(
-    first, cols), the rows koszul_dual's block is built from. Then
+    One elimination per block, the block's one reduced form (first =
+    R._reduced_form(), which the rank check of __init__ and koszul_dual read
+    too), and K = _kernel_rows(first, cols), the rows koszul_dual's block is
+    built from. Then
     (a) K has cols - rows rows, where rows, the number of given rows, is
         dim R, because a presentation's relation rows are independent;
     (b) each K row is nonzero at its own key, a column in range, and zero
@@ -257,7 +324,7 @@ def double_dual_check(p: QuadraticPresentation) -> bool:
     _require_duals_under_cap((r.cols * r.rows for r in p.relations), cap)
     for rel in p.relations:
         cols = rel.cols
-        kernel = _kernel_rows(_reduced(row for _, row in rel.int_rows), cols)
+        kernel = _kernel_rows(rel._reduced_form(), cols)
         if len(kernel) != cols - rel.rows:
             return False
         by_col: dict[int, list[tuple[int, int]]] = {}
@@ -390,18 +457,12 @@ def _quotient_step(
     return _normal_form(pivots, cols)
 
 
-def _block_echelons(p: QuadraticPresentation) -> list[dict[int, dict[int, int]]]:
-    """Each relation block after _echelon, which pivots on each row's least
-    column: its pivot columns are the block's leading words."""
-    return [_echelon(row for _, row in rel.int_rows) for rel in p.relations]
-
-
-def _quotient_dims(p: QuadraticPresentation, echelons, i: int, max_degree: int):
+def _quotient_dims(p: QuadraticPresentation, i: int, max_degree: int):
     """Yield dim A_{i,i+n} for n = 0..max_degree by the quotient recursion.
 
-    A_2 = V_i (x) V_{i+1} / R_i is read off echelons[i] (_block_echelons),
-    which is reduced in place for its normal-form map; its pivot columns
-    stay as they were. Each later degree is
+    A_2 = V_i (x) V_{i+1} / R_i and its normal-form map are read off R_i's
+    one reduced form (RationalMatrix._reduced_form), which is left as it is.
+    Each later degree is
     A_n = coker(A_{n-2} (x) R_{i+n-2} -> A_{n-1} (x) V_{i+n-1}), built from
     the map of the degree before (_quotient_step), so the work follows the
     quotient dimensions, not the tensor power. The map is kept up to degree
@@ -412,11 +473,10 @@ def _quotient_dims(p: QuadraticPresentation, echelons, i: int, max_degree: int):
     yield from (1, word[0])[: max_degree + 1]
     if max_degree < 2:
         return
-    pivots, cols = echelons[i], word[0] * word[1]
+    pivots, cols = p.relations[i]._reduced_form(), word[0] * word[1]
     if max_degree == 2:
         yield cols - len(pivots)
         return
-    _back_substitute(pivots)
     upper, nf = _normal_form(pivots, cols)
     yield upper
     lower = word[0]
@@ -429,12 +489,13 @@ def _quotient_dims(p: QuadraticPresentation, echelons, i: int, max_degree: int):
         yield dim
 
 
-def _normal_pairs(p: QuadraticPresentation, echelons) -> list[list[list[int]]]:
+def _normal_pairs(p: QuadraticPresentation) -> list[list[list[int]]]:
     """Per relation block i, the letters b that may follow each letter a:
     the pair (a, b), column a * g_{i+1} + b, is normal when it is not a
-    pivot column of echelons[i] (_block_echelons), a leading word."""
+    pivot column of R_i's reduced form, a leading word."""
     pairs = []
-    for i, lead in enumerate(echelons):
+    for i, rel in enumerate(p.relations):
+        lead = rel._reduced_form()
         g = p.gen_dims[(i + 1) % p.period]
         pairs.append([
             [b for b in range(g) if a * g + b not in lead]
@@ -468,18 +529,19 @@ def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
     3. Past that, R is first tested as a quadratic Groebner basis. Column
     a * g_{i+1} + b orders the words of one length lexicographically, first
     letter most significant, and on words of one length that order is
-    compatible with concatenation. So the pivots _echelon takes, each row's
-    least column, are the leading words of R for a monomial order in which
-    the least word leads. The normal words, those with no leading word as a
-    subword, always span A. If in degree 3 their number equals dim
-    A_{i,i+3} at every start index i, every overlap of two leading words
-    resolves, and by Bergman's diamond lemma ("The diamond lemma for ring
-    theory", 1978) the normal words are a basis of A in every degree: A is
-    PBW (Priddy 1970; Polishchuk-Positselski, Quadratic Algebras, ch. 4).
-    The table is then the normal-word counts (_normal_word_counts), with no
-    elimination above degree 3. Otherwise every start index goes on with the
-    recursion from its degree-3 map. _ambient_degree_dims is the independent
-    reference route to the same table.
+    compatible with concatenation. So the pivots of each block's reduced
+    form (the kernel pivots on each row's least column) are the leading
+    words of R for a monomial order in which the least word leads. The
+    normal words, those with no leading word as a subword, always span A.
+    If in degree 3 their number equals dim A_{i,i+3} at every start index
+    i, every overlap of two leading words resolves, and by Bergman's
+    diamond lemma ("The diamond lemma for ring theory", 1978) the normal
+    words are a basis of A in every degree: A is PBW (Priddy 1970;
+    Polishchuk-Positselski, Quadratic Algebras, ch. 4). The table is then
+    the normal-word counts (_normal_word_counts), with no elimination above
+    degree 3. Otherwise every start index goes on with the recursion from
+    its degree-3 map. _ambient_degree_dims is the independent reference
+    route to the same table.
 
     Ambient tensor dimensions above the HELIXKIT_DIM_CAP environment value
     (default 10**6) are refused, for every cell before any work starts, even
@@ -492,11 +554,10 @@ def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
         word = (p.gen_dims[(i + k) % p.period] for k in range(max_degree))
         for n, ambient in enumerate(accumulate(word, mul, initial=1)):
             _require_under_cap(ambient, cap, i, n)
-    echelons = _block_echelons(p)
-    rest = [_quotient_dims(p, echelons, i, max_degree) for i in range(p.period)]
+    rest = [_quotient_dims(p, i, max_degree) for i in range(p.period)]
     low = [tuple(islice(dims, 4)) for dims in rest]
     if max_degree >= 4:
-        pairs = _normal_pairs(p, echelons)
+        pairs = _normal_pairs(p)
         counts = [_normal_word_counts(p, pairs, i, max_degree) for i in range(p.period)]
         if all(tuple(islice(c, 4)) == dims for c, dims in zip(counts, low)):
             # a quadratic Groebner basis: the counts go on where the dims stop

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from helixkit import cli, helix, quadratic
+from helixkit import cli, exact, helix, quadratic
 from helixkit.exact import TruncatedSeries
 from helixkit.sampling import random_right_mutable_triad, random_seed_triple
 
@@ -546,6 +546,72 @@ def test_koszul_dual_refusal_messages(capsys, tmp_path, doc, message):
     assert run(capsys, "koszul-dual", str(src)) == (65, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1000"], "relation block 1 has a row that is a str, not a list"),
+        ([{"1": 0, "0": 0, "3": 0, "5": 0}],
+         "relation block 1 has a row that is a dict, not a list"),
+        ({"1000": 0}, "relation block 1 has rows that are a dict, not a list"),
+    ],
+    ids=["string-row", "object-row", "object-rows"],
+)
+def test_koszul_dual_refuses_rows_that_are_not_lists(capsys, tmp_path, rows, message):
+    # iterated as they are, these would be the rows 1,0,0,0, 1,0,3,5 and
+    # 1,0,0,0 of the 4-column block at index 1
+    doc = {"period": 2, "gen_dims": [2, 2],
+           "relations": [{"index": 0, "rows": [SYM2_ROW]}, {"index": 1, "rows": rows}]}
+    src = tmp_path / "shape.json"
+    src.write_text(json.dumps(doc))
+    assert run(capsys, "koszul-dual", str(src)) == (65, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("dims, witness", [(5, 5), (3, 5), (5, 3)])
+def test_koszul_dual_dims_and_witness_build_each_table_once(capsys, tmp_path,
+                                                             monkeypatch, dims, witness):
+    # one dual table, to the larger degree, serves --dims and the witness;
+    # the bytes are the library route's, which builds the dual table twice
+    pres, _ = quadratic.classical_euler_fixture(3)
+    dual = quadratic.koszul_dual(pres)
+    want = (json.dumps(dual.to_json_dict(), indent=2) + "\n"
+            + quadratic.degree_dims(dual, dims).to_csv()
+            + "koszulity-witness: PASS\n")
+    real, calls = quadratic.degree_dims, []
+
+    def counting(p, n):
+        calls.append(n)
+        return real(p, n)
+
+    monkeypatch.setattr(quadratic, "degree_dims", counting)
+    src = tmp_path / "f3.json"
+    src.write_text(json.dumps(pres.to_json_dict()))
+    got = run(capsys, "koszul-dual", str(src), "--dims", str(dims),
+              "--witness", str(witness))
+    assert got == (0, want, "")
+    assert calls == [max(dims, witness), witness]
+
+
+def test_koszul_dual_eliminates_each_block_once(capsys, tmp_path, monkeypatch):
+    # R (6 rows) is reduced once, for the rank check, the dual, the
+    # certificate and degree_dims, and R^perp (10 rows) once, for the one
+    # dual table; exact._echelon is the one forward elimination
+    src = tmp_path / "f3.json"
+    src.write_text(json.dumps(quadratic.classical_euler_fixture(3)[0].to_json_dict()))
+    real, eliminated = exact._echelon, []
+
+    def counting(rows):
+        rows = list(rows)
+        eliminated.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(exact, "_echelon", counting)
+    code, out, _ = run(capsys, "koszul-dual", str(src), "--dims", "5", "--witness", "5",
+                       "--check-double-dual")
+    assert code == 0
+    assert "double-dual: PASS" in out.splitlines()
+    assert eliminated == [6, 10]
+
+
 # Two p/q presentations for the golden digests: a period-2 one, and a dense
 # one whose dual has non-trivial components up to degree 4.
 PQ_PERIODIC_DOC = {
@@ -797,9 +863,13 @@ def test_verify_catches_closed_form_disagreement(capsys, monkeypatch):
 
 
 def test_verify_catches_double_dual_disagreement(capsys, monkeypatch):
-    # the check's one reduction per block gains a pivot on the least free
-    # column or loses its least pivot; either way the first draw fails
-    real = quadratic._reduced
+    # the one place a block's reduced form is built (exact._reduced, read
+    # through RationalMatrix._reduced_form) gains a pivot on the least free
+    # column or loses its least pivot while the check runs; the drawn
+    # blocks get their form there, so either way the first draw fails. The
+    # fault is confined to the check, because the fixtures' rank checks read
+    # the same builder
+    real, check = exact._reduced, quadratic.double_dual_check
 
     def gain(rows):
         rows = list(rows)
@@ -814,7 +884,12 @@ def test_verify_catches_double_dual_disagreement(capsys, monkeypatch):
         return pivots
 
     for skewed in (gain, lose):
-        monkeypatch.setattr(quadratic, "_reduced", skewed)
+        def skewed_check(p, _skewed=skewed):
+            with monkeypatch.context() as m:
+                m.setattr(exact, "_reduced", _skewed)
+                return check(p)
+
+        monkeypatch.setattr(quadratic, "double_dual_check", skewed_check)
         code, out, _ = run(capsys, "verify", "--d-range", "5:5", "--horizon", "8",
                            "--seed-samples", "2")
         assert code == 2

@@ -3,6 +3,7 @@
 import copy
 import fractions
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -19,12 +20,13 @@ from helixkit.exact import (
     TruncatedSeries,
     _back_substitute,
     _echelon,
+    _frac,
     _normal_form,
     matrix_kernel,
     row_space_equal,
 )
 from helixkit.helix import Seed, invariants_from_seed
-from helixkit import quadratic
+from helixkit import exact, quadratic
 from helixkit.quadratic import (
     DimTable,
     EquigenModel,
@@ -170,6 +172,51 @@ def test_json_round_trip_is_equal_and_hash_equal(seed, scale):
         back = QuadraticPresentation.from_json_dict(doc)
         assert back == q and hash(back) == hash(q)
         assert back.to_json_dict() == q.to_json_dict()
+
+
+def test_json_text_is_the_indented_dump():
+    # the koszul-dual writer against the encoder it stands for: sampler
+    # draws, the fixtures, their duals and a block with no rows
+    inputs = [classical_euler_fixture(n)[0] for n in range(1, 5)]
+    inputs += [random_presentation(random.Random(s)) for s in range(3000)]
+    no_rows = M([], cols=6)
+    inputs.append(QuadraticPresentation(2, (2, 3), (no_rows, M([[1, 0, 0, 0, 0, -1]]))))
+    for p in inputs:
+        for q in (p, koszul_dual(p)):
+            assert quadratic._json_text(q) == json.dumps(q.to_json_dict(), indent=2)
+
+
+def parse_outcome(fn, entry):
+    """The value fn gives for entry, or the class and text of its refusal."""
+    try:
+        return fn(entry)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["0", "-0", "007", "3/6", "-4/2", "+3", " 3 ", "1_0", "1.5", "1e3", "1/0", "-",
+     "/", "1/", "/2", "1/-2", "1/00", "0/0", "", "\u0663", "1" * 700, "-" + "1" * 5000,
+     "1/" + "1" * 5000, 3, 1.5, True],
+    ids=lambda e: repr(e) if len(repr(e)) < 20 else f"{repr(e)[:4]}...({len(e)} chars)",
+)
+def test_json_entries_are_valued_and_refused_as_frac_does(entry):
+    # plain entries are read with int, every other string goes through
+    # _frac; either way a string is valued or refused as _frac does it (the
+    # 5000-digit ones past python's default int str digit limit), and a
+    # number is refused as a relation entry, as before
+    def parsed(e):
+        doc = {"period": 1, "gen_dims": [2],
+               "relations": [{"index": 0, "rows": [[e, "0", "0", "1"]]}]}
+        return QuadraticPresentation.from_json_dict(doc).relations[0].entries[0]
+
+    def reference(e):
+        if not isinstance(e, str):
+            raise ValueError(f"relation entries must be 'p/q' strings, got {e!r}")
+        return _frac(e)
+
+    assert parse_outcome(parsed, entry) == parse_outcome(reference, entry)
 
 
 # ----------------------------------------------------------------- the dual
@@ -320,13 +367,25 @@ def test_double_dual_check_catches_a_broken_kernel(monkeypatch, fault):
         assert double_dual_check(p) is False
 
 
+def without_forms(p):
+    """p with fresh blocks of the same rows, whose reduced forms are not
+    built yet."""
+    return QuadraticPresentation._unchecked(
+        p.period,
+        p.gen_dims,
+        tuple(RationalMatrix._of(rel.cols, rel.int_rows) for rel in p.relations),
+    )
+
+
 @pytest.mark.parametrize("fault", ["gain", "lose"])
 def test_double_dual_check_catches_a_broken_elimination(monkeypatch, fault):
-    # the block's one reduction gains a pivot on its least free column (the
-    # given rows plus that unit row, reduced) or loses its least pivot: the
-    # dual rows built from it are then too few, or one of them pairs
-    # nonzero with a given row
-    real = quadratic._reduced
+    # the block's one reduced form, built in one place (exact._reduced, read
+    # through RationalMatrix._reduced_form), gains a pivot on its least free
+    # column (the given rows plus that unit row, reduced) or loses its least
+    # pivot: the dual rows built from it are then too few, or one of them
+    # pairs nonzero with a given row. The presentations are built first, so
+    # their rank checks see the true form, and the check gets fresh blocks
+    real = exact._reduced
 
     def skewed(rows):
         rows = list(rows)
@@ -338,8 +397,10 @@ def test_double_dual_check_catches_a_broken_elimination(monkeypatch, fault):
             del pivots[min(pivots)]
         return pivots
 
-    monkeypatch.setattr(quadratic, "_reduced", skewed)
-    for p in (sym_presentation(3), periodic_mixed(), pq_presentation()):
+    built = (sym_presentation(3), periodic_mixed(), pq_presentation())
+    presentations = [without_forms(p) for p in built]
+    monkeypatch.setattr(exact, "_reduced", skewed)
+    for p in presentations:
         assert double_dual_check(p) is False
 
 
@@ -497,7 +558,9 @@ def test_quotient_step_matches_reference(seed):
 def test_borrowed_rows_are_left_untouched():
     # _echelon copies each row it is lent before _insert reduces it in
     # place; these rows share lead columns and the first has content 2, so a
-    # missing copy would divide and subtract inside the block itself
+    # missing copy would divide and subtract inside the block itself. Each
+    # block's reduced form is built once and read by the rank check, the
+    # dual, the certificate and degree_dims, none of which may change it
     block = M([
         [2, 4, 0, 6, 0, 0, 2, 0, 0],
         [1, 0, 3, 0, 1, 0, 0, 0, 1],
@@ -509,14 +572,20 @@ def test_borrowed_rows_are_left_untouched():
     draw = random_presentation(random.Random(7))
     for q in (p, koszul_dual(p), draw, koszul_dual(draw)):
         before = copy.deepcopy([rel.int_rows for rel in q.relations])
+        forms = [rel._reduced_form() for rel in q.relations]
+        forms_before = copy.deepcopy(forms)
         for rel in q.relations:
             rel.rank()
+            rel.rref()
             matrix_kernel(rel)
         koszul_dual(q)
         assert double_dual_check(q)
         degree_dims(q, 4)
+        koszulity_witness(q, 4)
         quadratic._ambient_degree_dims(q, 4)
         assert [rel.int_rows for rel in q.relations] == before
+        assert [rel._reduced_form() for rel in q.relations] == forms_before
+        assert all(rel._reduced_form() is f for rel, f in zip(q.relations, forms))
     assert block.int_rows == block_rows
 
 
@@ -537,11 +606,11 @@ def test_random_draw_with_fraction_growth():
 
 
 def test_degree_dims_constructs_no_fraction():
-    # the quotient recursion, the double-dual check, the dual, the witness
-    # and the JSON output run on int rows only, whether the presentation
-    # came from a fixture, the sampler or a parsed JSON document; 3.12 builds
-    # Fraction results through _from_coprime_ints, earlier versions through
-    # __new__
+    # the quotient recursion, the double-dual check, the dual, the witness,
+    # the JSON output and the koszul-dual writer run on int rows only,
+    # whether the presentation came from a fixture, the sampler or a parsed
+    # JSON document; 3.12 builds Fraction results through _from_coprime_ints,
+    # earlier versions through __new__
     presentations = [koszul_dual(classical_euler_fixture(3)[0])]
     presentations += [classical_euler_fixture(n)[0] for n in (1, 2)]
     presentations += [random_presentation(random.Random(k)) for k in range(20)]
@@ -573,6 +642,7 @@ def test_degree_dims_constructs_no_fraction():
             koszulity_witness(p, 4)
             p.to_json_dict()
             koszul_dual(p).to_json_dict()
+            quadratic._json_text(koszul_dual(p))
     finally:
         sys.setprofile(previous)
     assert built == []
@@ -591,15 +661,13 @@ def test_fixture_dims_beyond_the_ambient_reach():
 
 
 def table_by_recursion(p, max_degree):
-    echelons = quadratic._block_echelons(p)
     return tuple(
-        tuple(quadratic._quotient_dims(p, echelons, i, max_degree))
-        for i in range(p.period)
+        tuple(quadratic._quotient_dims(p, i, max_degree)) for i in range(p.period)
     )
 
 
 def table_by_count(p, max_degree):
-    pairs = quadratic._normal_pairs(p, quadratic._block_echelons(p))
+    pairs = quadratic._normal_pairs(p)
     return tuple(
         tuple(quadratic._normal_word_counts(p, pairs, i, max_degree))
         for i in range(p.period)
