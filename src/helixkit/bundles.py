@@ -114,8 +114,10 @@ class Triad:
     The constructor computes the three pairings once and keeps them in
     _pairings, which hom_dims returns. The field takes no part in init, repr
     or compare, so ==, hash and repr read a, b and c alone, and
-    dataclasses.replace runs the constructor and so recomputes it. Both checks read ab and bc: gcd(rank, degree) of a member divides
-    its pairing with any vector, so a member is simple exactly when
+    dataclasses.replace runs the constructor and so recomputes it.
+
+    Both checks read ab and bc: gcd(rank, degree) of a member divides its
+    pairing with any vector, so a member is simple exactly when
     gcd(pairing, rank, degree) == 1 (_require_simple, a before b before c),
     and, ranks being positive, slope(e) < slope(f) exactly when
     euler_pairing(e, f) > 0. Simplicity is checked first.

@@ -7,12 +7,12 @@ dual presentation annihilates them, degree dimensions grow one degree at a
 time on the quotient side (each step eliminates only the new relations
 against a normal form of the previous degree) until degree 3 shows the
 relations to be a quadratic Groebner basis, after which the normal words are
-counted instead, and the witness report folds both dimension tables into an
+counted instead, and the witness (_dims_witness) folds two dim tables into an
 alternating sum that must hit a delta. A parallel series model covers the
 equigenerated family where only dimensions, not relation spaces, are pinned
 down by the defining data d: hilbert_A inverts its cubic denominator once,
 and hilbert_B and both series checks take the series they work on, so a
-caller builds each series once.
+caller builds each series once. The model's witness folds two dim tables too.
 
 Each relation block is handled once, from input text to output text. Its int
 rows are read straight from the JSON entry strings, and it is eliminated at
@@ -75,12 +75,25 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_field(obj, key: str, where: str):
-    """obj[key] of presentation JSON; a missing key is named with its place."""
+def _json_field(obj, key: str, where: str, kind: type = object):
+    """obj[key] of presentation JSON; a missing key, or a value that is not a
+    kind (object, the default, takes any), is refused with its place named."""
     try:
-        return obj[key]
+        value = obj[key]
     except KeyError:
         raise ValueError(f"{where} is missing {key!r}") from None
+    return _json_shaped(value, kind, f"{where} has {key} that are")
+
+
+def _json_shaped(value, kind: type, what: str):
+    """value if it is a JSON object (kind dict) or list (kind list), else
+    refused as "<what> a <type found>, not <an object or a list>"."""
+    if not isinstance(value, kind):
+        found = type(value).__name__
+        found = ("an " if found == "int" else "a ") + found
+        want = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} {found}, not {want}")
+    return value
 
 
 # no int str digit limit python accepts is below 640 (0 means none), so int()
@@ -100,11 +113,8 @@ def _json_int_row(entries, where: str) -> tuple[int, int, dict[int, int]]:
     (_frac), so it is accepted, valued and refused exactly as a Fraction
     would be.
     """
-    if not isinstance(entries, list):
-        kind = type(entries).__name__
-        raise ValueError(f"{where} has a row that is a {kind}, not a list")
     parts: list[tuple[int, int, int]] = []
-    for j, text in enumerate(entries):
+    for j, text in enumerate(_json_shaped(entries, list, f"{where} has a row that is")):
         if text == "0":
             continue
         if not isinstance(text, str):
@@ -210,28 +220,28 @@ class QuadraticPresentation:
     def from_json_dict(cls, doc: dict) -> "QuadraticPresentation":
         """The presentation of a JSON document, with every check of __init__.
 
-        The int rows are built straight from the entry strings; a ragged
-        block is refused before the checks of __init__ run.
+        The int rows are built straight from the entry strings; a value of
+        the wrong JSON type or a ragged block is refused before __init__ runs.
         """
         where = "presentation JSON"
+        doc = _json_shaped(doc, dict, f"{where} is")
         period = _json_int(_json_field(doc, "period", where), "period")
-        gen_dims = tuple(
-            _json_int(g, "gen_dims entry") for g in _json_field(doc, "gen_dims", where)
-        )
+        gen_dims = _json_field(doc, "gen_dims", where, list)
+        gen_dims = tuple(_json_int(g, "gen_dims entry") for g in gen_dims)
         if len(gen_dims) != period:
             raise ValueError("gen_dims length must equal the period")
         by_index: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
-        for k, item in enumerate(doc.get("relations", [])):
+        blocks = _json_shaped(doc.get("relations", []), list,
+                              f"{where} has relations that are")
+        for k, item in enumerate(blocks):
             where = f"relation block {k}"
+            item = _json_shaped(item, dict, f"{where} is")
             i = _json_int(_json_field(item, "index", where), "relation index")
             if not 0 <= i < period:
                 raise ValueError(f"relation index {i} out of range")
             if i in by_index:
                 raise ValueError(f"duplicate relation block for index {i}")
-            rows = _json_field(item, "rows", where)
-            if not isinstance(rows, list):
-                kind = type(rows).__name__
-                raise ValueError(f"{where} has rows that are a {kind}, not a list")
+            rows = _json_field(item, "rows", where, list)
             by_index[i] = [_json_int_row(row, where) for row in rows]
         rels = []
         for i in range(period):
@@ -591,45 +601,31 @@ class WitnessReport:
         return [(e.j, e.q) for e in self.entries if not e.ok]
 
 
-def _alternating_report(period: int, bound: int, dual_dim, prim_dim) -> WitnessReport:
-    """Each sum_l (-1)^l dual_dim(j, l) prim_dim(j + l, n - l) must be delta_{n,0}."""
+def _dims_witness(prim: DimTable, dual: DimTable, bound: int) -> WitnessReport:
+    """Each sum_l (-1)^l dual(j, l) prim(j + l, n - l), n <= bound, must be
+    delta_{n,0}, from A's dim table and its dual's, both to degree bound or
+    beyond: a caller holding the dual or the tables builds none of them again."""
     entries = []
-    for j in range(period):
+    for j in range(prim.period):
         for n in range(bound + 1):
             s = sum(
-                (-1) ** l * dual_dim(j, l) * prim_dim(j + l, n - l)
+                (-1) ** l * dual.dim(j, l) * prim.dim(j + l, n - l)
                 for l in range(n + 1)
             )
             entries.append(WitnessEntry(j, j + n, s, s == (1 if n == 0 else 0)))
     return WitnessReport(tuple(entries))
 
 
-def _witness_presentation(p: QuadraticPresentation, bound: int) -> WitnessReport:
-    dual = koszul_dual(p)
-    return _dims_witness(degree_dims(p, bound), degree_dims(dual, bound), bound)
-
-
-def _dims_witness(prim: DimTable, dual: DimTable, bound: int) -> WitnessReport:
-    """The witness of a presentation from its dim table and its dual's, both
-    to degree bound or beyond: a caller that holds the dual or the tables
-    builds none of them again."""
-    return _alternating_report(prim.period, bound, dual.dim, prim.dim)
-
-
-def _witness_model(model: "EquigenModel", bound: int) -> WitnessReport:
-    # A inverts an int series with constant term 1: den is 1, nums are ints
-    a = hilbert_A(model, max(3, bound)).nums
-    profile = (1, model.d, model.d, 1)
-    return _alternating_report(
-        3, bound, lambda j, l: profile[l] if l < 4 else 0, lambda i, n: a[n]
-    )
-
-
 def koszulity_witness(p, bound: int) -> WitnessReport:
     """Necessary Euler-characteristic condition over all (j, q), q - j <= bound."""
     if isinstance(p, EquigenModel):
-        return _witness_model(p, bound)
-    return _witness_presentation(p, bound)
+        # A inverts an int series with constant term 1: den is 1, nums are ints
+        top = max(3, bound)
+        rows = hilbert_A(p, top).nums, (1, p.d, p.d, 1) + (0,) * (top - 3)
+        prim, dual = (DimTable(3, top, (row,) * 3) for row in rows)
+    else:
+        prim, dual = degree_dims(p, bound), degree_dims(koszul_dual(p), bound)
+    return _dims_witness(prim, dual, bound)
 
 
 @dataclass(frozen=True)

@@ -533,10 +533,25 @@ SYM2_ROW = ["0", "1", "-1", "0"]
          "relation block 0 is missing 'rows'"),
         ({"gen_dims": [2], "relations": []},
          "presentation JSON is missing 'period'"),
+        # values of the wrong JSON type, each named with its place; an object
+        # for relations must not be read as no relations (the free algebra)
+        ([1, 2], "presentation JSON is a list, not an object"),
+        ({**SYM2_DOC, "gen_dims": 2},
+         "presentation JSON has gen_dims that are an int, not a list"),
+        ({**SYM2_DOC, "relations": {}},
+         "presentation JSON has relations that are a dict, not a list"),
+        ({**SYM2_DOC, "relations": {"x": 1}},
+         "presentation JSON has relations that are a dict, not a list"),
+        ({**SYM2_DOC, "relations": None},
+         "presentation JSON has relations that are a NoneType, not a list"),
+        ({**SYM2_DOC, "relations": [["a"]]},
+         "relation block 0 is a list, not an object"),
     ],
     ids=["period-0", "short-gen-dims", "gen-dim-0", "negative-gen-dim",
          "negative-gen-dim-with-rows", "3-columns", "ragged", "dependent",
-         "duplicate-index", "index-out-of-range", "missing-rows", "missing-period"],
+         "duplicate-index", "index-out-of-range", "missing-rows", "missing-period",
+         "list-document", "int-gen-dims", "empty-object-relations",
+         "object-relations", "null-relations", "list-block"],
 )
 def test_koszul_dual_refusal_messages(capsys, tmp_path, doc, message):
     # every document goes through the checked constructor; the lines were
