@@ -7,27 +7,29 @@ Rank-zero data (torsion sheaves) is outside the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from ._value import Value
 from .errors import NotMutable, NotSimple, SlopeOrderViolation
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Value):
     """(rank, degree) with rank >= 1."""
 
-    rank: int
-    degree: int
+    _fields = ("rank", "degree")
 
-    def __post_init__(self):
-        for v in (self.rank, self.degree):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError("rank and degree must be integers")
-        if self.rank < 1:
+    def __init__(self, rank: int, degree: int):
+        if type(rank) is not int or type(degree) is not int:
+            for v in (rank, degree):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise TypeError("rank and degree must be integers")
+        if rank < 1:
             raise ValueError("rank must be at least 1")
+        d = self.__dict__
+        d["rank"] = rank
+        d["degree"] = degree
 
     @property
     def is_simple(self) -> bool:
@@ -107,14 +109,13 @@ class HomDims(NamedTuple):
     bc: int
 
 
-@dataclass(frozen=True)
-class Triad:
+class Triad(Value):
     """Three simple vectors of strictly increasing slope.
 
     The constructor computes the three pairings once and keeps them in
-    _pairings, which hom_dims returns. The field takes no part in init, repr
-    or compare, so ==, hash and repr read a, b and c alone, and
-    dataclasses.replace runs the constructor and so recomputes it.
+    _pairings, which hom_dims returns. It is not a compared field, so ==,
+    hash and repr read a, b and c alone, and every new triad, a changed copy
+    included, is built by the constructor and so gets its own pairings.
 
     Both checks read ab and bc: gcd(rank, degree) of a member divides its
     pairing with any vector, so a member is simple exactly when
@@ -123,20 +124,19 @@ class Triad:
     euler_pairing(e, f) > 0. Simplicity is checked first.
     """
 
-    a: ChernVector
-    b: ChernVector
-    c: ChernVector
-    _pairings: HomDims = field(init=False, repr=False, compare=False)
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        ab, bc = euler_pairing(self.a, self.b), euler_pairing(self.b, self.c)
-        _require_simple(ab, self.a, self.b)
-        _require_simple(bc, self.c)
+    def __init__(self, a: ChernVector, b: ChernVector, c: ChernVector):
+        ab, bc = euler_pairing(a, b), euler_pairing(b, c)
+        _require_simple(ab, a, b)
+        _require_simple(bc, c)
         if ab <= 0 or bc <= 0:
             raise SlopeOrderViolation("triad slopes must increase strictly")
-        object.__setattr__(
-            self, "_pairings", HomDims(ab, euler_pairing(self.a, self.c), bc)
-        )
+        d = self.__dict__
+        d["a"] = a
+        d["b"] = b
+        d["c"] = c
+        d["_pairings"] = HomDims(ab, euler_pairing(a, c), bc)
 
     def __str__(self):
         return f"({self.a}, {self.b}, {self.c})"

@@ -34,13 +34,13 @@ that is computed with integer square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
 from operator import add
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import ColumnMismatch, RadicandMismatch, ZeroConstantTerm
 
 _ORDER_CAP = 512
@@ -65,8 +65,7 @@ def _frac(x) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """A power series known exactly modulo t^(order+1).
 
     Stored as int numerators over one denominator: the series is
@@ -78,8 +77,7 @@ class TruncatedSeries:
     verification suites require).
     """
 
-    den: int
-    nums: tuple[int, ...]
+    _fields = ("den", "nums")
 
     def __init__(self, coeffs: Iterable):
         cs = [_frac(c) for c in coeffs]
@@ -177,8 +175,9 @@ def _settle(s: TruncatedSeries, den: int, nums: Iterable[int]) -> None:
         g = gcd(den, *nums)
         if g != 1:
             den, nums = den // g, tuple(x // g for x in nums)
-    object.__setattr__(s, "den", den)
-    object.__setattr__(s, "nums", nums)
+    d = s.__dict__
+    d["den"] = den
+    d["nums"] = nums
 
 
 def first_series_mismatch(s: TruncatedSeries, t: TruncatedSeries) -> int | None:
@@ -197,8 +196,7 @@ def first_series_mismatch(s: TruncatedSeries, t: TruncatedSeries) -> int | None:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class SurdValue:
+class SurdValue(Value):
     """The exact real number a + b*sqrt(m) with a, b rational and m >= 0.
 
     A perfect-square radicand is collapsed into the rational part at
@@ -209,9 +207,7 @@ class SurdValue:
     operands (b == 0, or plain int/Fraction) adopt the other side's m.
     """
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    m: int = 0
+    _fields = ("a", "b", "m")
 
     def __init__(self, a, b=0, m: int = 0):
         a, b = _frac(a), _frac(b)
@@ -221,9 +217,10 @@ class SurdValue:
             s = isqrt(m)
             if s * s == m:
                 a, b = a + b * s, Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m", m)
+        d = self.__dict__
+        d["a"] = a
+        d["b"] = b
+        d["m"] = m
 
     @property
     def is_rational(self) -> bool:
@@ -366,8 +363,7 @@ def surd_to_decimal(x: SurdValue, digits: int) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Value):
     """Immutable matrix over the rationals, stored as int rows.
 
     int_rows holds one (den, {col: num}) pair per row, standing for the row
@@ -378,27 +374,26 @@ class RationalMatrix:
     in ==, hash or repr.
     """
 
-    cols: int
-    int_rows: tuple[tuple[int, dict[int, int]], ...]
-    _form: dict[int, dict[int, int]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _fields = ("cols", "int_rows")
+    _form: dict[int, dict[int, int]] | None = None
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         es = tuple(_frac(e) for e in entries)
         if rows < 0 or cols < 0 or len(es) != rows * cols:
             raise ValueError("entry count must equal rows*cols")
         dense = (es[i * cols : (i + 1) * cols] for i in range(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "int_rows", tuple(_dense_to_sparse(dense)))
+        d = self.__dict__
+        d["cols"] = cols
+        d["int_rows"] = tuple(_dense_to_sparse(dense))
 
     @classmethod
     def _of(cls, cols: int, int_rows: Iterable[tuple[int, dict[int, int]]]):
         """The matrix of these int rows, each already in _dense_to_sparse's
         form, built without checks."""
         self = object.__new__(cls)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "int_rows", tuple(int_rows))
+        d = self.__dict__
+        d["cols"] = cols
+        d["int_rows"] = tuple(int_rows)
         return self
 
     @classmethod
@@ -426,7 +421,7 @@ class RationalMatrix:
         form = self._form
         if form is None:
             form = _reduced(row for _, row in self.int_rows)
-            object.__setattr__(self, "_form", form)
+            self.__dict__["_form"] = form
         return form
 
     @property

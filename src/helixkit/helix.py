@@ -9,11 +9,11 @@ is a view of that table or an independent route to the same numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from ._value import Value
 from .bundles import ChernVector, Triad, dualize, dualize_triad, mutate_triad_right
 from .errors import (
     InvalidSeed,
@@ -24,13 +24,10 @@ from .errors import (
 from .exact import SurdValue, _frac, surd_to_decimal
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Value):
     """Strictly increasing rational slope triple (mu0, mu1p, mu1)."""
 
-    mu0: Fraction
-    mu1p: Fraction
-    mu1: Fraction
+    _fields = ("mu0", "mu1p", "mu1")
 
     def __init__(self, mu0, mu1p, mu1):
         mu0, mu1p, mu1 = _frac(mu0), _frac(mu1p), _frac(mu1)
@@ -70,18 +67,28 @@ class Row(NamedTuple):
     rp: int | None
 
 
-@dataclass(frozen=True)
-class HelixTable:
-    seed: Seed
-    d_param: int | None
-    rows: tuple[Row, ...]
-    degenerate_at: int | None
+class HelixTable(Value):
     # minors[n] = d_n r_(n-1) - d_(n-1) r_n, the minor of row n with the row
     # before it as the recursion carried it (0 for row 0). Row n is
     # minors[n] * row n-1 - primed_(n-1), so minors[n] is also row n-1's
     # mixed minor, and for n >= 4 the expansion in invariants_from_seed
     # gives minors[n] = minors[n-3]: only minors[1..3] come from the rows
-    minors: tuple[int, ...]
+    _fields = ("seed", "d_param", "rows", "degenerate_at", "minors")
+
+    def __init__(
+        self,
+        seed: Seed,
+        d_param: int | None,
+        rows: tuple[Row, ...],
+        degenerate_at: int | None,
+        minors: tuple[int, ...],
+    ):
+        d = self.__dict__
+        d["seed"] = seed
+        d["d_param"] = d_param
+        d["rows"] = rows
+        d["degenerate_at"] = degenerate_at
+        d["minors"] = minors
 
     def seed_triad(self) -> Triad:
         (d0, r0), (d1p, r1p), (d1, r1) = self.seed.pairs()
@@ -181,14 +188,23 @@ def invariants_from_seed(seed: Seed, n_max: int) -> HelixTable:
     return HelixTable(seed, seed.d_param, tuple(rows), degenerate_at, tuple(minors))
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(Value):
     """kind is Certified, VerifiedToHorizon or FailsAt."""
 
-    kind: str
-    horizon: int
-    fail_index: int | None = None
-    fail_component: str | None = None
+    _fields = ("kind", "horizon", "fail_index", "fail_component")
+
+    def __init__(
+        self,
+        kind: str,
+        horizon: int,
+        fail_index: int | None = None,
+        fail_component: str | None = None,
+    ):
+        d = self.__dict__
+        d["kind"] = kind
+        d["horizon"] = horizon
+        d["fail_index"] = fail_index
+        d["fail_component"] = fail_component
 
     def __str__(self):
         if self.kind == "Certified":
@@ -299,13 +315,25 @@ def closed_form(d: int, n_max: int) -> list[tuple[int, int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    right_limit: SurdValue
-    left_limit: SurdValue
-    irrational: bool
-    decimal_right: str
-    decimal_left: str
+class LimitReport(Value):
+    _fields = (
+        "right_limit", "left_limit", "irrational", "decimal_right", "decimal_left"
+    )
+
+    def __init__(
+        self,
+        right_limit: SurdValue,
+        left_limit: SurdValue,
+        irrational: bool,
+        decimal_right: str,
+        decimal_left: str,
+    ):
+        d = self.__dict__
+        d["right_limit"] = right_limit
+        d["left_limit"] = left_limit
+        d["irrational"] = irrational
+        d["decimal_right"] = decimal_right
+        d["decimal_left"] = decimal_left
 
 
 def limit_slopes(d: int) -> LimitReport:
@@ -339,19 +367,19 @@ def verify_ratio_bound(table: HelixTable) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TwoSidedTable:
+class TwoSidedTable(Value):
     """Chern data indexed over the symmetric window [-n_max, n_max]."""
 
-    n_max: int
-    entries: dict[int, ChernVector]
+    _fields = ("n_max", "entries")
 
-    def __post_init__(self):
-        ns = sorted(self.entries)
-        slopes = [Fraction(self.entries[n].degree, self.entries[n].rank) for n in ns]
+    def __init__(self, n_max: int, entries: dict[int, ChernVector]):
+        slopes = [Fraction(entries[n].degree, entries[n].rank) for n in sorted(entries)]
         for a, b in zip(slopes, slopes[1:]):
             if not a < b:
                 raise ValueError("two-sided slopes must increase strictly")
+        d = self.__dict__
+        d["n_max"] = n_max
+        d["entries"] = entries
 
     def entry(self, n: int) -> ChernVector:
         return self.entries[n]

@@ -31,13 +31,13 @@ with the given relation rows, which the elimination does not enter.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
+from ._value import Value
 from .errors import DimensionCapExceeded, UnsupportedD
 from .exact import (
     RationalMatrix,
@@ -57,8 +57,14 @@ _DEFAULT_CAP = 10**6
 
 
 def _dim_cap() -> int:
+    """The HELIXKIT_DIM_CAP environment value, 10**6 when it is unset. Only a
+    nonnegative integer written in ASCII digits is accepted."""
     raw = os.environ.get("HELIXKIT_DIM_CAP")
-    return int(raw) if raw is not None else _DEFAULT_CAP
+    if raw is None:
+        return _DEFAULT_CAP
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"HELIXKIT_DIM_CAP must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _require_under_cap(ambient: int, cap: int, i: int, n: int) -> None:
@@ -89,11 +95,15 @@ def _json_shaped(value, kind: type, what: str):
     """value if it is a JSON object (kind dict) or list (kind list), else
     refused as "<what> a <type found>, not <an object or a list>"."""
     if not isinstance(value, kind):
-        found = type(value).__name__
-        found = ("an " if found == "int" else "a ") + found
         want = "an object" if kind is dict else "a list"
-        raise ValueError(f"{what} {found}, not {want}")
+        raise ValueError(f"{what} {_a_type(value)}, not {want}")
     return value
+
+
+def _a_type(value) -> str:
+    """The type of a JSON value with its article: "an int", "a str"."""
+    found = type(value).__name__
+    return ("an " if found == "int" else "a ") + found
 
 
 # no int str digit limit python accepts is below 640 (0 means none), so int()
@@ -118,7 +128,9 @@ def _json_int_row(entries, where: str) -> tuple[int, int, dict[int, int]]:
         if text == "0":
             continue
         if not isinstance(text, str):
-            raise ValueError(f"relation entries must be 'p/q' strings, got {text!r}")
+            raise ValueError(
+                f"{where} has a row whose entry {j} is {_a_type(text)}, not a 'p/q' string"
+            )
         num, slash, den = text.partition("/")
         plain = (
             text.isascii()
@@ -151,8 +163,7 @@ def _json_row(den: int, row: dict[int, int], cols: int) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class QuadraticPresentation:
+class QuadraticPresentation(Value):
     """period, generator dims per index, and relation rows per index.
 
     relations[i] lives in the g_i * g_{i+1} tensor square with basis order
@@ -161,9 +172,7 @@ class QuadraticPresentation:
     JSON parsing through the dual and the degree dimensions to JSON output.
     """
 
-    period: int
-    gen_dims: tuple[int, ...]
-    relations: tuple[RationalMatrix, ...]
+    _fields = ("period", "gen_dims", "relations")
 
     def __init__(self, period, gen_dims, relations):
         gen_dims, relations = tuple(gen_dims), tuple(relations)
@@ -355,13 +364,16 @@ def double_dual_check(p: QuadraticPresentation) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DimTable:
+class DimTable(Value):
     """dim of each (start index, word length) cell, index read modulo period."""
 
-    period: int
-    max_degree: int
-    dims: tuple[tuple[int, ...], ...]
+    _fields = ("period", "max_degree", "dims")
+
+    def __init__(self, period: int, max_degree: int, dims: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["period"] = period
+        d["max_degree"] = max_degree
+        d["dims"] = dims
 
     def dim(self, i: int, n: int) -> int:
         if not 0 <= n <= self.max_degree:
@@ -583,15 +595,17 @@ class WitnessEntry(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Value):
     """Alternating-sum checks, one entry per (offset, target) pair.
 
     An all-pass run is labeled a witness: the condition tested is necessary,
     not sufficient, so nothing here certifies exactness.
     """
 
-    entries: tuple[WitnessEntry, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[WitnessEntry, ...]):
+        self.__dict__["entries"] = entries
 
     @property
     def passed(self) -> bool:
@@ -628,15 +642,15 @@ def koszulity_witness(p, bound: int) -> WitnessReport:
     return _dims_witness(prim, dual, bound)
 
 
-@dataclass(frozen=True)
-class EquigenModel:
+class EquigenModel(Value):
     """Dimension skeleton of the degree-d equigenerated pair of algebras."""
 
-    d: int
+    _fields = ("d",)
 
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 3:
-            raise UnsupportedD(f"model needs an integer d >= 3, got {self.d}")
+    def __init__(self, d: int):
+        if not isinstance(d, int) or d < 3:
+            raise UnsupportedD(f"model needs an integer d >= 3, got {d}")
+        self.__dict__["d"] = d
 
 
 def hilbert_A(model: EquigenModel, order: int) -> TruncatedSeries:

@@ -387,6 +387,32 @@ def test_koszul_dual_dim_cap_is_65(capsys, tmp_path, monkeypatch):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cap", ["abc", "", "-5", "+5", " 7", "1.5", "1e3", "\u0663"])
+def test_koszul_dual_refuses_a_cap_that_is_not_a_nonnegative_integer(
+    capsys, tmp_path, monkeypatch, cap
+):
+    # refused by name, before any dual block is built: a negative cap would
+    # refuse every dual, and int() would take the sign, the spaces and the
+    # digit ٣
+    src = tmp_path / "sym2.json"
+    src.write_text(json.dumps(SYM2_DOC))
+    monkeypatch.setenv("HELIXKIT_DIM_CAP", cap)
+    built = []
+    monkeypatch.setattr(quadratic, "matrix_kernel", built.append)
+    message = f"error: HELIXKIT_DIM_CAP must be a nonnegative integer, got {cap!r}\n"
+    assert run(capsys, "koszul-dual", str(src)) == (65, "", message)
+    assert built == []
+
+
+@pytest.mark.parametrize("cap, code", [("0", 65), ("007", 65), ("12", 0)])
+def test_koszul_dual_accepts_a_cap_in_ascii_digits(capsys, tmp_path, monkeypatch, cap, code):
+    # the dual block of SYM2 has 4 * 3 = 12 entries
+    src = tmp_path / "sym2.json"
+    src.write_text(json.dumps(SYM2_DOC))
+    monkeypatch.setenv("HELIXKIT_DIM_CAP", cap)
+    assert run(capsys, "koszul-dual", str(src))[0] == code
+
+
 def test_koszul_dual_dims_past_the_cap_names_the_degree(capsys, tmp_path, monkeypatch):
     # the dual of the n = 2 fixture has 3 letters: 3**13 is the first
     # tensor power above the default cap
@@ -546,12 +572,17 @@ SYM2_ROW = ["0", "1", "-1", "0"]
          "presentation JSON has relations that are a NoneType, not a list"),
         ({**SYM2_DOC, "relations": [["a"]]},
          "relation block 0 is a list, not an object"),
+        ({**SYM2_DOC, "relations": [{"index": 0, "rows": [[1, "0", "0", "0"]]}]},
+         "relation block 0 has a row whose entry 0 is an int, not a 'p/q' string"),
+        ({**SYM2_DOC, "relations": [{"index": 0, "rows": [SYM2_ROW, ["0", "0", 0.5, "1"]]}]},
+         "relation block 0 has a row whose entry 2 is a float, not a 'p/q' string"),
     ],
     ids=["period-0", "short-gen-dims", "gen-dim-0", "negative-gen-dim",
          "negative-gen-dim-with-rows", "3-columns", "ragged", "dependent",
          "duplicate-index", "index-out-of-range", "missing-rows", "missing-period",
          "list-document", "int-gen-dims", "empty-object-relations",
-         "object-relations", "null-relations", "list-block"],
+         "object-relations", "null-relations", "list-block", "int-entry",
+         "float-entry"],
 )
 def test_koszul_dual_refusal_messages(capsys, tmp_path, doc, message):
     # every document goes through the checked constructor; the lines were

@@ -207,7 +207,7 @@ def test_json_entries_are_valued_and_refused_as_frac_does(entry):
     # plain entries are read with int, every other string goes through
     # _frac; either way a string is valued or refused as _frac does it (the
     # 5000-digit ones past python's default int str digit limit), and a
-    # number is refused as a relation entry, as before
+    # number is refused as a relation entry, with its block and entry named
     def parsed(e):
         doc = {"period": 1, "gen_dims": [2],
                "relations": [{"index": 0, "rows": [[e, "0", "0", "1"]]}]}
@@ -215,7 +215,10 @@ def test_json_entries_are_valued_and_refused_as_frac_does(entry):
 
     def reference(e):
         if not isinstance(e, str):
-            raise ValueError(f"relation entries must be 'p/q' strings, got {e!r}")
+            found = "an int" if type(e) is int else f"a {type(e).__name__}"
+            raise ValueError(
+                f"relation block 0 has a row whose entry 0 is {found}, not a 'p/q' string"
+            )
         return _frac(e)
 
     assert parse_outcome(parsed, entry) == parse_outcome(reference, entry)
