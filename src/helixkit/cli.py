@@ -29,7 +29,11 @@ from .bundles import (
 from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
 from .exact import _frac
 from .helix import (
+    HelixTable,
     Seed,
+    _csv_lines,
+    _require_printable,
+    _row_texts,
     check_positivity,
     invariants_from_seed,
     limit_slopes,
@@ -145,46 +149,31 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _require_printable(top: int) -> None:
-    """Raise the ValueError str() raises for top, if it would.
-
-    str() refuses an int of more digits than sys.get_int_max_str_digits()
-    (0: no limit). One of at most 3 * limit bits is below 8**limit, so it has
-    no more, and only a longer one is converted.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and top.bit_length() > 3 * limit:
-        str(top)
-
-
 def _run_seed_table(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     seed = Seed(args.mu0, args.mu1p, args.mu1)
     table = invariants_from_seed(seed, args.n)
     report = check_positivity(table)
+    # _row_texts refuses a table past the int str digit limit when it is
+    # called, so a table that cannot be printed prints nothing; the lines
+    # are written as the rows are replayed
+    texts = _row_texts(table)
 
     if args.format == "csv":
-        sys.stdout.write(table.to_csv())
+        sys.stdout.writelines(_csv_lines(texts))
         return 0
     if args.format == "json":
-        doc = table.to_json_dict()
-        doc["positivity"] = str(report)
-        print(json.dumps(doc, indent=2))
+        sys.stdout.writelines(_seed_table_json(table, texts, str(report)))
         return 0
 
-    # the table prints row by row: a table that cannot be printed prints nothing
-    _require_printable(
-        max(abs(x) for row in table.rows for x in (row.d, row.r, row.dp, row.rp) if x)
-    )
     print(f"seed: mu0={seed.mu0} mu1p={seed.mu1p} mu1={seed.mu1}")
-    for row, c in zip(table.rows, table.minors):
-        d_text, r_text = str(row.d), str(row.r)
-        line = f"n={row.n} d={d_text} r={r_text}"
-        if row.dp is not None:
-            line += f" dp={row.dp} rp={row.rp}"
+    for row, c, d, r, dp, rp in texts:
+        line = f"n={row.n} d={d} r={r}"
+        if dp is not None:
+            line += f" dp={dp} rp={rp}"
         if row.r > 0:
-            line += f" slope={slope_text(row, c, d_text, r_text)}"
+            line += f" slope={slope_text(row, c, d, r)}"
         print(line)
     if report.kind == "FailsAt":
         print(f"positivity: FailsAt n={report.fail_index} ({report.fail_component})")
@@ -198,13 +187,50 @@ def _run_seed_table(args) -> int:
     return 0
 
 
-def _triad_line(step: int, t: Triad, h: HomDims) -> str:
-    texts = [(str(v.rank), str(v.degree)) for v in (t.a, t.b, t.c)]
-    members = ", ".join(f"{r}:{d}" for r, d in texts)
+def _seed_table_json(table: HelixTable, texts, positivity: str):
+    """Yield json.dumps(doc, indent=2) + "\n" in pieces, where doc is
+    table.to_json_dict() with "positivity" added, from the row texts.
+
+    Every string value is a fraction or a verdict, ASCII with nothing to
+    escape, laid out as the encoder does: one value per line, each nested
+    level indented two more spaces.
+    """
+    seed = table.seed
+    yield (
+        f'{{\n  "seed": {{\n    "mu0": "{seed.mu0}",\n    "mu1p": "{seed.mu1p}",\n'
+        f'    "mu1": "{seed.mu1}"\n  }},\n'
+    )
+    if table.d_param is not None:
+        yield f'  "d": {table.d_param},\n'
+    yield '  "rows": [\n'
+    sep = ""
+    for row, _, d, r, dp, rp in texts:
+        primed = "" if dp is None else f',\n      "dp": {dp},\n      "rp": {rp}'
+        yield (
+            f'{sep}    {{\n      "n": {row.n},\n      "d": {d},\n      "r": {r}'
+            f'{primed}\n    }}'
+        )
+        sep = ",\n"
+    yield "\n  ],\n"
+    if table.degenerate_at is not None:
+        yield f'  "degenerate_at": {table.degenerate_at},\n'
+    yield f'  "positivity": "{positivity}"\n}}\n'
+
+
+def _triad_line(step: int, t: Triad, h: HomDims, texts: dict[int, str]) -> str:
+    # texts holds str() of every int already printed in the run: a step keeps
+    # one member of the triad before it and permutes its hom dims, so 4 of its
+    # 9 ints are new
+    ar, ad, br, bd, cr, cd, ab, ac, bc = (
+        texts.get(x) or texts.setdefault(x, str(x))
+        for x in (t.a.rank, t.a.degree, t.b.rank, t.b.degree, t.c.rank, t.c.degree, *h)
+    )
     # a Triad's members are simple, rank >= 1 and coprime to the degree, so
     # degree/rank is str(slope(v)) already in lowest terms
-    slopes = ", ".join(d if r == "1" else f"{d}/{r}" for r, d in texts)
-    return f"step {step}: ({members}) hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})"
+    pairs = ((ar, ad), (br, bd), (cr, cd))
+    members = ", ".join(f"{r}:{d}" for r, d in pairs)
+    slopes = ", ".join(d if r == "1" else f"{d}/{r}" for r, d in pairs)
+    return f"step {step}: ({members}) hom=({ab},{ac},{bc}) slopes=({slopes})"
 
 
 def _run_triad(args) -> int:
@@ -227,8 +253,9 @@ def _run_triad(args) -> int:
                   t.c.rank, abs(t.c.degree))
         _require_printable(top)
         steps.append((t, h))
+    texts: dict[int, str] = {}
     for step, (t, h) in enumerate(steps):
-        print(_triad_line(step, t, h))
+        print(_triad_line(step, t, h, texts))
     if stuck is not None:
         step, exc = stuck
         print(
@@ -446,6 +473,8 @@ def _run_verify(args) -> int:
         raise ValueError("--horizon must be at least 5")
     if args.seed_samples < 0:
         raise ValueError("--seed-samples must be nonnegative")
+    # the cap is read before the first suite, so a malformed one prints nothing
+    qa._dim_cap()
     ds = list(range(lo, hi + 1, 2))
     rng = random.Random(_VERIFY_SEED)
     all_ok = True

@@ -9,6 +9,19 @@ is a view of that table or an independent route to the same numbers.
 
 from __future__ import annotations
 
+import sys
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+)
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -117,14 +130,100 @@ class HelixTable(Value):
         return doc
 
     def to_csv(self) -> str:
-        lines = ["n,d,r,dp,rp,slope"]
-        for r, c in zip(self.rows, self.minors):
-            d_text, r_text = str(r.d), str(r.r)
-            dp = "" if r.dp is None else str(r.dp)
-            rp = "" if r.rp is None else str(r.rp)
-            mu = slope_text(r, c, d_text, r_text) if r.r != 0 else ""
-            lines.append(f"{r.n},{d_text},{r_text},{dp},{rp},{mu}")
-        return "\n".join(lines) + "\n"
+        return "".join(_csv_lines(_row_texts(self)))
+
+
+def _csv_lines(texts):
+    """The lines of to_csv, from the _row_texts of the table."""
+    yield "n,d,r,dp,rp,slope\n"
+    for row, c, d, r, dp, rp in texts:
+        mu = slope_text(row, c, d, r) if row.r != 0 else ""
+        yield f"{row.n},{d},{r},{dp or ''},{rp or ''},{mu}\n"
+
+
+def _require_printable(top: int) -> None:
+    """Raise the ValueError str() raises for top, if it would.
+
+    str() refuses an int of more digits than sys.get_int_max_str_digits()
+    (0: no limit). One of at most 3 * limit bits is below 8**limit, so it has
+    no more, and only a longer one is converted.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and top.bit_length() > 3 * limit:
+        str(top)
+
+
+# Every Decimal operation of the replay is exact or raises: no result may
+# round, whatever its number of digits
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+
+
+def _checked_text(x: int, v: Decimal) -> str:
+    """str(x), read from v, the Decimal the replay made for x.
+
+    The text is checked against x: its sign, and its last nine digits
+    against abs(x) % 10**9, whose divisor fits one 30-bit digit of an int, so
+    the check is linear. A zero prints "0" however v is signed: a negative
+    minor times zero makes Decimal -0.
+    """
+    if not x:
+        if v:
+            raise ArithmeticError(f"decimal replay gives {v} for 0")
+        return "0"
+    text = str(v)
+    digits = text[1:] if text[0] == "-" else text
+    if (text[0] == "-") != (x < 0) or int(digits[-9:]) != abs(x) % 1_000_000_000:
+        raise ArithmeticError(f"decimal replay gives ...{text[-9:]} for an entry "
+                              f"ending ...{abs(x) % 1_000_000_000}")
+    return text
+
+
+def _row_texts(table: HelixTable):
+    """Yield (row, minor, d, r, dp, rp) for each row of table, with the texts
+    str() gives for row.d, row.r, row.dp and row.rp (dp, rp None on row 0).
+
+    Raises the ValueError str() would, before yielding anything, if some
+    entry has more digits than the int str limit allows. str() of an int is
+    quadratic in its digits, while a Decimal holds base-10 digits and prints
+    in linear time; so the texts come from an exact Decimal replay of
+    invariants_from_seed's two updates, from the Decimals of rows 0 and 1
+    and the table's carried minors. Only the last two rows are kept, and
+    each text is checked against its int before it is yielded
+    (_checked_text): a replay that disagrees with the table raises
+    ArithmeticError and never yields the text.
+    """
+    rows = table.rows
+    _require_printable(max(
+        (x for row in rows for x in row[1:] if x is not None), key=int.bit_length
+    ))
+    return _replay(rows, table.minors)
+
+
+def _replay(rows: tuple[Row, ...], minors: tuple[int, ...]):
+    mul, sub = _EXACT.multiply, _EXACT.subtract
+    first, row = rows[0], rows[1]
+    d2, r2 = Decimal(first.d), Decimal(first.r)
+    d1, r1 = Decimal(row.d), Decimal(row.r)
+    dp1, rp1 = Decimal(row.dp), Decimal(row.rp)
+    yield (
+        first, minors[0], _checked_text(first.d, d2), _checked_text(first.r, r2),
+        None, None,
+    )
+    c = Decimal(minors[1])
+    for i in range(1, len(rows)):
+        if i > 1:
+            # the two updates of invariants_from_seed: row i from rows i-1, i-2
+            row, c_prev, c = rows[i], c, Decimal(minors[i])
+            dp, rp = sub(mul(c_prev, d1), d2), sub(mul(c_prev, r1), r2)
+            d, r = sub(mul(c, d1), dp1), sub(mul(c, r1), rp1)
+            d2, r2, d1, r1, dp1, rp1 = d1, r1, d, r, dp, rp
+        yield (
+            row, minors[i], _checked_text(row.d, d1), _checked_text(row.r, r1),
+            _checked_text(row.dp, dp1), _checked_text(row.rp, rp1),
+        )
 
 
 def slope_text(row: Row, c: int, d_text: str, r_text: str) -> str:

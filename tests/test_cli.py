@@ -1,8 +1,10 @@
 """Command surface: parsing, rendering, exit codes, the verify suite."""
 
 import collections
+import contextlib
 import fractions
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -12,8 +14,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helixkit import cli, exact, helix, quadratic
+from helixkit.bundles import (
+    ChernVector,
+    Triad,
+    hom_dims,
+    mutate_triad_left,
+    mutate_triad_right,
+)
 from helixkit.exact import TruncatedSeries
 from helixkit.sampling import random_right_mutable_triad, random_seed_triple
 
@@ -84,14 +95,16 @@ def test_seed_table_json(capsys):
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
 )
-def test_seed_table_past_the_digit_limit_prints_nothing(capsys):
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_seed_table_past_the_digit_limit_prints_nothing(capsys, fmt):
     # d = 10**100: row 60 has entries of about 6,000 digits, past the default
     # limit of 4300, which once failed after 555 KB of table
     m = str(10**100)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        code, out, err = run(capsys, "seed-table", "0", f"{m}/2", m, "--n", "60")
+        code, out, err = run(capsys, "seed-table", "0", f"{m}/2", m, "--n", "60",
+                             "--format", fmt)
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 65
@@ -102,18 +115,137 @@ def test_seed_table_past_the_digit_limit_prints_nothing(capsys):
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
 )
-def test_seed_table_of_9000_rows_past_the_least_digit_limit_prints_nothing(capsys):
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_seed_table_of_9000_rows_past_the_least_digit_limit_prints_nothing(capsys, fmt):
     # the whole table is still grown before the refusal, so this also bounds
     # the cost of 9000 rows of the seed recursion
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        code, out, err = run(capsys, "seed-table", "0", "5/2", "5", "--n", "9000")
+        code, out, err = run(capsys, "seed-table", "0", "5/2", "5", "--n", "9000",
+                             "--format", fmt)
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 65
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def reference_seed_table(mu, n: int, fmt: str) -> tuple[int, str]:
+    """Exit code and stdout of seed-table as the three renderers once wrote
+    them: str() of every table int, str(Fraction) for the slope column and
+    json.dumps(doc, indent=2)."""
+    table = helix.invariants_from_seed(helix.Seed(*mu), n)
+    report = helix.check_positivity(table)
+    if fmt == "csv":
+        lines = ["n,d,r,dp,rp,slope"]
+        for r in table.rows:
+            dp = "" if r.dp is None else str(r.dp)
+            rp = "" if r.rp is None else str(r.rp)
+            mu_text = str(fractions.Fraction(r.d, r.r)) if r.r != 0 else ""
+            lines.append(f"{r.n},{r.d},{r.r},{dp},{rp},{mu_text}")
+        return 0, "\n".join(lines) + "\n"
+    if fmt == "json":
+        doc = table.to_json_dict()
+        doc["positivity"] = str(report)
+        return 0, json.dumps(doc, indent=2) + "\n"
+    seed = table.seed
+    lines = [f"seed: mu0={seed.mu0} mu1p={seed.mu1p} mu1={seed.mu1}"]
+    for row in table.rows:
+        line = f"n={row.n} d={row.d} r={row.r}"
+        if row.dp is not None:
+            line += f" dp={row.dp} rp={row.rp}"
+        if row.r > 0:
+            line += f" slope={fractions.Fraction(row.d, row.r)}"
+        lines.append(line)
+    if report.kind == "FailsAt":
+        lines.append(f"positivity: FailsAt n={report.fail_index} ({report.fail_component})")
+    else:
+        lines.append(f"positivity: {report}")
+    code = 0
+    if len(table.rows) >= 5:
+        ok, why = helix.verify_periodicity(table)
+        lines.append("periodicity: ok" if ok else f"periodicity: BROKEN ({why})")
+        code = 0 if ok else 2
+    return code, "\n".join(lines) + "\n"
+
+
+_SLOPE = st.builds(fractions.Fraction, st.integers(-40, 40), st.integers(1, 9))
+# any increasing triple (negative and zero slopes, most of them degenerate
+# within a few rows), or a family seed (0, d/2, d) twisted by a line bundle t
+_SEEDS = st.one_of(
+    st.sets(_SLOPE, min_size=3, max_size=3).map(sorted),
+    st.builds(
+        lambda d, t: (fractions.Fraction(t), fractions.Fraction(2 * t + d, 2),
+                      fractions.Fraction(t + d)),
+        st.integers(1, 15).map(lambda k: 2 * k + 1), st.integers(-20, 20),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEEDS, st.integers(1, 300))
+def test_seed_table_prints_what_str_prints(mu, n):
+    # the three formats, printed from the decimal replay, against str() of
+    # the int table
+    argv = ["seed-table", *map(str, mu), "--n", str(n)]
+    for fmt in ("table", "csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([*argv, "--format", fmt])
+        assert (code, out.getvalue()) == reference_seed_table(mu, n, fmt)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+@pytest.mark.parametrize("n", [1, 2, 17, 60])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_seed_table_of_huge_minors_prints_what_str_prints(capsys, n, fmt):
+    # d = 10**100 makes minors of 100 digits and row 60 of about 5,900, so
+    # the digit limit is lifted for the run and for str()
+    m = str(10**100)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run(capsys, "seed-table", "0", f"{m}/2", m, "--n", str(n),
+                           "--format", fmt)
+        expected = reference_seed_table((0, fractions.Fraction(10**100, 2), 10**100), n, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == expected
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("where", ["minor", "row"])
+def test_seed_table_that_disagrees_with_its_minors_raises_before_the_row(
+    capsys, monkeypatch, fmt, where
+):
+    # a table whose row 7 disagrees with its carried minors (13, 7, 3 in
+    # turn): a wrong minor 7, or a row 7 whose d is off by one; rows 0-6 are
+    # printed, row 7 never
+    grow = helix.invariants_from_seed
+
+    def broken(seed, n_max):
+        t = grow(seed, n_max)
+        rows, minors = list(t.rows), list(t.minors)
+        if where == "minor":
+            minors[7] += 1
+        else:
+            rows[7] = rows[7]._replace(d=rows[7].d + 1)
+        return helix.HelixTable(t.seed, t.d_param, tuple(rows), t.degenerate_at,
+                                tuple(minors))
+
+    monkeypatch.setattr(cli, "invariants_from_seed", broken)
+    with pytest.raises(ArithmeticError):
+        cli.main(["seed-table", "-6", "-3", "1/2", "--n", "12", "--format", fmt])
+    out = capsys.readouterr().out
+    _, good = reference_seed_table((-6, -3, fractions.Fraction(1, 2)), 12, fmt)
+    assert good.startswith(out)
+    if fmt == "json":
+        assert out.count('"n": ') == 7
+    else:
+        assert re.search(r"^n=6 |^6,", out, re.M) and not re.search(r"^n=7 |^7,", out, re.M)
 
 
 def test_seed_table_invalid_seed_is_65(capsys):
@@ -205,6 +337,37 @@ def test_triad_past_the_digit_limit_prints_nothing(capsys):
     assert code == 65
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def reference_triad_line(step: int, t: Triad) -> str:
+    h = hom_dims(t)
+    members = ", ".join(f"{v.rank}:{v.degree}" for v in (t.a, t.b, t.c))
+    slopes = ", ".join(str(fractions.Fraction(v.degree, v.rank)) for v in (t.a, t.b, t.c))
+    return f"step {step}: ({members}) hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})"
+
+
+@pytest.mark.parametrize(
+    "members, direction",
+    [
+        (("2:-19", "4:-17", "7:-2"), "right"),
+        (("3:-23", "5:11", "7:23"), "right"),
+        (("1:0", "2:5", "1:5"), "right"),
+        (("7:-27", "7:-12", "2:7"), "left"),
+        (("1:5", "4:25", "3:20"), "left"),
+    ],
+)
+def test_triad_prints_what_str_prints(capsys, members, direction):
+    # each int is converted once per run; the lines must be those of str()
+    steps = 300
+    code, out, _ = run(capsys, "triad", *members, f"--{direction}", "--steps", str(steps))
+    t = Triad(*(ChernVector(*map(int, m.split(":"))) for m in members))
+    mutate = mutate_triad_right if direction == "right" else mutate_triad_left
+    lines = []
+    for step in range(steps + 1):
+        if step:
+            t = mutate(t)
+        lines.append(reference_triad_line(step, t) + "\n")
+    assert (code, out) == (0, "".join(lines))
 
 
 def test_triad_bad_pair_syntax_is_64(capsys):
@@ -1014,6 +1177,14 @@ def test_verify_sample_failures_name_the_draw(capsys, monkeypatch, suite, breake
     lines = out.splitlines()
     assert f"{suite}: FAIL ({detail})" in lines
     assert [line for line in lines if "FAIL" in line] == [f"{suite}: FAIL ({detail})"]
+
+
+def test_verify_refuses_a_malformed_cap_before_its_first_suite(capsys, monkeypatch):
+    # the cap is read when the command starts, not in the double-dual suite
+    # after seven PASS lines
+    monkeypatch.setenv("HELIXKIT_DIM_CAP", "abc")
+    message = "error: HELIXKIT_DIM_CAP must be a nonnegative integer, got 'abc'\n"
+    assert run(capsys, "verify", "--seed-samples", "0") == (65, "", message)
 
 
 def test_verify_rejects_even_d_range(capsys):

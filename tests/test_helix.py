@@ -2,6 +2,7 @@
 closed forms, limit slopes, and the two-sided extension."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -448,6 +449,29 @@ def test_csv_shape():
         "1,5,1,5,2,5\n"
         "2,20,3,25,4,20/3\n"
     )
+
+
+def test_csv_prints_zero_without_a_sign():
+    # a hand-built table with a negative minor: the replay makes dp of row 2
+    # as -1 * 0 - 0, which Decimal signs as -0
+    rows = (Row(0, 0, 1, None, None), Row(1, 0, 1, 5, 2), Row(2, -5, 1, 0, -2))
+    t = HelixTable(seed_0_half_d(5), None, rows, None, (0, -1, 3))
+    assert t.to_csv() == "n,d,r,dp,rp,slope\n0,0,1,,,0\n1,0,1,5,2,0\n2,-5,1,0,-2,-5\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+def test_csv_past_the_digit_limit_raises():
+    # a Decimal prints any number of digits; to_csv refuses what str() would
+    t = invariants_from_seed(seed_0_half_d(5), 2000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            t.to_csv()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @settings(max_examples=500, deadline=None)
