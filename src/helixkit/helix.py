@@ -85,7 +85,10 @@ class HelixTable(Value):
     # before it as the recursion carried it (0 for row 0). Row n is
     # minors[n] * row n-1 - primed_(n-1), so minors[n] is also row n-1's
     # mixed minor, and for n >= 4 the expansion in invariants_from_seed
-    # gives minors[n] = minors[n-3]: only minors[1..3] come from the rows
+    # gives minors[n] = minors[n-3]: only minors[1..3] come from the rows.
+    # The printed texts replay the rows from them, so _row_texts needs one
+    # per row; verify_periodicity reads them only as multipliers of its
+    # residuals, and its minors are the rows' own whatever they hold
     _fields = ("seed", "d_param", "rows", "degenerate_at", "minors")
 
     def __init__(
@@ -185,21 +188,24 @@ def _row_texts(table: HelixTable):
     """Yield (row, minor, d, r, dp, rp) for each row of table, with the texts
     str() gives for row.d, row.r, row.dp and row.rp (dp, rp None on row 0).
 
-    Raises the ValueError str() would, before yielding anything, if some
-    entry has more digits than the int str limit allows. str() of an int is
-    quadratic in its digits, while a Decimal holds base-10 digits and prints
-    in linear time; so the texts come from an exact Decimal replay of
-    invariants_from_seed's two updates, from the Decimals of rows 0 and 1
-    and the table's carried minors. Only the last two rows are kept, and
-    each text is checked against its int before it is yielded
-    (_checked_text): a replay that disagrees with the table raises
-    ArithmeticError and never yields the text.
+    Raises a ValueError before yielding anything if the table carries fewer
+    minors than rows, or the one str() would if some entry has more digits
+    than the int str limit allows. str() of an int is quadratic in its
+    digits, while a Decimal holds base-10 digits and prints in linear time;
+    so the texts come from an exact Decimal replay of invariants_from_seed's
+    two updates, from the Decimals of rows 0 and 1 and the table's carried
+    minors. Only the last two rows are kept, and each text is checked
+    against its int before it is yielded (_checked_text): a replay that
+    disagrees with the table raises ArithmeticError and never yields the
+    text.
     """
-    rows = table.rows
+    rows, minors = table.rows, table.minors
+    if len(minors) < len(rows):
+        raise ValueError(f"table of {len(rows)} rows carries only {len(minors)} minors")
     _require_printable(max(
         (x for row in rows for x in row[1:] if x is not None), key=int.bit_length
     ))
-    return _replay(rows, table.minors)
+    return _replay(rows, minors)
 
 
 def _replay(rows: tuple[Row, ...], minors: tuple[int, ...]):
@@ -330,10 +336,6 @@ def check_positivity(table: HelixTable) -> PositivityReport:
     return PositivityReport("VerifiedToHorizon", last.n)
 
 
-def _minor(x: Row, y: Row) -> int:
-    return x.d * y.r - y.d * x.r
-
-
 def _mixed_minor(x: Row) -> int:
     return x.d * x.rp - x.dp * x.r
 
@@ -344,22 +346,35 @@ def verify_periodicity(table: HelixTable) -> tuple[bool, str | None]:
     Consecutive-pair minors match the mixed minor one step earlier (from
     n = 1), mixed minors reach two steps back (from n = 2), and both minor
     kinds repeat with period three (from n = 3). Each minor is computed once
-    (two determinants per row); the families then compare list entries, and
-    a failure names the first n at which its family breaks.
+    (_row_minors); the families then compare list entries, and a failure
+    names the first n at which its family breaks.
 
     This is the one place minors are recomputed from the rows:
-    invariants_from_seed carries minors[k-3] as minors[k]. Rows built with
-    any carried values satisfy the first family by construction, so a wrong
-    carried minor at row k shows in the mixed-minor recursion family, at
-    n = k - 1.
+    invariants_from_seed carries minors[k-3] as minors[k]. Write det(x, y) =
+    x.d y.r - y.d x.r, R_i = (d_i, r_i), P_i = (dp_i, rp_i) and m_k =
+    minors[k] (0 past the end of the tuple). The residuals of the two updates
+      E_i = R_i - m_i R_(i-1) + P_(i-1),  F_i = P_i - m_(i-1) R_(i-1) + R_(i-2)
+    are zero on every table invariants_from_seed builds, and expanding R_i
+    and P_i through them gives, over Z and for i >= 3,
+      consec[i-1] = mixed[i-1] + det(E_i, R_(i-1)),
+      mixed[i] = m_(i-1) consec[i-1] - m_i consec[i-2] + consec[i-3]
+                 + det(F_(i-1), R_(i-2)) - det(E_i, R_(i-2)) + det(R_i, F_i);
+    consec[0], mixed[1] and mixed[2] are determinants of the first rows (the
+    first line also holds at i = 2). Both hold for any integer multipliers,
+    so the lists are the rows' own minors for every table, tampered or not:
+    the carried minors only act as multipliers and never decide a verdict.
+    Rows built with any carried values satisfy the first family by
+    construction, so a wrong carried minor at row k shows in the mixed-minor
+    recursion family, at n = k - 1.
+
+    Cost: four products of a carried minor with a table-size integer per
+    row, none of two table-size integers, so the check is linear in the
+    table's digits. A nonzero residual adds its determinants with two rows.
     """
-    rows = table.rows
-    if len(rows) < 5:
+    if len(table.rows) < 5:
         raise TableTooShort("periodicity checks need at least rows 0..4")
-    top = len(rows) - 1
-    # consec[n] is the minor of rows n+1, n; mixed[n] is row n's (n >= 1)
-    consec = [_minor(rows[n + 1], rows[n]) for n in range(top)]
-    mixed = [None] + [_mixed_minor(row) for row in rows[1:]]
+    consec, mixed = _row_minors(table)
+    top = len(consec)
     for n in range(1, top):
         if consec[n] != mixed[n]:
             return False, f"consecutive-vs-mixed minor identity fails at n={n}"
@@ -372,6 +387,39 @@ def verify_periodicity(table: HelixTable) -> tuple[bool, str | None]:
         if mixed[n + 1] != mixed[n - 2]:
             return False, f"period-3 identity (mixed minors) fails at n={n}"
     return True, None
+
+
+def _row_minors(table: HelixTable) -> tuple[list[int], list[int | None]]:
+    """(consec, mixed) of a table of at least 3 rows: consec[n] is the minor
+    of rows n+1, n and mixed[n] row n's mixed minor (None at n = 0), by the
+    residual identities in verify_periodicity's docstring."""
+    rows = table.rows
+    top = len(rows) - 1
+    minors = (*table.minors, *(0,) * len(rows))
+    # in step i, row i-1 is (d1, r1, dp1, rp1), row i-2 is (d2, r2) and
+    # (fd1, fr1) is F_(i-1), first read at i = 3
+    _, d2, r2, _, _ = rows[0]
+    _, d1, r1, dp1, rp1 = rows[1]
+    consec = [d1 * r2 - d2 * r1]
+    mixed = [None, _mixed_minor(rows[1]), _mixed_minor(rows[2])]
+    fd1 = fr1 = 0
+    for i in range(2, top + 1):
+        _, d, r, dp, rp = rows[i]
+        c, c1 = minors[i], minors[i - 1]
+        ed, er = d - c * d1 + dp1, r - c * r1 + rp1
+        fd, fr = dp - c1 * d1 + d2, rp - c1 * r1 + r2
+        consec.append(mixed[i - 1] + (ed * r1 - d1 * er if ed or er else 0))
+        if i > 2:
+            m = c1 * consec[i - 1] - c * consec[i - 2] + consec[i - 3]
+            if fd1 or fr1:
+                m += fd1 * r2 - d2 * fr1
+            if ed or er:
+                m -= ed * r2 - d2 * er
+            if fd or fr:
+                m += d * fr - fd * r
+            mixed.append(m)
+        d2, r2, d1, r1, dp1, rp1, fd1, fr1 = d1, r1, d, r, dp, rp, fd, fr
+    return consec, mixed
 
 
 def _require_odd_ge5(d: int) -> int:

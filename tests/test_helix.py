@@ -30,6 +30,8 @@ from helixkit.helix import (
     slope_text,
     verify_periodicity,
     verify_ratio_bound,
+    _row_minors,
+    _row_texts,
 )
 
 F = Fraction
@@ -293,6 +295,141 @@ def test_periodicity_on_random_nondegenerate_seeds():
         ok, detail = verify_periodicity(t)
         assert ok, (mus, detail)
         found += 1
+
+
+def four_product_minors(table):
+    """(consec, mixed) from two determinants of table-size integers per row."""
+    rows = table.rows
+    consec = [b.d * a.r - a.d * b.r for a, b in zip(rows, rows[1:])]
+    return consec, [None] + [x.d * x.rp - x.dp * x.r for x in rows[1:]]
+
+
+def four_product_periodicity(table):
+    """The reference for verify_periodicity: its three families compared on
+    four_product_minors, with the same messages."""
+    rows = table.rows
+    if len(rows) < 5:
+        raise TableTooShort("periodicity checks need at least rows 0..4")
+    top = len(rows) - 1
+    consec, mixed = four_product_minors(table)
+    for n in range(1, top):
+        if consec[n] != mixed[n]:
+            return False, f"consecutive-vs-mixed minor identity fails at n={n}"
+    for n in range(2, top):
+        if mixed[n + 1] != consec[n - 2]:
+            return False, f"mixed-minor recursion identity fails at n={n}"
+    for n in range(3, top):
+        if consec[n] != consec[n - 3]:
+            return False, f"period-3 identity (consecutive minors) fails at n={n}"
+        if mixed[n + 1] != mixed[n - 2]:
+            return False, f"period-3 identity (mixed minors) fails at n={n}"
+    return True, None
+
+
+HUGE_D = 10**100
+
+
+@st.composite
+def periodicity_tables(draw):
+    """Tables from random seeds (degenerate ones too), from the (0, d/2, d)
+    family and at d = 10**100, then with up to three entries off by +-1,
+    +-10**9 or a random 30-digit value, and their carried minors off by one,
+    partly replaced by small garbage, or truncated."""
+    kind = draw(st.sampled_from(["random", "family", "huge"]))
+    if kind == "random":
+        seed = draw(seeds())
+    elif kind == "family":
+        seed = seed_0_half_d(2 * draw(st.integers(1, 20)) + 1)
+    else:
+        seed = Seed(0, F(HUGE_D, 2), HUGE_D)
+    t = invariants_from_seed(seed, draw(st.integers(1, 60)))
+    rows, minors = list(t.rows), list(t.minors)
+    digits30 = st.integers(10**29, 10**30 - 1)
+    delta = st.sampled_from([1, -1, 10**9, -(10**9)]) | digits30 | digits30.map(
+        lambda x: -x)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        field = draw(st.sampled_from(["d", "r"] if i == 0 else ["d", "r", "dp", "rp"]))
+        rows[i] = rows[i]._replace(**{field: getattr(rows[i], field) + draw(delta)})
+    change = draw(st.sampled_from(["none", "off by one", "garbage", "truncated"]))
+    if change == "off by one":
+        k = draw(st.integers(0, len(minors) - 1))
+        minors[k] += draw(st.sampled_from([1, -1]))
+    elif change == "garbage":
+        for k in draw(st.lists(st.integers(0, len(minors) - 1), min_size=1)):
+            minors[k] = draw(st.integers(-3, 3))
+    elif change == "truncated":
+        minors = minors[: draw(st.integers(0, len(minors)))]
+    return HelixTable(t.seed, t.d_param, tuple(rows), t.degenerate_at, tuple(minors))
+
+
+def outcome(check, table):
+    try:
+        return check(table)
+    except TableTooShort as exc:
+        return "TableTooShort", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(periodicity_tables())
+@example(_carried_table(seed_0_half_d(5), 30, 10))
+@example(_tampered(5, d=1))
+def test_residual_minors_are_the_four_product_minors(table):
+    # the carried minors are only multipliers: whatever they hold, the
+    # minors are the rows' own, so every verdict and message is the same
+    assert outcome(verify_periodicity, table) == outcome(four_product_periodicity, table)
+    if len(table.rows) >= 3:
+        assert _row_minors(table) == four_product_minors(table)
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 6])
+@pytest.mark.parametrize("field", ["dp", "rp"])
+def test_periodicity_of_a_row_without_its_primed_pair_raises_type_error(index, field):
+    # as the four-product check did: a None past row 0 enters an integer sum
+    t = _tampered(0)
+    rows = list(t.rows)
+    rows[index] = rows[index]._replace(**{field: None})
+    t = HelixTable(t.seed, t.d_param, tuple(rows), None, t.minors)
+    for check in (verify_periodicity, four_product_periodicity):
+        with pytest.raises(TypeError):
+            check(t)
+
+
+def test_periodicity_forms_no_product_of_two_table_size_integers():
+    # the (-4, 1, 4) table carries three distinct minors 8, 3, 5 and grows
+    # past 450 bits by row 300; its residuals are zero, so every product has
+    # a seed-size factor. Multipliers read at the wrong index keep the minors
+    # exact but make the residuals, and so their determinants, table-size
+    products = []
+
+    class Tracked(int):
+        """Records the bit lengths of both factors of each product it enters;
+        sums and products of it are plain ints."""
+
+        def __mul__(self, other):
+            products.append((self.bit_length(), int(other).bit_length()))
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+    t = invariants_from_seed(Seed(-4, 1, 4), 300)
+    assert t.degenerate_at is None and len(set(t.minors[1:4])) == 3
+    rows = tuple(Row(r.n, *(None if x is None else Tracked(x) for x in r[1:]))
+                 for r in t.rows)
+    assert verify_periodicity(HelixTable(t.seed, None, rows, None, t.minors)) == (True, None)
+    assert max(max(pair) for pair in products) > 450
+    assert max(min(pair) for pair in products) <= 8
+
+
+@pytest.mark.parametrize("keep", [4, 0])
+def test_row_texts_refuses_fewer_minors_than_rows(keep):
+    t = invariants_from_seed(seed_0_half_d(5), 6)
+    short = HelixTable(t.seed, t.d_param, t.rows, None, t.minors[:keep])
+    message = f"table of 7 rows carries only {keep} minors"
+    with pytest.raises(ValueError, match=message):
+        _row_texts(short)
+    with pytest.raises(ValueError, match=message):
+        short.to_csv()
 
 
 # ---------------------------------------------------------------- closed form
