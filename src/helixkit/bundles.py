@@ -114,8 +114,10 @@ class Triad(Value):
 
     The constructor computes the three pairings once and keeps them in
     _pairings, which hom_dims returns. It is not a compared field, so ==,
-    hash and repr read a, b and c alone, and every new triad, a changed copy
-    included, is built by the constructor and so gets its own pairings.
+    hash and repr read a, b and c alone. A triad built by Triad(a, b, c), a
+    changed copy included, gets its pairings from the constructor; a
+    mutation step (mutate_triad_right, mutate_triad_left) hands the next
+    triad the pairings of the one before it, permuted (_stepped).
 
     Both checks read ab and bc: gcd(rank, degree) of a member divides its
     pairing with any vector, so a member is simple exactly when
@@ -138,6 +140,16 @@ class Triad(Value):
         d["c"] = c
         d["_pairings"] = HomDims(ab, euler_pairing(a, c), bc)
 
+    @classmethod
+    def _stepped(
+        cls, a: ChernVector, b: ChernVector, c: ChernVector, h: HomDims
+    ) -> Triad:
+        """The triad (a, b, c) with pairings h, unchecked: a mutation step of
+        a Triad, with h its pairings permuted (see mutate_triad_right)."""
+        t = cls.__new__(cls)
+        t.__dict__.update(a=a, b=b, c=c, _pairings=h)
+        return t
+
     def __str__(self):
         return f"({self.a}, {self.b}, {self.c})"
 
@@ -148,24 +160,44 @@ def dualize_triad(t: Triad) -> Triad:
 
 
 def hom_dims(t: Triad) -> HomDims:
-    """The three pairings of a triad, as its constructor computed them. A
-    Triad is simple with increasing slopes by construction, so these are
-    its hom_dim values; nothing is multiplied here."""
+    """The three pairings of a triad, as its constructor computed them or a
+    mutation step carried them. A Triad is simple with increasing slopes, so
+    these are its hom_dim values; nothing is multiplied here."""
     return t._pairings
 
 
 def mutate_triad_right(t: Triad) -> Triad:
     """(a, b, c) -> (c, R_c a, R_c b). Reports which member fails to mutate.
-    A Triad is simple with increasing slopes, so hom_dims(t) gives each h."""
+
+    A Triad is simple with increasing slopes, so hom_dims(t) gives each h,
+    and the step's triad is built from them with no pairing computed:
+    - Permutation. R_c a = ac c - a and R_c b = bc c - b. By bilinearity
+      and antisymmetry (pairing(x, x) = 0, pairing(y, x) = -pairing(x, y)),
+      pairing(c, R_c a) = ac, pairing(c, R_c b) = bc and
+      pairing(R_c a, R_c b) = ac bc - bc ac + ab = ab, so the pairings
+      (ab, ac, bc) become (ac, bc, ab).
+    - Simplicity. A common divisor g of the rank and degree of R_c a divides
+      its pairing ac with c, so g divides those of a = ac c - R_c a, and a is
+      simple: g = 1. The same holds for R_c b. The carried pairings are
+      positive, and _reflect refuses a rank that is not, so the slopes
+      increase.
+    """
     h = hom_dims(t)
     ra = _reflect(t.a, t.c, h.ac, "right", "a")
     rb = _reflect(t.b, t.c, h.bc, "right", "b")
-    return Triad(t.c, ra, rb)
+    return Triad._stepped(t.c, ra, rb, HomDims(h.ac, h.bc, h.ab))
 
 
 def mutate_triad_left(t: Triad) -> Triad:
-    """(a, b, c) -> (L_a b, L_a c, a); inverse of the right step."""
+    """(a, b, c) -> (L_a b, L_a c, a); inverse of the right step.
+
+    As in mutate_triad_right, with L_a b = ab a - b and L_a c = ac a - c:
+    pairing(L_a b, L_a c) = bc, pairing(L_a b, a) = ab and pairing(L_a c, a)
+    = ac, so (ab, ac, bc) become (bc, ab, ac); a common divisor of the rank
+    and degree of L_a b divides ab, so also those of b, and likewise for
+    L_a c, ac and c.
+    """
     h = hom_dims(t)
     lb = _reflect(t.b, t.a, h.ab, "left", "b")
     lc = _reflect(t.c, t.a, h.ac, "left", "c")
-    return Triad(lb, lc, t.a)
+    return Triad._stepped(lb, lc, t.a, HomDims(h.bc, h.ab, h.ac))

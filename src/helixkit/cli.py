@@ -14,14 +14,15 @@ import json
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
 from . import quadratic as qa
 from .bundles import (
     ChernVector,
-    HomDims,
     Triad,
+    euler_pairing,
     hom_dims,
     mutate_triad_left,
     mutate_triad_right,
@@ -29,8 +30,10 @@ from .bundles import (
 from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
 from .exact import _frac
 from .helix import (
+    _EXACT,
     HelixTable,
     Seed,
+    _checked_text,
     _csv_lines,
     _require_printable,
     _row_texts,
@@ -168,13 +171,7 @@ def _run_seed_table(args) -> int:
         return 0
 
     print(f"seed: mu0={seed.mu0} mu1p={seed.mu1p} mu1={seed.mu1}")
-    for row, c, d, r, dp, rp in texts:
-        line = f"n={row.n} d={d} r={r}"
-        if dp is not None:
-            line += f" dp={dp} rp={rp}"
-        if row.r > 0:
-            line += f" slope={slope_text(row, c, d, r)}"
-        print(line)
+    sys.stdout.writelines(_table_lines(texts))
     if report.kind == "FailsAt":
         print(f"positivity: FailsAt n={report.fail_index} ({report.fail_component})")
     else:
@@ -185,6 +182,15 @@ def _run_seed_table(args) -> int:
         if not ok:
             return 2
     return 0
+
+
+def _table_lines(texts):
+    """The row lines of seed-table's table format, from the table's
+    _row_texts."""
+    for row, c, d, r, dp, rp in texts:
+        primed = "" if dp is None else f" dp={dp} rp={rp}"
+        mu = f" slope={slope_text(row, c, d, r)}" if row.r > 0 else ""
+        yield f"n={row.n} d={d} r={r}{primed}{mu}\n"
 
 
 def _seed_table_json(table: HelixTable, texts, positivity: str):
@@ -217,27 +223,50 @@ def _seed_table_json(table: HelixTable, texts, positivity: str):
     yield f'  "positivity": "{positivity}"\n}}\n'
 
 
-def _triad_line(step: int, t: Triad, h: HomDims, texts: dict[int, str]) -> str:
-    # texts holds str() of every int already printed in the run: a step keeps
-    # one member of the triad before it and permutes its hom dims, so 4 of its
-    # 9 ints are new
-    ar, ad, br, bd, cr, cd, ab, ac, bc = (
-        texts.get(x) or texts.setdefault(x, str(x))
-        for x in (t.a.rank, t.a.degree, t.b.rank, t.b.degree, t.c.rank, t.c.degree, *h)
-    )
-    # a Triad's members are simple, rank >= 1 and coprime to the degree, so
-    # degree/rank is str(slope(v)) already in lowest terms
-    pairs = ((ar, ad), (br, bd), (cr, cd))
-    members = ", ".join(f"{r}:{d}" for r, d in pairs)
-    slopes = ", ".join(d if r == "1" else f"{d}/{r}" for r, d in pairs)
-    return f"step {step}: ({members}) hom=({ab},{ac},{bc}) slopes=({slopes})"
+def _triad_lines(steps: list[Triad], right: bool):
+    """Yield the line _run_triad prints for each triad of steps, a chain of
+    mutation steps (right or left) from steps[0].
+
+    str() of an int is quadratic in its digits. A step keeps one member of
+    the triad before it and makes two, each h * pivot - v with h one of that
+    triad's small pairings, so the texts of the new members come from an
+    exact Decimal replay of those reflections, in linear time, and each is
+    checked against its int (helix._checked_text) before it is yielded.
+    """
+    mul, sub = _EXACT.multiply, _EXACT.subtract
+
+    def member(v, rank, degree):
+        return rank, degree, _checked_text(v.rank, rank), _checked_text(v.degree, degree)
+
+    def reflect(v, x, pivot, h):
+        # member(v) for v = h * pivot - x, from the Decimals of pivot and x
+        h = Decimal(h)
+        return member(v, sub(mul(h, pivot[0]), x[0]), sub(mul(h, pivot[1]), x[1]))
+
+    t = steps[0]
+    ms = [member(v, Decimal(v.rank), Decimal(v.degree)) for v in (t.a, t.b, t.c)]
+    for step, t in enumerate(steps):
+        if step:
+            # h holds the pairings of the triad before t
+            a, b, c = ms
+            if right:
+                ms = [c, reflect(t.b, a, c, h.ac), reflect(t.c, b, c, h.bc)]
+            else:
+                ms = [reflect(t.a, b, a, h.ab), reflect(t.b, c, a, h.ac), a]
+        h = hom_dims(t)
+        # a Triad's members are simple, rank >= 1 and coprime to the degree,
+        # so degree/rank is str(slope(v)) already in lowest terms
+        members = ", ".join(f"{r}:{d}" for _, _, r, d in ms)
+        slopes = ", ".join(d if r == "1" else f"{d}/{r}" for _, _, r, d in ms)
+        yield f"step {step}: ({members}) hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})\n"
 
 
 def _run_triad(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be nonnegative")
     t = Triad(ChernVector(*args.a), ChernVector(*args.b), ChernVector(*args.c))
-    mutate = mutate_triad_right if args.direction == "right" else mutate_triad_left
+    right = args.direction == "right"
+    mutate = mutate_triad_right if right else mutate_triad_left
     # every step runs before the first line, as in seed-table: the first
     # that cannot be printed ends the run with nothing printed
     steps, stuck = [], None
@@ -248,14 +277,11 @@ def _run_triad(args) -> int:
             except NotMutable as exc:
                 stuck = step, exc
                 break
-        h = hom_dims(t)
-        top = max(*h, t.a.rank, abs(t.a.degree), t.b.rank, abs(t.b.degree),
+        top = max(*hom_dims(t), t.a.rank, abs(t.a.degree), t.b.rank, abs(t.b.degree),
                   t.c.rank, abs(t.c.degree))
         _require_printable(top)
-        steps.append((t, h))
-    texts: dict[int, str] = {}
-    for step, (t, h) in enumerate(steps):
-        print(_triad_line(step, t, h, texts))
+        steps.append(t)
+    sys.stdout.writelines(_triad_lines(steps, right))
     if stuck is not None:
         step, exc = stuck
         print(
@@ -375,8 +401,10 @@ def _verify_checks(ds, horizon, samples, rng):
         for _ in range(max(samples, 50)):
             t, right = random_right_step(rng)
             h = hom_dims(t)
-            got = hom_dims(right)
-            if (got.ab, got.ac, got.bc) != (h.ac, h.bc, h.ab):
+            # right's pairings from its members, not the ones the step carried
+            a, b, c = right.a, right.b, right.c
+            got = euler_pairing(a, b), euler_pairing(a, c), euler_pairing(b, c)
+            if got != (h.ac, h.bc, h.ab):
                 return False, f"triad {t}"
         return True, ""
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from helixkit.bundles import (
     ChernVector,
     Triad,
+    euler_pairing,
     hom_dims,
     left_mutate,
     mutate_triad_left,
@@ -103,20 +104,28 @@ def test_criterion_04_minor_periodicity():
         assert ok, (seed, why)
 
 
+def _pairings(t):
+    """The three pairings of t from its members, not the ones a step carried."""
+    return (euler_pairing(t.a, t.b), euler_pairing(t.a, t.c), euler_pairing(t.b, t.c))
+
+
 def test_criterion_05_hom_dimension_rotation():
     """One right mutation rotates the three pairing dimensions."""
     rng = random.Random(42)
     for _ in range(500):
         t = random_right_mutable_triad(rng)
         h = hom_dims(t)
-        g = hom_dims(mutate_triad_right(t))
+        right = mutate_triad_right(t)
+        g = hom_dims(right)
         assert (g.ab, g.ac, g.bc) == (h.ac, h.bc, h.ab)
+        assert _pairings(right) == (h.ac, h.bc, h.ab)
     t = Triad(ChernVector(1, 0), ChernVector(2, 5), ChernVector(1, 5))
     for _ in range(20):
         h = hom_dims(t)
         t = mutate_triad_right(t)
         g = hom_dims(t)
         assert (g.ab, g.ac, g.bc) == (h.ac, h.bc, h.ab)
+        assert _pairings(t) == (h.ac, h.bc, h.ab)
 
 
 def test_criterion_06_mutation_round_trips():

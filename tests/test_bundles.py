@@ -335,6 +335,24 @@ def test_hom_dims_is_three_pairings_along_300_step_chains(mutate):
     assert max(t.a.rank, t.b.rank, t.c.rank) > 10**150
 
 
+@settings(max_examples=150, deadline=None)
+@given(simple_vectors(), simple_vectors(), simple_vectors())
+def test_carried_pairings_are_the_members_own_along_40_step_chains(e, f, g):
+    # a step hands the next triad its pairings permuted, unchecked: they
+    # must be the pairings of the new members, and each member simple
+    e, f, g = sorted((e, f, g), key=slope)
+    assume(slope(e) < slope(f) < slope(g))
+    for mutate in (mutate_triad_right, mutate_triad_left):
+        t = Triad(e, f, g)
+        for _ in range(40):
+            try:
+                t = mutate(t)
+            except NotMutable:
+                break
+            assert hom_dims(t) == _three_pairings(t)
+            assert t.a.is_simple and t.b.is_simple and t.c.is_simple
+
+
 @st.composite
 def any_vectors(draw):
     """A (rank, degree) pair with entries up to 2^200: as drawn, made

@@ -21,10 +21,11 @@ from helixkit import cli, exact, helix, quadratic
 from helixkit.bundles import (
     ChernVector,
     Triad,
-    hom_dims,
+    euler_pairing,
     mutate_triad_left,
     mutate_triad_right,
 )
+from helixkit.errors import NotMutable
 from helixkit.exact import TruncatedSeries
 from helixkit.sampling import random_right_mutable_triad, random_seed_triple
 
@@ -325,25 +326,45 @@ def test_triad_not_mutable_is_exit_1(capsys):
     not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
 )
 def test_triad_past_the_digit_limit_prints_nothing(capsys):
-    # at the least limit, 640 digits, this run once wrote 4.3 MB of steps
-    # before the first one it could not print
+    # at the least limit, 640 digits, the right run once wrote 4.3 MB of
+    # steps before the first one it could not print; the left run takes the
+    # other branch of the decimal replay
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        code, out, err = run(capsys, "triad", "1:0", "2:5", "1:5", "--right",
-                             "--steps", "2000")
+        for argv in ("1:0 2:5 1:5 --right", "7:-27 7:-12 2:7 --left"):
+            code, out, err = run(capsys, "triad", *argv.split(), "--steps", "2000")
+            assert code == 65
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
     finally:
         sys.set_int_max_str_digits(limit)
-    assert code == 65
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def reference_triad_line(step: int, t: Triad) -> str:
-    h = hom_dims(t)
-    members = ", ".join(f"{v.rank}:{v.degree}" for v in (t.a, t.b, t.c))
-    slopes = ", ".join(str(fractions.Fraction(v.degree, v.rank)) for v in (t.a, t.b, t.c))
-    return f"step {step}: ({members}) hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})"
+    # the hom dims from the members, not the pairings a step carried
+    vs = (t.a, t.b, t.c)
+    members = ", ".join(f"{v.rank}:{v.degree}" for v in vs)
+    hom = ",".join(str(euler_pairing(x, y)) for x, y in itertools.combinations(vs, 2))
+    slopes = ", ".join(str(fractions.Fraction(v.degree, v.rank)) for v in vs)
+    return f"step {step}: ({members}) hom=({hom}) slopes=({slopes})"
+
+
+def check_triad_prints_what_str_prints(capsys, members, direction, steps, stuck=""):
+    # the lines of the decimal replay must be those of str(), up to the step
+    # that is not mutable, if there is one, and stuck is then the stderr
+    code, out, err = run(capsys, "triad", *members, f"--{direction}", "--steps", str(steps))
+    t = Triad(*(ChernVector(*map(int, m.split(":"))) for m in members))
+    mutate = mutate_triad_right if direction == "right" else mutate_triad_left
+    lines = [reference_triad_line(0, t) + "\n"]
+    for step in range(1, steps + 1):
+        try:
+            t = mutate(t)
+        except NotMutable:
+            break
+        lines.append(reference_triad_line(step, t) + "\n")
+    assert (code, out, err) == (1 if stuck else 0, "".join(lines), stuck)
+    return len(lines)
 
 
 @pytest.mark.parametrize(
@@ -357,17 +378,29 @@ def reference_triad_line(step: int, t: Triad) -> str:
     ],
 )
 def test_triad_prints_what_str_prints(capsys, members, direction):
-    # each int is converted once per run; the lines must be those of str()
-    steps = 300
-    code, out, _ = run(capsys, "triad", *members, f"--{direction}", "--steps", str(steps))
-    t = Triad(*(ChernVector(*map(int, m.split(":"))) for m in members))
-    mutate = mutate_triad_right if direction == "right" else mutate_triad_left
-    lines = []
-    for step in range(steps + 1):
-        if step:
-            t = mutate(t)
-        lines.append(reference_triad_line(step, t) + "\n")
-    assert (code, out) == (0, "".join(lines))
+    assert check_triad_prints_what_str_prints(capsys, members, direction, 300) == 301
+
+
+@pytest.mark.parametrize(
+    "members, direction, steps, stuck",
+    [
+        # ranks of 2,355 bits at the last step
+        (("7:-27", "7:-12", "2:7"), "left", 361, ""),
+        (("3:-23", "5:11", "7:23"), "left", 600, ""),
+        (("1:-2", "6:7", "1:2"), "left", 8,
+         "error at step 4: member b not mutable "
+         "(left mutation of 297:-1030 past 2:-7 has rank -259)\n"),
+        (("1:-2", "6:-7", "1:1"), "right", 8,
+         "error at step 4: member a not mutable "
+         "(right mutation of 33:95 past 9:26 has rank -6)\n"),
+    ],
+    ids=["left-361", "left-600", "left-stuck-at-4", "right-stuck-at-4"],
+)
+def test_triad_long_and_stuck_runs_print_what_str_prints(
+    capsys, members, direction, steps, stuck
+):
+    lines = check_triad_prints_what_str_prints(capsys, members, direction, steps, stuck)
+    assert lines == (4 if stuck else steps + 1)
 
 
 def test_triad_bad_pair_syntax_is_64(capsys):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from helixkit.bundles import mutate_triad_right
+from helixkit.bundles import euler_pairing, hom_dims, mutate_triad_right
 from helixkit.errors import NotMutable
 from helixkit.helix import Seed, invariants_from_seed
 from helixkit.sampling import (
@@ -107,6 +107,11 @@ def test_right_step_follows_the_reference_stream():
         t, right = random_right_step(rng)
         assert t == reference_right_mutable_triad(ref)
         assert right == mutate_triad_right(t)
+        # the step carried t's pairings, rotated, and they are right's own
+        h = hom_dims(t)
+        a, b, c = right.a, right.b, right.c
+        pairings = euler_pairing(a, b), euler_pairing(a, c), euler_pairing(b, c)
+        assert hom_dims(right) == (h.ac, h.bc, h.ab) == pairings
     assert rng.getstate() == ref.getstate()
 
 
