@@ -117,7 +117,9 @@ class Triad(Value):
     hash and repr read a, b and c alone. A triad built by Triad(a, b, c), a
     changed copy included, gets its pairings from the constructor; a
     mutation step (mutate_triad_right, mutate_triad_left) hands the next
-    triad the pairings of the one before it, permuted (_stepped).
+    triad the pairings of the one before it, permuted (_stepped), and
+    sampling.random_triad hands its draw the pairings its acceptance test
+    computed.
 
     Both checks read ab and bc: gcd(rank, degree) of a member divides its
     pairing with any vector, so a member is simple exactly when
@@ -145,7 +147,8 @@ class Triad(Value):
         cls, a: ChernVector, b: ChernVector, c: ChernVector, h: HomDims
     ) -> Triad:
         """The triad (a, b, c) with pairings h, unchecked: a mutation step of
-        a Triad, with h its pairings permuted (see mutate_triad_right)."""
+        a Triad, with h its pairings permuted (see mutate_triad_right), or
+        a drawn triad with the pairings its acceptance test computed."""
         t = cls.__new__(cls)
         t.__dict__.update(a=a, b=b, c=c, _pairings=h)
         return t

@@ -4,7 +4,9 @@ A seed is a strictly increasing triple of rational slopes. Its reduced
 fractions populate rows 0 and 1 of an integer table which then grows by two
 determinant recursions; everything else here (positivity verdicts, minor
 periodicity, closed forms over Q(sqrt m), limit slopes, two-sided extension)
-is a view of that table or an independent route to the same numbers.
+is a view of that table or an independent route to the same numbers. The
+closed form is evaluated on plain integers, in Z[sqrt m], from powers of the
+growth factor alone.
 """
 
 from __future__ import annotations
@@ -49,6 +51,15 @@ class Seed(Value):
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "mu1p", mu1p)
         object.__setattr__(self, "mu1", mu1)
+
+    @classmethod
+    def _unchecked(cls, mu0: Fraction, mu1p: Fraction, mu1: Fraction) -> Seed:
+        """The seed of three Fractions already in strictly increasing order,
+        built without the constructor's parsing and order check (a drawn
+        seed, see sampling.random_seed_table)."""
+        seed = cls.__new__(cls)
+        seed.__dict__.update(mu0=mu0, mu1p=mu1p, mu1=mu1)
+        return seed
 
     @property
     def d_param(self) -> int | None:
@@ -429,36 +440,38 @@ def _require_odd_ge5(d: int) -> int:
 
 
 def closed_form(d: int, n_max: int) -> list[tuple[int, int]]:
-    """[(r_n, d_n) for n = 0..n_max], evaluated exactly in Q(sqrt m).
+    """[(r_n, d_n) for n = 0..n_max], evaluated exactly in Z[sqrt m].
 
     m = (d-3)(d+1). With the conjugate growth factors x, y = d-1 -+ sqrt m,
     r_n = ((x/2)^n (1+w) + (y/2)^n (1-w)) / 2 with w = (d-3)/sqrt m, and
-    d_n = ((y/2)^n - (x/2)^n) d/sqrt m. The powers of x/2 and y/2 are
-    carried from row to row (one surd product each), so the rows come from
-    surd arithmetic alone, independent of the integer recursion. Every row
-    must collapse to rational integers; the first that does not raises
-    ArithmeticError.
+    d_n = ((y/2)^n - (x/2)^n) d/sqrt m. Write y^n = a_n + b_n sqrt m, so
+    x^n = a_n - b_n sqrt m; then
+      r_n = (a_n - (d-3) b_n) / 2^n,   d_n = 2d b_n / 2^n,
+    and (a, b) is carried from row to row as
+      a' = (d-1) a + m b,   b' = a + (d-1) b,
+    products of a small factor with a row-size integer, so the cost is
+    linear in the rows' digits. The rows come from powers of the growth
+    factor alone, independent of the seed recursion. Every row must
+    collapse to rational integers, that is 2^n must divide both numerators;
+    the first row where it does not raises ArithmeticError.
     """
     m = _require_odd_ge5(d)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    half_x = SurdValue(Fraction(d - 1, 2), Fraction(-1, 2), m)
-    half_y = SurdValue(Fraction(d - 1, 2), Fraction(1, 2), m)
-    w = SurdValue(0, Fraction(d - 3, m), m)
-    up, down = (1 + w) / 2, (1 - w) / 2
-    s = SurdValue(0, Fraction(d, m), m)  # d/sqrt(m)
-    xn = yn = SurdValue(1, 0, m)
+    a, b = 1, 0
     rows = []
     for n in range(n_max + 1):
         if n:
-            xn, yn = xn * half_x, yn * half_y
-        r, deg = xn * up + yn * down, (yn - xn) * s
+            a, b = (d - 1) * a + m * b, a + (d - 1) * b
+        low = (1 << n) - 1
+        r, deg = a - (d - 3) * b, 2 * d * b
         for v in (r, deg):
-            if not v.is_rational or v.a.denominator != 1:
+            if v & low:
                 raise ArithmeticError(
-                    f"closed form did not collapse to an integer at n={n}: {v}"
+                    f"closed form did not collapse to an integer at n={n}: "
+                    f"{Fraction(v, 1 << n)}"
                 )
-        rows.append((int(r.a), int(deg.a)))
+        rows.append((r >> n, deg >> n))
     return rows
 
 

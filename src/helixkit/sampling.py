@@ -2,59 +2,89 @@
 
 Every function takes a caller-owned random.Random so runs are reproducible;
 nothing here touches global RNG state.
+
+The bounded draws made in a loop (the vectors of random_simple_pair and
+random_triad, the slope picks of random_seed_table, the relation counts and
+entries of random_presentation) go through _below on rng.getrandbits, which
+draws exactly what rng.randint and rng.choice draw on CPython 3.10-3.12.
+Each sampler's stream, its objects and the rng state after them, is pinned
+in the tests (PINNED in tests/test_sampling.py); those pins are the
+contract, so a change here must leave every stream bit for bit the same.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
-from .bundles import ChernVector, Triad, euler_pairing, mutate_triad_right
+from .bundles import ChernVector, HomDims, Triad, euler_pairing, mutate_triad_right
 from .errors import NotMutable
 from .exact import RationalMatrix, _by_lead, _reduced
 from .helix import HelixTable, Seed, invariants_from_seed
 from .quadratic import QuadraticPresentation
 
-# ranks are positive, so e sorts before f (slope(e) < slope(f)) exactly when
-# euler_pairing(e, f) > 0; comparing by that sign builds no Fraction slope
-_BY_SLOPE = cmp_to_key(lambda e, f: euler_pairing(f, e))
+
+def _below(bits, n: int) -> int:
+    """rng.randrange(n) for n >= 1, where bits is rng.getrandbits.
+
+    randint(a, b) is a + randrange(b - a + 1) and choice(seq) is
+    seq[randrange(len(seq))], and randrange(n) takes n.bit_length() bits,
+    drawn again while the value is n or more; this is that loop, without
+    randint's argument checks and calls.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def random_simple_pair(rng: random.Random) -> tuple[ChernVector, ChernVector]:
     """Two coprime (rank, degree) vectors with strictly increasing slopes."""
+    bits = rng.getrandbits
     out = []
     while len(out) < 2:
-        r = rng.randint(1, 8)
-        d = rng.randint(-20, 20)
-        if gcd(r, abs(d)) != 1:
+        r = 1 + _below(bits, 8)
+        d = _below(bits, 41) - 20
+        if gcd(r, d) != 1:
             continue
         v = ChernVector(r, d)
         if out and euler_pairing(out[0], v) == 0:
             continue
         out.append(v)
-    out.sort(key=_BY_SLOPE)
-    return out[0], out[1]
+    e, f = out
+    # ranks are positive, so slope(e) < slope(f) exactly when
+    # euler_pairing(e, f) > 0
+    return (e, f) if euler_pairing(e, f) > 0 else (f, e)
 
 
 def random_triad(rng: random.Random) -> Triad:
     """A random slope-ordered triple of pairwise coprime-type vectors.
 
-    Slopes are ordered and tested for strict order by the sign of
-    euler_pairing; a draw with two equal slopes is thrown away whole.
+    Each draw is a coprime (rank, degree) pair with rank 1..6, so every
+    slope is an integer over 60: the draws sort by degree * (60 // rank),
+    and a draw with two equal slopes (pairing ab or bc not positive) is
+    thrown away whole. An accepted draw is simple with increasing slopes,
+    so its ChernVectors and its Triad are built once, with the pairings of
+    the acceptance test (Triad._stepped), and Triad's checks are not re-run.
     """
+    bits = rng.getrandbits
     while True:
         vs = []
         while len(vs) < 3:
-            r = rng.randint(1, 6)
-            d = rng.randint(-15, 15)
-            if gcd(r, abs(d)) != 1:
-                continue
-            vs.append(ChernVector(r, d))
-        vs.sort(key=_BY_SLOPE)
-        if euler_pairing(vs[0], vs[1]) > 0 and euler_pairing(vs[1], vs[2]) > 0:
-            return Triad(vs[0], vs[1], vs[2])
+            r = 1 + _below(bits, 6)
+            d = _below(bits, 31) - 15
+            if gcd(r, d) == 1:
+                vs.append((d * (60 // r), r, d))
+        vs.sort()
+        (_, r0, d0), (_, r1, d1), (_, r2, d2) = vs
+        ab, bc = d1 * r0 - d0 * r1, d2 * r1 - d1 * r2
+        if ab > 0 and bc > 0:
+            return Triad._stepped(
+                ChernVector(r0, d0), ChernVector(r1, d1), ChernVector(r2, d2),
+                HomDims(ab, d2 * r0 - d0 * r2, bc),
+            )
 
 
 def random_right_step(rng: random.Random) -> tuple[Triad, Triad]:
@@ -74,13 +104,27 @@ def random_right_mutable_triad(rng: random.Random) -> Triad:
 
 def random_seed_table(rng: random.Random, n_max: int = 12) -> HelixTable:
     """The table, to row n_max, of a seed whose table stays rank-positive
-    through that row."""
+    through that row.
+
+    Each pick num/den (num in -12..12, den in 1..6) is kept as its reduced
+    int pair, so equal slopes are one pick; every den divides 60, so the
+    three picks sort by num * (60 // den). One Fraction is built per slope
+    of the seed, and the seed, in strictly increasing order by construction,
+    without Seed's checks (Seed._unchecked).
+    """
+    bits = rng.getrandbits
     while True:
         picks = set()
         while len(picks) < 3:
-            picks.add(Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
-        mu0, mu1p, mu1 = sorted(picks)
-        table = invariants_from_seed(Seed(mu0, mu1p, mu1), n_max)
+            num = _below(bits, 25) - 12
+            den = 1 + _below(bits, 6)
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            picks.add((num * (60 // den), num, den))
+        (_, n0, e0), (_, n1, e1), (_, n2, e2) = sorted(picks)
+        table = invariants_from_seed(
+            Seed._unchecked(Fraction(n0, e0), Fraction(n1, e1), Fraction(n2, e2)), n_max
+        )
         if table.degenerate_at is None:
             return table
 
@@ -98,16 +142,22 @@ def random_presentation(rng: random.Random, max_gen: int = 4) -> QuadraticPresen
     block stores the reduced pivot rows of its candidates as they come out
     of the elimination, each over its pivot entry (the nonzero rows of their
     rref). Those are independent by construction, so the presentation is
-    built without __init__'s rank check.
+    built without __init__'s rank check. The period and the generator dims
+    are drawn by rng.choice and rng.randint, which refuse a max_gen below 1;
+    the relation counts and entries by _below.
     """
+    bits = rng.getrandbits
     p = rng.choice([1, 2, 3])
     gens = tuple(rng.randint(1, max_gen) for _ in range(p))
     rels = []
     for i in range(p):
         ambient = gens[i] * gens[(i + 1) % p]
-        count = rng.randint(0, ambient)
+        count = _below(bits, ambient + 1)
         rows = [
-            {j: rng.randint(-3, 3) * (2 // rng.randint(1, 2)) for j in range(ambient)}
+            {
+                j: (_below(bits, 7) - 3) * (2 // (1 + _below(bits, 2)))
+                for j in range(ambient)
+            }
             for _ in range(count)
         ]
         rels.append(RationalMatrix._of(ambient, _by_lead(_reduced(rows))))

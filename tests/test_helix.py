@@ -440,10 +440,32 @@ def test_closed_form_examples():
     assert closed_form(5, 3) == [(1, 0), (1, 5), (3, 20), (11, 75)]
 
 
+def surd_closed_form(d, n_max):
+    """closed_form as it was evaluated in Q(sqrt m) with SurdValue Fractions:
+    the powers of x/2 and y/2 carried row to row, one surd product each."""
+    m = (d - 3) * (d + 1)
+    half_x = SurdValue(F(d - 1, 2), F(-1, 2), m)
+    half_y = SurdValue(F(d - 1, 2), F(1, 2), m)
+    w = SurdValue(0, F(d - 3, m), m)
+    up, down = (1 + w) / 2, (1 - w) / 2
+    s = SurdValue(0, F(d, m), m)  # d/sqrt(m)
+    xn = yn = SurdValue(1, 0, m)
+    rows = []
+    for n in range(n_max + 1):
+        if n:
+            xn, yn = xn * half_x, yn * half_y
+        r, deg = xn * up + yn * down, (yn - xn) * s
+        for v in (r, deg):
+            assert v.is_rational and v.a.denominator == 1, (n, v)
+        rows.append((int(r.a), int(deg.a)))
+    return rows
+
+
 def test_closed_form_matches_recursion():
-    for d in range(5, 42, 2):
-        rows = invariants_from_seed(seed_0_half_d(d), 200).rows
-        assert closed_form(d, 200) == [(row.r, row.d) for row in rows]
+    for d, n_max in [(d, 200) for d in range(5, 42, 2)] + [(10**6 + 1, 60)]:
+        rows = invariants_from_seed(seed_0_half_d(d), n_max).rows
+        recursion = [(row.r, row.d) for row in rows]
+        assert closed_form(d, n_max) == surd_closed_form(d, n_max) == recursion
 
 
 def test_closed_form_domain():

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from helixkit.bundles import euler_pairing, hom_dims, mutate_triad_right
+from helixkit.bundles import Triad, euler_pairing, hom_dims, mutate_triad_right
 from helixkit.errors import NotMutable
 from helixkit.helix import Seed, invariants_from_seed
 from helixkit.sampling import (
+    _below,
     random_presentation,
     random_right_mutable_triad,
     random_right_step,
@@ -123,3 +124,28 @@ def test_seed_table_follows_the_reference_stream(n_max):
         assert table.seed == reference_seed_triple(ref, n_max)
         assert table == invariants_from_seed(table.seed, n_max)
     assert rng.getstate() == ref.getstate()
+
+
+# The samplers draw through _below on getrandbits; these pin it to the
+# interpreter's own randrange, so a change in CPython's draw fails here.
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_below_is_randrange(seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in range(1, 101):
+        for _ in range(20):
+            assert _below(rng.getrandbits, n) == ref.randrange(n)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_drawn_triads_pass_the_constructor(seed):
+    # random_triad builds its Triad unchecked, with the pairings of its
+    # acceptance test; Triad(a, b, c) re-checks them and computes its own
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        t = random_triad(rng)
+        checked = Triad(t.a, t.b, t.c)
+        assert checked == t
+        assert hom_dims(checked) == hom_dims(t)
