@@ -18,8 +18,12 @@ Each relation block is handled once, from input text to output text. Its int
 rows are read straight from the JSON entry strings, and it is eliminated at
 most once: its one reduced echelon form (RationalMatrix._reduced_form) is
 shared by the rank check of __init__, the dual, the double-dual certificate
-and degree_dims (the leading words and degree 2). koszul-dual writes the dual
-as JSON text directly (_json_text), from the entries _json_row gives.
+and degree_dims (the leading words and every degree of the recursion). The
+recursion builds a degree's normal-form map only when the next degree is
+read, so the map of the last degree read is never built. koszul-dual writes
+the dual as JSON text directly (_json_text), from the entries _json_row
+gives. The ambient route (_spread_rows) reads the given rows, so it stays
+independent of the elimination.
 
 The dual basis pairing used throughout is the coordinatewise one on tensor
 squares: <f (x) g, u (x) w> = f(u) g(w), with factor order preserved.
@@ -426,25 +430,25 @@ def _ambient_degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
     return DimTable(p.period, max_degree, tuple(table))
 
 
-def _quotient_step(
-    nf, block, g_left: int, g: int, lower: int, upper: int, need_map: bool
-):
+def _quotient_step(nf, rows, g_left: int, g: int, lower: int) -> dict[int, dict[int, int]]:
     """One degree of the quotient recursion A_n = coker(A_{n-2} (x) R -> A_{n-1} (x) V).
 
-    block holds the int rows of the relations between the last two generator
-    spaces, of dimensions g_left and g (V); lower and upper are dim A_{n-2}
-    and dim A_{n-1}. nf[c * g_left + a] = (q, row) holds the word (basis
-    element c of A_{n-2}) * (generator a) on A_{n-1}'s basis as row / q.
-    Column k * g + b of A_{n-1} (x) V pairs basis element k with generator
-    b. Each image row is built here, in a fresh dict that drops entries as
-    they cancel, and goes straight into the kernel's one reduction loop
-    (exact._insert); no row is copied. Most words have q = 1, so the row is
-    scaled only when some q is not: then every term, q = 1 ones included, is
-    scaled by den // q, with den the lcm of the row's q's.
-    Returns dim A_n and, when need_map is set, the same map one degree up
-    (_normal_form).
+    rows are int rows spanning the relations between the last two generator
+    spaces, of dimensions g_left and g (V); any basis gives the same rank and,
+    after back-substitution, the same map. lower is dim A_{n-2}.
+    nf[c * g_left + a] = (q, row) holds the word (basis element c of
+    A_{n-2}) * (generator a) on A_{n-1}'s basis as row / q. Column k * g + b
+    of A_{n-1} (x) V pairs basis element k with generator b. Each image row
+    is built here, in a fresh dict that drops entries as they cancel, and
+    goes straight into the kernel's one reduction loop (exact._insert); no
+    row is copied. Most words have q = 1, so the row is scaled only when
+    some q is not: then every term, q = 1 ones included, is scaled by
+    den // q, with den the lcm of the row's q's.
+    Returns the forward pivots of the image: dim A_n is dim A_{n-1} * g minus
+    their number, and _back_substitute then _normal_form turn them into the
+    map one degree up.
     """
-    terms = [[(col // g, col % g, v) for col, v in row.items()] for _, row in block]
+    terms = [[(col // g, col % g, v) for col, v in row.items()] for row in rows]
     pivots: dict[int, dict[int, int]] = {}
     for c in range(lower):
         base = c * g_left
@@ -472,43 +476,38 @@ def _quotient_step(
                             del out[col]
             if out:
                 _insert(pivots, out)
-    cols = upper * g
-    if not need_map:
-        return cols - len(pivots), None
-    _back_substitute(pivots)
-    return _normal_form(pivots, cols)
+    return pivots
 
 
 def _quotient_dims(p: QuadraticPresentation, i: int, max_degree: int):
     """Yield dim A_{i,i+n} for n = 0..max_degree by the quotient recursion.
 
-    A_2 = V_i (x) V_{i+1} / R_i and its normal-form map are read off R_i's
-    one reduced form (RationalMatrix._reduced_form), which is left as it is.
-    Each later degree is
+    Every degree reads its relation block's one reduced form
+    (RationalMatrix._reduced_form), which is left as it is: A_2 =
+    V_i (x) V_{i+1} / R_i is read off R_i's, and each later degree is
     A_n = coker(A_{n-2} (x) R_{i+n-2} -> A_{n-1} (x) V_{i+n-1}), built from
     the map of the degree before (_quotient_step), so the work follows the
-    quotient dimensions, not the tensor power. The map is kept up to degree
-    max_degree - 1. A caller may stop reading after any degree and go on
-    later; no step runs twice.
+    quotient dimensions, not the tensor power. A degree's map is built only
+    when the next degree is read: dim A_n is yielded right after the forward
+    pass, and the pivots are back-substituted and turned into A_n's map
+    (_normal_form) on resume, never past max_degree. A caller may stop
+    reading after any degree and go on later; no step runs twice.
     """
     word = [p.gen_dims[(i + k) % p.period] for k in range(max(max_degree, 2))]
     yield from (1, word[0])[: max_degree + 1]
     if max_degree < 2:
         return
     pivots, cols = p.relations[i]._reduced_form(), word[0] * word[1]
-    if max_degree == 2:
-        yield cols - len(pivots)
-        return
-    upper, nf = _normal_form(pivots, cols)
-    yield upper
+    yield cols - len(pivots)
     lower = word[0]
     for n in range(3, max_degree + 1):
-        block = p.relations[(i + n - 2) % p.period].int_rows
-        dim, nf = _quotient_step(
-            nf, block, word[n - 2], word[n - 1], lower, upper, n < max_degree
-        )
-        lower, upper = upper, dim
-        yield dim
+        if n > 3:  # degree 2's pivots are the block's reduced form itself
+            _back_substitute(pivots)
+        upper, nf = _normal_form(pivots, cols)
+        rows = p.relations[(i + n - 2) % p.period]._reduced_form().values()
+        pivots = _quotient_step(nf, rows, word[n - 2], word[n - 1], lower)
+        lower, cols = upper, upper * word[n - 1]
+        yield cols - len(pivots)
 
 
 def _normal_pairs(p: QuadraticPresentation) -> list[list[list[int]]]:
@@ -561,9 +560,11 @@ def degree_dims(p: QuadraticPresentation, max_degree: int) -> DimTable:
     words are a basis of A in every degree: A is PBW (Priddy 1970;
     Polishchuk-Positselski, Quadratic Algebras, ch. 4). The table is then
     the normal-word counts (_normal_word_counts), with no elimination above
-    degree 3. Otherwise every start index goes on with the recursion from
-    its degree-3 map. _ambient_degree_dims is the independent reference
-    route to the same table.
+    degree 3, and no map above degree 2 is ever built: the certificate reads
+    only the degree-3 dims. Otherwise every start index goes on with the
+    recursion, which builds its degree-3 map only then.
+    _ambient_degree_dims is the independent reference route to the same
+    table.
 
     Ambient tensor dimensions above the HELIXKIT_DIM_CAP environment value
     (default 10**6) are refused, for every cell before any work starts, even

@@ -901,6 +901,88 @@ def test_koszul_dual_report_is_byte_identical(capsys, tmp_path, doc, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def fixed_lower(n, k):
+    """A fixed lower-triangular p/q n x n matrix with a nonzero diagonal,
+    varied by k."""
+    F = fractions.Fraction
+    return [
+        [F((-1) ** (r + c) * (1 + (3 * r + 5 * c + k) % 4), 1 + (r + 2 * c + k) % 3)
+         if c < r else F(1 + (r + k) % 3, 1 + (r * k) % 2) if c == r else F(0)
+         for c in range(n)]
+        for r in range(n)
+    ]
+
+
+def fraction_matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), fractions.Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def pq_fixture_doc(m, sign):
+    """x_a x_b + sign x_b x_a (a < b for the commutators, sign -1; a <= b for
+    the anticommutators, sign 1) under x_a -> sum_c P[a][c] x_c with
+    P = L U^T, then mixed by a third fixed triangular matrix: p/q rows
+    whose reduced form is ±1 entries."""
+    F = fractions.Fraction
+    rows = []
+    for a in range(m):
+        for b in range(a + (sign < 0), m):
+            row = [F(0)] * (m * m)
+            row[a * m + b] += 1
+            row[b * m + a] += sign
+            rows.append(row)
+    p = fraction_matmul(fixed_lower(m, 0), [list(c) for c in zip(*fixed_lower(m, 1))])
+    kron = [[p[a][c] * p[b][e] for c in range(m) for e in range(m)]
+            for a in range(m) for b in range(m)]
+    rows = fraction_matmul(fixed_lower(len(rows), 2), fraction_matmul(rows, kron))
+    return {"period": 1, "gen_dims": [m],
+            "relations": [{"index": 0, "rows": [[str(x) for x in r] for r in rows]}]}
+
+
+def im_doc(m, count, k):
+    """[I | M] L: count rows on m letters with a fixed p/q M, times a fixed
+    lower-triangular p/q L on the columns."""
+    F = fractions.Fraction
+    cols = m * m
+    rows = [
+        [F(int(c == r)) for c in range(count)]
+        + [F((1 + (2 * r + 3 * c + k) % 5) * (-1) ** (r * c + k), 1 + (r + c + k) % 3)
+           if (r + 2 * c + k) % 3 else F(0) for c in range(cols - count)]
+        for r in range(count)
+    ]
+    rows = fraction_matmul(rows, [list(c) for c in zip(*fixed_lower(cols, k))])
+    return {"period": 1, "gen_dims": [m],
+            "relations": [{"index": 0, "rows": [[str(x) for x in r] for r in rows]}]}
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        (pq_fixture_doc(3, -1), "eed91ee11bd7e83afc788cdfc335e88dc870069acb20716627f22b310cee105b"),
+        (pq_fixture_doc(4, -1), "8f46e137c8a03056279aa2598507dca2c1d82c015cbd1d74b382722e65c31d42"),
+        (pq_fixture_doc(5, -1), "e9951c6e7f472c617c2c1da9299732a2533ac9ff2fec04391edc514245c59ce3"),
+        (pq_fixture_doc(3, 1), "a6ff9336743be40a09f8665c1245eb65f825bb3ef21505284cf004fa9e0fdaef"),
+        (im_doc(2, 3, 0), "841d9ad1a0b1927aa578080a0c4d83bd30c0332c701c81dfaa1370141e2590d5"),
+        (im_doc(3, 7, 1), "52d42e9f52b5a5a4fbab835368b43b1214102c042f05f0abae1709c76221819c"),
+        (im_doc(4, 15, 0), "947dc3a7d355c02eb2825ff4e0b216e46f5707763e1d39a1237e3ce52e636993"),
+    ],
+    ids=["comm-3", "comm-4", "comm-5", "anticomm-3", "im-2", "im-3", "im-4"],
+)
+def test_koszul_dual_dims_and_witness_are_byte_identical(capsys, tmp_path, doc, digest):
+    # golden: sha256 of the stdout of the quotient recursion that built every
+    # map from the given rows; the fixtures are PBW in new variables, and the
+    # three [I | M] L duals are not, so their dims come from the recursion up
+    # to degree 7 (dims 1, 2, 3, ..., 8; 1, 3, 7, ..., 255; 1, 4, 15, ...,
+    # 10864)
+    src = tmp_path / "pres.json"
+    src.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "koszul-dual", str(src), "--dims", "7", "--witness", "5",
+                       "--check-double-dual")
+    assert code == 0
+    assert "double-dual: PASS" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _NOT_MUTABLE = "error at step 1: member a not mutable (right mutation of 1:0 past 1:1 has rank 0)\n"
 
 

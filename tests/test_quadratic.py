@@ -497,13 +497,13 @@ def test_quotient_route_matches_ambient_route(seed):
         assert degree_dims(q, 4) == quadratic._ambient_degree_dims(q, 4)
 
 
-def reference_quotient_step(nf, block, g_left, g, lower, upper, need_map):
+def reference_quotient_step(nf, rows, g_left, g, lower):
     """The quotient step as a generator of image rows, each scaled by the
     lcm of its words' q's, fed to _echelon: the plain route that
-    quadratic._quotient_step must agree with."""
-    terms = [[(col // g, col % g, v) for col, v in row.items()] for _, row in block]
+    quadratic._quotient_step must agree with. Returns the forward pivots."""
+    terms = [[(col // g, col % g, v) for col, v in row.items()] for row in rows]
 
-    def rows():
+    def image():
         for c in range(lower):
             base = c * g_left
             for term in terms:
@@ -518,35 +518,53 @@ def reference_quotient_step(nf, block, g_left, g, lower, upper, need_map):
                         out[col] = s * x if old is None else old + s * x
                 yield out
 
-    pivots = _echelon(rows())
-    cols = upper * g
-    if not need_map:
-        return cols - len(pivots), None
+    return _echelon(image())
+
+
+def finished_map(pivots, cols):
+    """(dim, map) one degree up from a step's forward pivots, which it
+    back-substitutes in place."""
     _back_substitute(pivots)
     return _normal_form(pivots, cols)
 
 
-def assert_steps_match_reference(p, max_degree):
-    # walk degree_dims' recursion, comparing every step, maps included,
-    # since every later degree reads the map
+def walk_recursion(p, max_degree, check):
+    """Walk degree_dims' recursion from every start index, degree 2 included
+    as a step from degree 1's identity map, calling
+    check(n, nf, rel, g_left, g, lower, cols) before each step; every later
+    degree reads the map, so each step is compared map and all."""
     for i in range(p.period):
         word = [p.gen_dims[(i + k) % p.period] for k in range(max_degree)]
         nf = [(1, {a: 1}) for a in range(word[0])]
         dims = [1, word[0]]
         for n in range(2, max_degree + 1):
-            block = p.relations[(i + n - 2) % p.period].int_rows
-            args = (nf, block, word[n - 2], word[n - 1], dims[n - 2], dims[n - 1])
-            for need_map in (False, True):
-                got = quadratic._quotient_step(*args, need_map)
-                assert got == reference_quotient_step(*args, need_map), (i, n)
-            if n == 2:
-                # degree_dims reads degree 2 off the block's echelon form
-                pivots = _echelon(row for _, row in block)
-                _back_substitute(pivots)
-                assert got == _normal_form(pivots, word[0] * word[1])
-            dim, nf = got
+            rel = p.relations[(i + n - 2) % p.period]
+            args = (word[n - 2], word[n - 1], dims[n - 2])
+            cols = dims[n - 1] * word[n - 1]
+            check(n, nf, rel, *args, cols)
+            pivots = quadratic._quotient_step(nf, rel._reduced_form().values(), *args)
+            dim, nf = finished_map(pivots, cols)
             dims.append(dim)
         assert tuple(dims) == degree_dims(p, max_degree).dims[i]
+
+
+def check_against_reference(n, nf, rel, g_left, g, lower, cols):
+    rows = list(rel._reduced_form().values())
+    got = quadratic._quotient_step(nf, rows, g_left, g, lower)
+    want = reference_quotient_step(nf, rows, g_left, g, lower)
+    assert len(got) == len(want), n  # the rank
+    got = finished_map(got, cols)
+    assert got == finished_map(want, cols), n
+    if n == 2:
+        # degree_dims reads degree 2 off the block's reduced form
+        assert got == _normal_form(rel._reduced_form(), cols)
+
+
+def check_either_basis(n, nf, rel, g_left, g, lower, cols):
+    given = quadratic._quotient_step(nf, [row for _, row in rel.int_rows], g_left, g, lower)
+    reduced = quadratic._quotient_step(nf, rel._reduced_form().values(), g_left, g, lower)
+    assert len(given) == len(reduced), n
+    assert finished_map(given, cols) == finished_map(reduced, cols), n
 
 
 @settings(max_examples=25, deadline=None)
@@ -557,7 +575,18 @@ def assert_steps_match_reference(p, max_degree):
 def test_quotient_step_matches_reference(seed):
     p = random_presentation(random.Random(seed), max_gen=3)
     for q in (p, koszul_dual(p)):
-        assert_steps_match_reference(q, 4)
+        walk_recursion(q, 4, check_against_reference)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+@example(344)
+def test_quotient_step_reads_either_basis_of_a_block(seed):
+    # the recursion reads each block's reduced form; its given rows span the
+    # same space, so every rank and every finished map must be the same
+    p = random_presentation(random.Random(seed), max_gen=3)
+    for q in (p, koszul_dual(p)):
+        walk_recursion(q, 4, check_either_basis)
 
 
 def test_borrowed_rows_are_left_untouched():
@@ -686,16 +715,24 @@ def certified(p):
     )
 
 
-def counting_steps(monkeypatch):
-    """Wrap the quotient step; the returned list gets one entry per call."""
-    real, calls = quadratic._quotient_step, []
+def counting_steps(monkeypatch, name="_quotient_step"):
+    """Wrap the quotient step, or another kernel function as quadratic calls
+    it; the returned list gets one entry per call."""
+    real, calls = getattr(quadratic, name), []
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(quadratic, "_quotient_step", counted)
+    monkeypatch.setattr(quadratic, name, counted)
     return calls
+
+
+def counting_work(monkeypatch):
+    """Call lists of the quotient step, the maps it reads (_normal_form) and
+    the back-substitutions that finish them, all as quadratic calls them."""
+    names = ("_quotient_step", "_normal_form", "_back_substitute")
+    return {name: counting_steps(monkeypatch, name) for name in names}
 
 
 def anticommutator_rows(g):
@@ -804,14 +841,83 @@ def test_non_pbw_potential_keeps_the_recursion(monkeypatch):
     # a seeded cubic tensor on 3 letters: 12 normal words of length 3
     # against dim A_3 = 10, so every index runs the recursion to the end,
     # each step (degrees 3, 4 and 5) once
-    rng = random.Random(3)
-    w = [[[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)] for _ in range(3)]
-    p = potential_presentation(w)
+    p = seeded_potential(3)
     assert [c[3] for c in table_by_count(p, 3)] == [12, 12, 12]
     calls = counting_steps(monkeypatch)
     assert degree_dims(p, 5).dims == ((1, 3, 6, 10, 15, 21),) * 3
     assert len(calls) == 3 * 3
     assert degree_dims(p, 4).dims == quadratic._ambient_degree_dims(p, 4).dims
+
+
+def seeded_potential(seed):
+    """The potential presentation of a seeded 3-tensor on 3 letters, entries
+    -3..3."""
+    rng = random.Random(seed)
+    w = [[[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    return potential_presentation(w)
+
+
+def pbw_presentations():
+    """The fixtures n = 1..4 and their duals, each with its top degree (5
+    for n = 4, 7 for the rest), then commutator and anticommutator rows in
+    new p/q variables: every one passes the degree-3 certificate."""
+    for n in (1, 2, 3, 4):
+        p, _ = classical_euler_fixture(n)
+        for q in (p, koszul_dual(p)):
+            yield q, 5 if n == 4 else 7
+    rng = random.Random(0)
+    for g in (2, 3, 4):
+        for rows in (commutator_rows(g), anticommutator_rows(g)):
+            yield QuadraticPresentation(1, (g,), (M(change_of_variables(rows, g, rng)),)), 7
+
+
+def test_pbw_presentations_build_one_map_and_finish_none(monkeypatch):
+    # degree 3 is the one step per start index, read from degree 2's map,
+    # which is the block's reduced form as it is; the certificate holds, so
+    # the degree-3 map is never built
+    work = counting_work(monkeypatch)
+    for p, top in pbw_presentations():
+        assert certified(p)
+        for calls in work.values():
+            calls.clear()
+        table = degree_dims(p, top)
+        assert table.dims == table_by_count(p, top)
+        assert len(work["_quotient_step"]) == p.period
+        assert len(work["_normal_form"]) == p.period
+        assert work["_back_substitute"] == []
+
+
+def test_non_pbw_presentations_build_each_map_once(monkeypatch):
+    # draw 135 of this stream (period 3, non-PBW) and the seed-3 potential:
+    # a step and a map per start index and degree 3..max_degree, and the
+    # forward pivots of every degree below max_degree finished exactly once
+    rng = random.Random(7)
+    for _ in range(135):
+        random_presentation(rng)
+    work = counting_work(monkeypatch)
+    for p, top in ((random_presentation(rng), 4), (seeded_potential(3), 5)):
+        assert not certified(p)
+        for calls in work.values():
+            calls.clear()
+        degree_dims(p, top)
+        assert len(work["_quotient_step"]) == p.period * (top - 2)
+        assert len(work["_normal_form"]) == p.period * (top - 2)
+        assert len(work["_back_substitute"]) == p.period * (top - 3)
+
+
+def test_partial_reads_resume_without_redoing_a_step(monkeypatch):
+    p = seeded_potential(3)
+    whole = table_by_recursion(p, 6)
+    work = counting_work(monkeypatch)
+    for i in range(p.period):
+        dims = quadratic._quotient_dims(p, i, 6)
+        low = tuple(itertools.islice(dims, 4))
+        # dim A_3 is read, and A_3's map is not built until degree 4 is
+        assert (len(work["_quotient_step"]), len(work["_normal_form"])) == (i * 4 + 1,) * 2
+        assert len(work["_back_substitute"]) == i * 3
+        assert low + tuple(dims) == whole[i]
+    assert len(work["_quotient_step"]) == len(work["_normal_form"]) == p.period * 4
+    assert len(work["_back_substitute"]) == p.period * 3
 
 
 def test_cap_message_names_the_first_cell_over_it(monkeypatch):
