@@ -35,8 +35,10 @@ from .helix import (
     Seed,
     _checked_text,
     _csv_lines,
+    _grow,
+    _replay,
     _require_printable,
-    _row_texts,
+    _table,
     check_positivity,
     invariants_from_seed,
     limit_slopes,
@@ -156,12 +158,12 @@ def _run_seed_table(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     seed = Seed(args.mu0, args.mu1p, args.mu1)
-    table = invariants_from_seed(seed, args.n)
+    # each row is checked as it is grown, as triad checks each step, so the
+    # first unprintable row ends the run before any later row is built
+    table = _table(seed, _printable(_grow(seed, args.n)))
     report = check_positivity(table)
-    # _row_texts refuses a table past the int str digit limit when it is
-    # called, so a table that cannot be printed prints nothing; the lines
-    # are written as the rows are replayed
-    texts = _row_texts(table)
+    # _row_texts without its checks, passed above; lines stream as replayed
+    texts = _replay(table.rows, table.minors)
 
     if args.format == "csv":
         sys.stdout.writelines(_csv_lines(texts))
@@ -182,6 +184,15 @@ def _run_seed_table(args) -> int:
         if not ok:
             return 2
     return 0
+
+
+def _printable(grown):
+    """Yield grown's (row, minor) pairs; at the first row with an entry str()
+    would refuse, raise its ValueError instead."""
+    for pair in grown:
+        _, d, r, dp, rp = pair[0]
+        _require_printable(max(d, r, dp or 0, rp or 0, key=int.bit_length))
+        yield pair
 
 
 def _table_lines(texts):

@@ -382,19 +382,13 @@ class RationalMatrix(Value):
         if rows < 0 or cols < 0 or len(es) != rows * cols:
             raise ValueError("entry count must equal rows*cols")
         dense = (es[i * cols : (i + 1) * cols] for i in range(rows))
-        d = self.__dict__
-        d["cols"] = cols
-        d["int_rows"] = tuple(_dense_to_sparse(dense))
+        super().__init__(cols, tuple(_dense_to_sparse(dense)))
 
     @classmethod
     def _of(cls, cols: int, int_rows: Iterable[tuple[int, dict[int, int]]]):
         """The matrix of these int rows, each already in _dense_to_sparse's
         form, built without checks."""
-        self = object.__new__(cls)
-        d = self.__dict__
-        d["cols"] = cols
-        d["int_rows"] = tuple(int_rows)
-        return self
+        return cls._unchecked(cols, tuple(int_rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None):

@@ -38,6 +38,8 @@ from .errors import (
 )
 from .exact import SurdValue, _frac, surd_to_decimal
 
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 class Seed(Value):
     """Strictly increasing rational slope triple (mu0, mu1p, mu1)."""
@@ -48,18 +50,7 @@ class Seed(Value):
         mu0, mu1p, mu1 = _frac(mu0), _frac(mu1p), _frac(mu1)
         if not mu0 < mu1p < mu1:
             raise InvalidSeed(f"slopes must increase strictly: {mu0}, {mu1p}, {mu1}")
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "mu1p", mu1p)
-        object.__setattr__(self, "mu1", mu1)
-
-    @classmethod
-    def _unchecked(cls, mu0: Fraction, mu1p: Fraction, mu1: Fraction) -> Seed:
-        """The seed of three Fractions already in strictly increasing order,
-        built without the constructor's parsing and order check (a drawn
-        seed, see sampling.random_seed_table)."""
-        seed = cls.__new__(cls)
-        seed.__dict__.update(mu0=mu0, mu1p=mu1p, mu1=mu1)
-        return seed
+        super().__init__(mu0, mu1p, mu1)
 
     @property
     def d_param(self) -> int | None:
@@ -77,9 +68,9 @@ class Seed(Value):
     def pairs(self):
         """((d0,r0), (d1p,r1p), (d1,r1)) from the reduced fractions."""
         return (
-            (self.mu0.numerator, self.mu0.denominator),
-            (self.mu1p.numerator, self.mu1p.denominator),
-            (self.mu1.numerator, self.mu1.denominator),
+            self.mu0.as_integer_ratio(),
+            self.mu1p.as_integer_ratio(),
+            self.mu1.as_integer_ratio(),
         )
 
 
@@ -98,24 +89,10 @@ class HelixTable(Value):
     # mixed minor, and for n >= 4 the expansion in invariants_from_seed
     # gives minors[n] = minors[n-3]: only minors[1..3] come from the rows.
     # The printed texts replay the rows from them, so _row_texts needs one
-    # per row; verify_periodicity reads them only as multipliers of its
-    # residuals, and its minors are the rows' own whatever they hold
+    # per row and refuses a row that is not their recursion; verify_periodicity
+    # reads them only as multipliers of its residuals, and its minors are the
+    # rows' own whatever they hold
     _fields = ("seed", "d_param", "rows", "degenerate_at", "minors")
-
-    def __init__(
-        self,
-        seed: Seed,
-        d_param: int | None,
-        rows: tuple[Row, ...],
-        degenerate_at: int | None,
-        minors: tuple[int, ...],
-    ):
-        d = self.__dict__
-        d["seed"] = seed
-        d["d_param"] = d_param
-        d["rows"] = rows
-        d["degenerate_at"] = degenerate_at
-        d["minors"] = minors
 
     def seed_triad(self) -> Triad:
         (d0, r0), (d1p, r1p), (d1, r1) = self.seed.pairs()
@@ -159,11 +136,13 @@ def _require_printable(top: int) -> None:
     """Raise the ValueError str() raises for top, if it would.
 
     str() refuses an int of more digits than sys.get_int_max_str_digits()
-    (0: no limit). One of at most 3 * limit bits is below 8**limit, so it has
-    no more, and only a longer one is converted.
+    (0: no limit), one of size 10**limit or more. As log2(10) > 3.32, one of
+    at most 3.32 * limit bits is below 10**limit: only a longer one is
+    compared with 10**limit, and str(), quadratic in the digits, runs only
+    on an int it refuses.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and top.bit_length() > 3 * limit:
+    limit = _int_max_str_digits()
+    if limit and 100 * top.bit_length() > 332 * limit and abs(top) >= 10**limit:
         str(top)
 
 
@@ -205,10 +184,12 @@ def _row_texts(table: HelixTable):
     digits, while a Decimal holds base-10 digits and prints in linear time;
     so the texts come from an exact Decimal replay of invariants_from_seed's
     two updates, from the Decimals of rows 0 and 1 and the table's carried
-    minors. Only the last two rows are kept, and each text is checked
-    against its int before it is yielded (_checked_text): a replay that
-    disagrees with the table raises ArithmeticError and never yields the
-    text.
+    minors. Only the last two rows are kept. Before a row from row 2 on is
+    yielded, its residuals E_i and F_i (_residuals) must be zero, so that it
+    is the recursion the replay runs, and each of its texts is checked
+    against its int (_checked_text): a row that disagrees with the
+    recursion, or a replay that disagrees with the table, raises
+    ArithmeticError and the row is never yielded.
     """
     rows, minors = table.rows, table.minors
     if len(minors) < len(rows):
@@ -230,7 +211,9 @@ def _replay(rows: tuple[Row, ...], minors: tuple[int, ...]):
         None, None,
     )
     c = Decimal(minors[1])
-    for i in range(1, len(rows)):
+    # the first row that is not the recursion of the rows before it
+    bad = next(_residuals(rows, minors), (len(rows),))[0]
+    for i in range(1, bad):
         if i > 1:
             # the two updates of invariants_from_seed: row i from rows i-1, i-2
             row, c_prev, c = rows[i], c, Decimal(minors[i])
@@ -241,6 +224,9 @@ def _replay(rows: tuple[Row, ...], minors: tuple[int, ...]):
             row, minors[i], _checked_text(row.d, d1), _checked_text(row.r, r1),
             _checked_text(row.dp, dp1), _checked_text(row.rp, rp1),
         )
+    if bad < len(rows):
+        raise ArithmeticError(f"row {bad} is not the seed recursion of the rows "
+                              f"before it and the table's minors")
 
 
 def slope_text(row: Row, c: int, d_text: str, r_text: str) -> str:
@@ -287,40 +273,46 @@ def invariants_from_seed(seed: Seed, n_max: int) -> HelixTable:
     """
     if n_max < 1:
         raise ValueError("need at least rows 0 and 1")
-    (d0, r0), (d1p, r1p), (d1, r1) = seed.pairs()
-    rows = [Row(0, d0, r0, None, None), Row(1, d1, r1, d1p, r1p)]
-    minors = [0, d1 * r0 - d0 * r1]
-    degenerate_at = None
+    return _table(seed, _grow(seed, n_max))
+
+
+def _grow(seed: Seed, n_max: int):
+    """Yield (row n, minors[n]) of the seed's table for n = 0 .. n_max, as
+    invariants_from_seed grows them, the last being the first row with a
+    nonpositive rank component if one comes first."""
+    (d2, r2), (dp1, rp1), (d1, r1) = seed.pairs()
+    c = d1 * r2 - d2 * r1
+    yield Row(0, d2, r2, None, None), 0
+    yield Row(1, d1, r1, dp1, rp1), c
+    new = tuple.__new__  # Row(...) runs a Python __new__, at twice the cost
+    # in step i, row i-2 is (d2, r2), row i-1 is (d1, r1, dp1, rp1), c is
+    # minors[i-1] and c3, c2 are minors[i-3], minors[i-2]
+    c3, c2 = None, 0
     for i in range(2, n_max + 1):
-        prev, prev2, minor = rows[i - 1], rows[i - 2], minors[i - 1]
-        dp, rp = minor * prev.d - prev2.d, minor * prev.r - prev2.r
-        mixed = _mixed_minor(prev) if i < 4 else minors[i - 3]
-        d, r = mixed * prev.d - prev.dp, mixed * prev.r - prev.rp
-        rows.append(Row(i, d, r, dp, rp))
-        minors.append(mixed)
+        dp, rp = c * d1 - d2, c * r1 - r2
+        mixed = d1 * rp1 - dp1 * r1 if i < 4 else c3
+        d, r = mixed * d1 - dp1, mixed * r1 - rp1
+        yield new(Row, (i, d, r, dp, rp)), mixed
         if r <= 0 or rp <= 0:
-            degenerate_at = i
-            break
-    return HelixTable(seed, seed.d_param, tuple(rows), degenerate_at, tuple(minors))
+            return
+        d2, r2, d1, r1, dp1, rp1 = d1, r1, d, r, dp, rp
+        c3, c2, c = c2, c, mixed
+
+
+def _table(seed: Seed, grown) -> HelixTable:
+    """The HelixTable of seed whose rows and minors are _grow's pairs."""
+    rows, minors = zip(*grown)
+    last = rows[-1]
+    degenerate_at = last.n if last.r <= 0 or last.rp <= 0 else None
+    return HelixTable(seed, seed.d_param, rows, degenerate_at, minors)
 
 
 class PositivityReport(Value):
     """kind is Certified, VerifiedToHorizon or FailsAt."""
 
     _fields = ("kind", "horizon", "fail_index", "fail_component")
-
-    def __init__(
-        self,
-        kind: str,
-        horizon: int,
-        fail_index: int | None = None,
-        fail_component: str | None = None,
-    ):
-        d = self.__dict__
-        d["kind"] = kind
-        d["horizon"] = horizon
-        d["fail_index"] = fail_index
-        d["fail_component"] = fail_component
+    fail_index: int | None = None
+    fail_component: str | None = None
 
     def __str__(self):
         if self.kind == "Certified":
@@ -345,10 +337,6 @@ def check_positivity(table: HelixTable) -> PositivityReport:
         component = "r" if last.r <= 0 else "rp"
         return PositivityReport("FailsAt", last.n, last.n, component)
     return PositivityReport("VerifiedToHorizon", last.n)
-
-
-def _mixed_minor(x: Row) -> int:
-    return x.d * x.rp - x.dp * x.r
 
 
 def verify_periodicity(table: HelixTable) -> tuple[bool, str | None]:
@@ -405,20 +393,19 @@ def _row_minors(table: HelixTable) -> tuple[list[int], list[int | None]]:
     of rows n+1, n and mixed[n] row n's mixed minor (None at n = 0), by the
     residual identities in verify_periodicity's docstring."""
     rows = table.rows
-    top = len(rows) - 1
     minors = (*table.minors, *(0,) * len(rows))
-    # in step i, row i-1 is (d1, r1, dp1, rp1), row i-2 is (d2, r2) and
-    # (fd1, fr1) is F_(i-1), first read at i = 3
+    # in step i, row i-1 is (d1, r1), row i-2 is (d2, r2) and (fd1, fr1) is
+    # F_(i-1), first read at i = 3
     _, d2, r2, _, _ = rows[0]
-    _, d1, r1, dp1, rp1 = rows[1]
+    _, d1, r1, _, _ = rows[1]
     consec = [d1 * r2 - d2 * r1]
-    mixed = [None, _mixed_minor(rows[1]), _mixed_minor(rows[2])]
+    mixed = [None, *(x.d * x.rp - x.dp * x.r for x in rows[1:3])]
     fd1 = fr1 = 0
-    for i in range(2, top + 1):
-        _, d, r, dp, rp = rows[i]
+    nonzero = {i: e_f for i, *e_f in _residuals(rows, minors)}
+    for i in range(2, len(rows)):
+        _, d, r, _, _ = rows[i]
         c, c1 = minors[i], minors[i - 1]
-        ed, er = d - c * d1 + dp1, r - c * r1 + rp1
-        fd, fr = dp - c1 * d1 + d2, rp - c1 * r1 + r2
+        ed, er, fd, fr = nonzero.get(i, (0, 0, 0, 0))
         consec.append(mixed[i - 1] + (ed * r1 - d1 * er if ed or er else 0))
         if i > 2:
             m = c1 * consec[i - 1] - c * consec[i - 2] + consec[i - 3]
@@ -429,8 +416,25 @@ def _row_minors(table: HelixTable) -> tuple[list[int], list[int | None]]:
             if fd or fr:
                 m += d * fr - fd * r
             mixed.append(m)
-        d2, r2, d1, r1, dp1, rp1, fd1, fr1 = d1, r1, d, r, dp, rp, fd, fr
+        d2, r2, d1, r1, fd1, fr1 = d1, r1, d, r, fd, fr
     return consec, mixed
+
+
+def _residuals(rows: tuple[Row, ...], minors: tuple[int, ...]):
+    """Yield (i, E_i, F_i) as (i, ed, er, fd, fr), with m_k = minors[k]
+    (verify_periodicity's docstring), for each i = 2 .. len(rows) - 1 at
+    which one of the four is nonzero: there is none exactly when rows 2 and
+    up are the recursion of rows 0 and 1 and the minors."""
+    _, d2, r2, _, _ = rows[0]
+    _, d1, r1, dp1, rp1 = rows[1]
+    for i in range(2, len(rows)):
+        _, d, r, dp, rp = rows[i]
+        c, c1 = minors[i], minors[i - 1]
+        ed, er = d - c * d1 + dp1, r - c * r1 + rp1
+        fd, fr = dp - c1 * d1 + d2, rp - c1 * r1 + r2
+        if ed or er or fd or fr:
+            yield i, ed, er, fd, fr
+        d2, r2, d1, r1, dp1, rp1 = d1, r1, d, r, dp, rp
 
 
 def _require_odd_ge5(d: int) -> int:
@@ -480,21 +484,6 @@ class LimitReport(Value):
         "right_limit", "left_limit", "irrational", "decimal_right", "decimal_left"
     )
 
-    def __init__(
-        self,
-        right_limit: SurdValue,
-        left_limit: SurdValue,
-        irrational: bool,
-        decimal_right: str,
-        decimal_left: str,
-    ):
-        d = self.__dict__
-        d["right_limit"] = right_limit
-        d["left_limit"] = left_limit
-        d["irrational"] = irrational
-        d["decimal_right"] = decimal_right
-        d["decimal_left"] = decimal_left
-
 
 def limit_slopes(d: int) -> LimitReport:
     """Exact limiting slopes of the table in both directions.
@@ -537,9 +526,7 @@ class TwoSidedTable(Value):
         for a, b in zip(slopes, slopes[1:]):
             if not a < b:
                 raise ValueError("two-sided slopes must increase strictly")
-        d = self.__dict__
-        d["n_max"] = n_max
-        d["entries"] = entries
+        super().__init__(n_max, entries)
 
     def entry(self, n: int) -> ChernVector:
         return self.entries[n]

@@ -195,24 +195,7 @@ class QuadraticPresentation(Value):
                 )
             if rel.rank() != rel.rows:
                 raise ValueError(f"relation rows at index {i} are dependent")
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "gen_dims", gen_dims)
-        object.__setattr__(self, "relations", relations)
-
-    @classmethod
-    def _unchecked(cls, period, gen_dims, relations):
-        """The presentation with these fields (tuples), built without checks.
-
-        Only for the two constructions whose relation rows are independent
-        by construction: koszul_dual's kernel bases and the pivot rows of
-        sampling.random_presentation. JSON documents, the fixtures and
-        library callers go through __init__ and its rank check.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "gen_dims", gen_dims)
-        object.__setattr__(self, "relations", relations)
-        return self
+        super().__init__(period, gen_dims, relations)
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,6 +297,8 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     )
     # under the coordinatewise pairing the annihilator of R is the kernel of R
     duals = tuple(matrix_kernel(rel) for rel in p.relations)
+    # kernel bases are independent, so the rank check of __init__, which
+    # JSON documents, the fixtures and library callers pass, is skipped
     return QuadraticPresentation._unchecked(p.period, p.gen_dims, duals)
 
 
@@ -372,12 +357,6 @@ class DimTable(Value):
     """dim of each (start index, word length) cell, index read modulo period."""
 
     _fields = ("period", "max_degree", "dims")
-
-    def __init__(self, period: int, max_degree: int, dims: tuple[tuple[int, ...], ...]):
-        d = self.__dict__
-        d["period"] = period
-        d["max_degree"] = max_degree
-        d["dims"] = dims
 
     def dim(self, i: int, n: int) -> int:
         if not 0 <= n <= self.max_degree:
@@ -605,9 +584,6 @@ class WitnessReport(Value):
 
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple[WitnessEntry, ...]):
-        self.__dict__["entries"] = entries
-
     @property
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
@@ -651,7 +627,7 @@ class EquigenModel(Value):
     def __init__(self, d: int):
         if not isinstance(d, int) or d < 3:
             raise UnsupportedD(f"model needs an integer d >= 3, got {d}")
-        self.__dict__["d"] = d
+        super().__init__(d)
 
 
 def hilbert_A(model: EquigenModel, order: int) -> TruncatedSeries:

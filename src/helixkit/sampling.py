@@ -122,6 +122,8 @@ def random_seed_table(rng: random.Random, n_max: int = 12) -> HelixTable:
             num, den = num // g, den // g
             picks.add((num * (60 // den), num, den))
         (_, n0, e0), (_, n1, e1), (_, n2, e2) = sorted(picks)
+        # three distinct Fractions in increasing order: Seed's parsing and
+        # order check could not refuse them
         table = invariants_from_seed(
             Seed._unchecked(Fraction(n0, e0), Fraction(n1, e1), Fraction(n2, e2)), n_max
         )
@@ -161,4 +163,5 @@ def random_presentation(rng: random.Random, max_gen: int = 4) -> QuadraticPresen
             for _ in range(count)
         ]
         rels.append(RationalMatrix._of(ambient, _by_lead(_reduced(rows))))
+    # pivot rows are independent, so __init__'s rank check is skipped
     return QuadraticPresentation._unchecked(p, gens, tuple(rels))

@@ -74,6 +74,17 @@ digit_limit() {
     echo "$argv: exit $code, $bytes bytes of stdout"
     if [ "$code" -ne 65 ] || [ "$bytes" -ne 0 ]; then exit 1; fi
   done
+  # 200,000 rows would take about 20 GB: seed-table must stop growing at the
+  # first row it cannot print, inside 1 GiB of address space
+  (
+    ulimit -v 1048576
+    argv="seed-table 0 5/2 5 --n 200000"
+    code=0
+    PYTHONPATH=src python -X int_max_str_digits=640 -m helixkit.cli $argv > "$RUNNER_TEMP/stdout" || code=$?
+    bytes=$(wc -c < "$RUNNER_TEMP/stdout")
+    echo "$argv (ulimit -v 1048576): exit $code, $bytes bytes of stdout"
+    if [ "$code" -ne 65 ] || [ "$bytes" -ne 0 ]; then exit 1; fi
+  )
 }
 
 benchmark_smoke() {

@@ -10,6 +10,7 @@ import json
 import random
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -132,6 +133,29 @@ def test_seed_table_of_9000_rows_past_the_least_digit_limit_prints_nothing(capsy
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+def test_seed_table_of_200000_rows_stops_at_the_first_unprintable_row():
+    # 200,000 rows of the d = 5 table would hold about 20 GB (memory grows
+    # as n squared); the run must refuse at row 1119, the first with an entry
+    # of more than 640 digits, inside 1 GiB of address space
+    code = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "sys.argv = ['helixkit', 'seed-table', '0', '5/2', '5', '--n', '200000']\n"
+        "runpy.run_module('helixkit.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", code],
+        capture_output=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (65, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
 def reference_seed_table(mu, n: int, fmt: str) -> tuple[int, str]:
     """Exit code and stdout of seed-table as the three renderers once wrote
     them: str() of every table int, str(Fraction) for the slope column and
@@ -218,26 +242,28 @@ def test_seed_table_of_huge_minors_prints_what_str_prints(capsys, n, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-@pytest.mark.parametrize("where", ["minor", "row"])
+@pytest.mark.parametrize("where", ["minor", "row", "row by 10**9"])
 def test_seed_table_that_disagrees_with_its_minors_raises_before_the_row(
     capsys, monkeypatch, fmt, where
 ):
     # a table whose row 7 disagrees with its carried minors (13, 7, 3 in
-    # turn): a wrong minor 7, or a row 7 whose d is off by one; rows 0-6 are
-    # printed, row 7 never
-    grow = helix.invariants_from_seed
+    # turn): a wrong minor 7, or a row 7 whose d is off by one or by 10**9,
+    # which leaves its last nine digits as they were; rows 0-6 are printed,
+    # row 7 never
+    build = helix._table
 
-    def broken(seed, n_max):
-        t = grow(seed, n_max)
+    def broken(seed, grown):
+        t = build(seed, grown)
         rows, minors = list(t.rows), list(t.minors)
         if where == "minor":
             minors[7] += 1
         else:
-            rows[7] = rows[7]._replace(d=rows[7].d + 1)
+            delta = 1 if where == "row" else 10**9
+            rows[7] = rows[7]._replace(d=rows[7].d + delta)
         return helix.HelixTable(t.seed, t.d_param, tuple(rows), t.degenerate_at,
                                 tuple(minors))
 
-    monkeypatch.setattr(cli, "invariants_from_seed", broken)
+    monkeypatch.setattr(cli, "_table", broken)
     with pytest.raises(ArithmeticError):
         cli.main(["seed-table", "-6", "-3", "1/2", "--n", "12", "--format", fmt])
     out = capsys.readouterr().out

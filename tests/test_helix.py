@@ -30,6 +30,7 @@ from helixkit.helix import (
     slope_text,
     verify_periodicity,
     verify_ratio_bound,
+    _require_printable,
     _row_minors,
     _row_texts,
 )
@@ -430,6 +431,50 @@ def test_row_texts_refuses_fewer_minors_than_rows(keep):
         _row_texts(short)
     with pytest.raises(ValueError, match=message):
         short.to_csv()
+
+
+@pytest.mark.parametrize("field", ["d", "r", "dp", "rp"])
+def test_csv_of_a_row_off_by_ten_to_the_ninth_raises(field):
+    # the per-text check reads only the sign and the last nine digits, so a
+    # row 7 off by 10**9 once printed as the recursion's row, and its csv
+    # was the true table's; its residuals are not zero, and row 7 is refused
+    t = invariants_from_seed(Seed(-6, -3, F(1, 2)), 12)
+    rows = list(t.rows)
+    rows[7] = rows[7]._replace(**{field: getattr(rows[7], field) + 10**9})
+    bad = HelixTable(t.seed, t.d_param, tuple(rows), t.degenerate_at, t.minors)
+    assert verify_periodicity(bad)[0] is False
+    with pytest.raises(ArithmeticError, match="row 7 "):
+        bad.to_csv()
+    texts = _row_texts(bad)
+    assert [next(texts)[0] for _ in range(7)] == list(t.rows[:7])
+    with pytest.raises(ArithmeticError, match="row 7 "):
+        next(texts)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_require_printable_refuses_exactly_what_str_refuses(limit):
+    # only an int past 3.32 * limit bits is compared with 10**limit, so the
+    # ints on either side of that bit count and of 10**limit must agree
+    bits = 332 * limit // 100
+    xs = [10**limit - 1, 10**limit, (1 << bits) - 1, 1 << bits, 1 << (bits + 1)]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for x in xs + [-x for x in xs]:
+            assert _refusal(_require_printable, x) == _refusal(str, x)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _refusal(f, x):
+    try:
+        f(x)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------- closed form

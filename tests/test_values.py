@@ -8,6 +8,7 @@ refuses to have a field set or deleted. Cached fields (RationalMatrix._form,
 Triad._pairings) take no part in any of that.
 """
 
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from helixkit.helix import (
 from helixkit.quadratic import (
     DimTable,
     EquigenModel,
+    QuadraticPresentation,
     WitnessEntry,
     WitnessReport,
     classical_euler_fixture,
@@ -208,6 +210,58 @@ def test_value_semantics(name):
         assert hash(x) == hash(y)
         with pytest.raises(AttributeError):
             setattr(x, attr, None)
+
+
+def test_constructor_binds_positional_keyword_and_mixed_values():
+    table = DimTable(1, 2, ((1, 2, 1),))
+    assert vars(table) == {"period": 1, "max_degree": 2, "dims": ((1, 2, 1),)}
+    assert DimTable(period=1, max_degree=2, dims=((1, 2, 1),)) == table
+    assert DimTable(1, dims=((1, 2, 1),), max_degree=2) == table
+    assert WitnessReport(entries=()) == WitnessReport(())
+
+
+def test_constructor_fills_class_defaults():
+    report = PositivityReport("Certified", 9)
+    assert vars(report) == {
+        "kind": "Certified", "horizon": 9, "fail_index": None, "fail_component": None
+    }
+    assert PositivityReport("FailsAt", 4, fail_component="r") == PositivityReport(
+        "FailsAt", 4, None, "r")
+    assert PositivityReport(horizon=4, kind="FailsAt", fail_index=4).fail_index == 4
+
+
+@pytest.mark.parametrize("cls, args, kwargs, message", [
+    (DimTable, (1, 2), {}, "DimTable missing field 'dims'"),
+    (DimTable, (), {"period": 1, "dims": ()}, "DimTable missing field 'max_degree'"),
+    (DimTable, (1, 2, (), 4), {}, "DimTable has 3 fields, got 4 values"),
+    (DimTable, (1, 2, ()), {"rows": 3}, "DimTable got unknown or repeated fields ['rows']"),
+    (DimTable, (1, 2), {"period": 1, "dims": ()},
+     "DimTable got unknown or repeated fields ['period']"),
+    # a field with a class default after it has none of its own
+    (PositivityReport, ("Certified",), {}, "PositivityReport missing field 'horizon'"),
+])
+def test_constructor_refuses_missing_extra_and_unknown_fields(cls, args, kwargs, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        cls(*args, **kwargs)
+
+
+def test_unchecked_builds_what_the_constructor_builds():
+    third = Fraction(1, 3)
+    built = [
+        (Seed(Fraction(-1, 2), third, 5), Seed._unchecked(Fraction(-1, 2), third, Fraction(5))),
+    ]
+    for n in (1, 2, 3):
+        pres = classical_euler_fixture(n)[0]
+        rebuilt = QuadraticPresentation(pres.period, list(pres.gen_dims), list(pres.relations))
+        built.append((rebuilt, QuadraticPresentation._unchecked(*(
+            getattr(pres, f) for f in pres._fields))))
+    matrix = RationalMatrix.from_rows([[1, Fraction(1, 2)], [0, 3], [Fraction(-2, 3), 0]])
+    built.append((matrix, RationalMatrix._of(matrix.cols, iter(matrix.int_rows))))
+    for checked, unchecked in built:
+        assert type(unchecked) is type(checked)
+        assert unchecked == checked and repr(unchecked) == repr(checked)
+        assert vars(unchecked) == vars(checked)
+        assert hash(unchecked) == hash(checked)
 
 
 def test_import_graph_of_the_cli():
