@@ -36,6 +36,9 @@ from .helix import (
     _checked_text,
     _csv_lines,
     _grow,
+    _int_max_str_digits,
+    _periodicity,
+    _printable_bits,
     _replay,
     _require_printable,
     _table,
@@ -179,7 +182,8 @@ def _run_seed_table(args) -> int:
     else:
         print(f"positivity: {report}")
     if len(table.rows) >= 5:
-        ok, why = verify_periodicity(table)
+        # the replay yielded every row, so every residual is zero
+        ok, why = _periodicity(table, replayed=True)
         print("periodicity: ok" if ok else f"periodicity: BROKEN ({why})")
         if not ok:
             return 2
@@ -188,10 +192,22 @@ def _run_seed_table(args) -> int:
 
 def _printable(grown):
     """Yield grown's (row, minor) pairs; at the first row with an entry str()
-    would refuse, raise its ValueError instead."""
+    would refuse, raise its ValueError instead.
+
+    The limit is read once. Every entry of at most `bits` bits prints, and
+    the or of a row's bit lengths is at least the longest of them, so only a
+    row whose or is past `bits` is checked further.
+    """
+    limit = _int_max_str_digits()
+    if not limit:
+        yield from grown
+        return
+    bits = _printable_bits(limit)
     for pair in grown:
         _, d, r, dp, rp = pair[0]
-        _require_printable(max(d, r, dp or 0, rp or 0, key=int.bit_length))
+        dp, rp = dp or 0, rp or 0
+        if d.bit_length() | r.bit_length() | dp.bit_length() | rp.bit_length() > bits:
+            _require_printable(max(d, r, dp, rp, key=int.bit_length))
         yield pair
 
 
@@ -309,7 +325,7 @@ def _run_hilbert(args) -> int:
         raise ValueError("--order must be at least 3")
     # the A denominator has constant term 1, so both series have den 1:
     # their nums are the coefficients
-    a = qa.hilbert_A(model, args.order)
+    a = _printable_hilbert_A(model, args.order)
     b = qa.hilbert_B(a)
     print("A: " + " ".join(map(str, a.nums)))
     print("B: " + " ".join(map(str, b.nums)))
@@ -327,6 +343,31 @@ def _run_hilbert(args) -> int:
         print("normal-quotient: PASS" if ok else "normal-quotient: FAIL")
         failed = failed or not ok
     return 2 if failed else 0
+
+
+def _printable_hilbert_A(model: qa.EquigenModel, order: int):
+    """qa.hilbert_A(model, order), or the ValueError str() raises for its
+    first coefficient past the int str digit limit, raised without building
+    the coefficients much past that one.
+
+    For d >= 3, A = 1 / ((1 - t)(1 - (d - 1) t + t^2)): its coefficient a_n
+    is u_0 + ... + u_n, where u_n = (d - 1) u_(n-1) - u_(n-2) increases with
+    n from u_0 = 1, so the a_n increase, and a_n <= d a_(n-1) <= d^n. B's
+    coefficients a_n - a_(n-3) lie between 0 and a_n. So the A line holds
+    the first int str() would refuse, if any, and A's last coefficient
+    decides. No a_n with n * bitlen(d) within _printable_bits is refused;
+    from the first order past that, A is built to doubling orders, each a
+    prefix of the next, until one's last coefficient is refused or the
+    order is reached.
+    """
+    limit = _int_max_str_digits()
+    k = max(3, _printable_bits(limit) // model.d.bit_length() + 1) if limit else order
+    while True:
+        a = qa.hilbert_A(model, min(k, order))
+        _require_printable(a.nums[-1])
+        if k >= order:
+            return a
+        k *= 2
 
 
 def _run_koszul_dual(args) -> int:

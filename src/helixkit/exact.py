@@ -106,6 +106,8 @@ class TruncatedSeries(Value):
             raise ValueError("order must be nonnegative")
         if order > _ORDER_CAP:
             raise ValueError(f"series order {order} exceeds the cap {_ORDER_CAP}")
+        if order == len(self.nums) - 1:
+            return self  # a series is immutable, so it is its own copy
         nums = self.nums[: order + 1]
         return TruncatedSeries._of(self.den, nums + (0,) * (order + 1 - len(nums)))
 
@@ -135,7 +137,9 @@ class TruncatedSeries(Value):
         With b, c the numerators of self and other and c_0 != 0, v_n =
         b_n c_0^n - sum_k c_k c_0^(k-1) v_(n-k) over the nonzero c_k with
         1 <= k <= n; the n-th coefficient of b / c is v_n / c_0^(n+1), and
-        self / other is b / c times other.den / self.den.
+        self / other is b / c times other.den / self.den. Each v_n is one
+        plain loop over the divisor's nonzero terms, in order of k, that
+        stops at the first k > n.
         """
         n = max(self.order, other.order)
         b, c = self.nums, other.nums
@@ -143,15 +147,21 @@ class TruncatedSeries(Value):
         if c0 == 0:
             raise ZeroConstantTerm("cannot divide by a series with zero constant term")
         terms = [(k, ck * c0 ** (k - 1)) for k, ck in enumerate(c) if k and ck]
-        v, power, live = [], 1, 0
+        b += (0,) * (n + 1 - len(b))
+        v, power = [], 1
         for i in range(n + 1):
-            while live < len(terms) and terms[live][0] <= i:
-                live += 1
-            bi = b[i] * power if i < len(b) else 0
-            v.append(bi - sum(w * v[i - k] for k, w in terms[:live]))
+            x = b[i] * power
+            for k, w in terms:
+                if k > i:
+                    break
+                x -= w * v[i - k]
+            v.append(x)
             power *= c0
         # v_i / c_0^(i+1) = v_i c_0^(n-i) / c_0^(n+1); power is c_0^(n+1)
-        nums, scale = [], other.den
+        scale = other.den
+        if c0 == 1 and scale == 1:
+            return TruncatedSeries._of(self.den, v)
+        nums = []
         for vi in reversed(v):
             nums.append(vi * scale)
             scale *= c0
@@ -181,13 +191,19 @@ def _settle(s: TruncatedSeries, den: int, nums: Iterable[int]) -> None:
 
 
 def first_series_mismatch(s: TruncatedSeries, t: TruncatedSeries) -> int | None:
-    """Index of the first differing coefficient, or None if equal throughout."""
+    """Index of the first differing coefficient, or None if equal throughout.
+
+    Equal series are stored equal, so the one form (den, nums) at the
+    common order is compared first, and the coefficients are walked only
+    when it differs.
+    """
     n = max(s.order, t.order)
     a, b = s.with_order(n), t.with_order(n)
-    for i, (x, y) in enumerate(zip(a.nums, b.nums)):
-        if x * b.den != y * a.den:
-            return i
-    return None
+    if (a.den, a.nums) == (b.den, b.nums):
+        return None
+    # the forms differ, so some coefficient does
+    return next(i for i, (x, y) in enumerate(zip(a.nums, b.nums))
+                if x * b.den != y * a.den)
 
 
 # --------------------------------------------------------------------------

@@ -132,17 +132,23 @@ def _csv_lines(texts):
         yield f"{row.n},{d},{r},{dp or ''},{rp or ''},{mu}\n"
 
 
+def _printable_bits(limit: int) -> int:
+    """The most bits an int may have and still print whatever its value,
+    under an int str digit limit of `limit` digits: as log2(10) > 3.32, an
+    int of at most 3.32 * limit bits is below 10**limit."""
+    return 332 * limit // 100
+
+
 def _require_printable(top: int) -> None:
     """Raise the ValueError str() raises for top, if it would.
 
     str() refuses an int of more digits than sys.get_int_max_str_digits()
-    (0: no limit), one of size 10**limit or more. As log2(10) > 3.32, one of
-    at most 3.32 * limit bits is below 10**limit: only a longer one is
-    compared with 10**limit, and str(), quadratic in the digits, runs only
-    on an int it refuses.
+    (0: no limit), one of size 10**limit or more. Only an int longer than
+    _printable_bits(limit) is compared with 10**limit, and str(), quadratic
+    in the digits, runs only on an int it refuses.
     """
     limit = _int_max_str_digits()
-    if limit and 100 * top.bit_length() > 332 * limit and abs(top) >= 10**limit:
+    if limit and top.bit_length() > _printable_bits(limit) and abs(top) >= 10**limit:
         str(top)
 
 
@@ -370,9 +376,16 @@ def verify_periodicity(table: HelixTable) -> tuple[bool, str | None]:
     row, none of two table-size integers, so the check is linear in the
     table's digits. A nonzero residual adds its determinants with two rows.
     """
+    return _periodicity(table, replayed=False)
+
+
+def _periodicity(table: HelixTable, replayed: bool) -> tuple[bool, str | None]:
+    """verify_periodicity(table). replayed says that _replay has yielded
+    every row of table, which it does only when every residual is zero, so
+    the residuals are not walked again."""
     if len(table.rows) < 5:
         raise TableTooShort("periodicity checks need at least rows 0..4")
-    consec, mixed = _row_minors(table)
+    consec, mixed = _row_minors(table, replayed)
     top = len(consec)
     for n in range(1, top):
         if consec[n] != mixed[n]:
@@ -388,10 +401,13 @@ def verify_periodicity(table: HelixTable) -> tuple[bool, str | None]:
     return True, None
 
 
-def _row_minors(table: HelixTable) -> tuple[list[int], list[int | None]]:
+def _row_minors(
+    table: HelixTable, replayed: bool = False
+) -> tuple[list[int], list[int | None]]:
     """(consec, mixed) of a table of at least 3 rows: consec[n] is the minor
     of rows n+1, n and mixed[n] row n's mixed minor (None at n = 0), by the
-    residual identities in verify_periodicity's docstring."""
+    residual identities in verify_periodicity's docstring. replayed (see
+    _periodicity) takes every residual as zero."""
     rows = table.rows
     minors = (*table.minors, *(0,) * len(rows))
     # in step i, row i-1 is (d1, r1), row i-2 is (d2, r2) and (fd1, fr1) is
@@ -401,7 +417,7 @@ def _row_minors(table: HelixTable) -> tuple[list[int], list[int | None]]:
     consec = [d1 * r2 - d2 * r1]
     mixed = [None, *(x.d * x.rp - x.dp * x.r for x in rows[1:3])]
     fd1 = fr1 = 0
-    nonzero = {i: e_f for i, *e_f in _residuals(rows, minors)}
+    nonzero = {} if replayed else {i: e_f for i, *e_f in _residuals(rows, minors)}
     for i in range(2, len(rows)):
         _, d, r, _, _ = rows[i]
         c, c1 = minors[i], minors[i - 1]

@@ -62,12 +62,14 @@ digit_limit() {
   # 640 is the least limit python accepts; every run must exit 65
   # (invalid input) with zero bytes of stdout, through python -m.
   # D = 10^629 + 1 parses under the limit, but its surds and series
-  # do not print
+  # do not print; at order 512 hilbert must stop at A's coefficient 2,
+  # not build all 513
   D="1$(printf '0%.0s' $(seq 628))1"
   for argv in "triad 1:0 2:5 1:5 --right --steps 2000" "triad 7:-27 7:-12 2:7 --left --steps 2000" \
       "seed-table 0 5/2 5 --n 2000" \
       "seed-table 0 5/2 5 --n 2000 --format csv" "seed-table 0 5/2 5 --n 2000 --format json" \
-      "seed-table 0 5/2 5 --n 9000" "limits --d $D" "hilbert --d $D --order 6"; do
+      "seed-table 0 5/2 5 --n 9000" "limits --d $D" "hilbert --d $D --order 6" \
+      "hilbert --d $D --order 512"; do
     code=0
     PYTHONPATH=src python -X int_max_str_digits=640 -m helixkit.cli $argv > "$RUNNER_TEMP/stdout" || code=$?
     bytes=$(wc -c < "$RUNNER_TEMP/stdout")

@@ -156,6 +156,71 @@ def test_seed_table_of_200000_rows_stops_at_the_first_unprintable_row():
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
+def _str_refusal(*xs):
+    """The message of the ValueError str() raises for the first of xs it
+    refuses, or None."""
+    for x in xs:
+        try:
+            str(x)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_printable_refuses_exactly_the_rows_str_refuses(limit):
+    # each row holds one int on either side of 3.32 * limit bits or of
+    # 10**limit, at each place, beside small entries whose bit lengths, or-ed
+    # with its own, pass the bound; row 0 holds no dp or rp
+    bits = 332 * limit // 100
+    xs = [10**limit - 1, 10**limit, (1 << bits) - 1, 1 << bits, 1 << (bits + 1)]
+    rows = []
+    for x in xs + [-x for x in xs]:
+        rows.append(helix.Row(0, x, 7, None, None))
+        for place in range(1, 5):
+            entries = [7, 6, -5, 3]
+            entries[place - 1] = x
+            rows.append(helix.Row(1, *entries))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for row in rows:
+            try:
+                assert list(cli._printable(iter([(row, 0)]))) == [(row, 0)]
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == _str_refusal(*row[1:])
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_seed_table_walks_the_residuals_once(capsys, monkeypatch, fmt):
+    # the replay walks every row's residuals, and has found them all zero
+    # once it has yielded every row, so the table format's periodicity check
+    # takes that verdict instead of walking them again; verify_periodicity
+    # itself still walks them
+    real = helix._residuals
+    walks = []
+
+    def counting(rows, minors):
+        walks.append(len(rows))
+        return real(rows, minors)
+
+    monkeypatch.setattr(helix, "_residuals", counting)
+    code, out, _ = run(capsys, "seed-table", "0", "5/2", "5", "--n", "40", "--format", fmt)
+    assert code == 0
+    assert ("periodicity: ok" in out) == (fmt == "table")
+    assert walks == [41]
+    table = helix.invariants_from_seed(helix.Seed(0, fractions.Fraction(5, 2), 5), 40)
+    assert helix.verify_periodicity(table) == (True, None)
+    assert walks == [41, 41]
+
+
 def reference_seed_table(mu, n: int, fmt: str) -> tuple[int, str]:
     """Exit code and stdout of seed-table as the three renderers once wrote
     them: str() of every table int, str(Fraction) for the slope column and
@@ -511,6 +576,74 @@ def test_hilbert_inverts_the_A_denominator_once(capsys, monkeypatch):
     assert code == 0
     assert "cross-check: PASS" in out and "normal-quotient: PASS" in out
     assert inverted == [(1, -21, 21, -1)]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+@pytest.mark.parametrize(
+    "d, limit, code, built",
+    [
+        # A's coefficient 2 is about d^2, past the limit: A is built to
+        # order 3, not to 512
+        (10**629 + 1, 640, 65, [3]),
+        (10**3001 + 1, 4300, 65, [3]),
+        # a_n <= d^n vouches for orders up to 2124 // bitlen(d), 354 and 424;
+        # past that the order doubles: 39^512 has 815 digits, 15^512 601
+        (40, 640, 65, [355, 512]),
+        (16, 640, 0, [425, 512]),
+    ],
+    ids=["630-digits", "3002-digits", "d40-doubled", "d16-doubled-prints"],
+)
+def test_hilbert_past_the_digit_limit_stops_at_the_first_unprintable_coefficient(
+    capsys, monkeypatch, d, limit, code, built
+):
+    real = quadratic.hilbert_A
+    orders = []
+
+    def recording(model, order):
+        orders.append(order)
+        return real(model, order)
+
+    monkeypatch.setattr(quadratic, "hilbert_A", recording)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got, out, err = run(capsys, "hilbert", "--d", str(d), "--order", "512")
+        refusal = _str_refusal(10**limit)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == code
+    if code == 65:
+        assert (out, err) == ("", f"error: {refusal}\n")
+    assert orders == built
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+def test_hilbert_refuses_exactly_when_a_coefficient_would_not_print(capsys):
+    # at the least limit, each run either prints what a run without a limit
+    # prints, or refuses with nothing printed exactly when one of A's
+    # coefficients, built in full, is past the limit
+    cases = [
+        *itertools.product([3, 4, 16, 17, 40, 41], [3, 6, 7, 200, 425, 426, 512]),
+        *itertools.product([2**12 + 1, 2**64 + 1, 10**99 + 1, 10**629 + 1], [3, 6, 7, 40]),
+    ]
+    old = sys.get_int_max_str_digits()
+    try:
+        for d, order in cases:
+            argv = ("hilbert", "--d", str(d), "--order", str(order))
+            top = max(quadratic.hilbert_A(quadratic.EquigenModel(d), order).nums)
+            sys.set_int_max_str_digits(640)
+            got = run(capsys, *argv)
+            if top < 10**640:
+                sys.set_int_max_str_digits(0)
+                assert got == run(capsys, *argv)
+            else:
+                assert got == (65, "", f"error: {_str_refusal(top)}\n")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_hilbert_small_d_is_65(capsys):
@@ -1035,6 +1168,10 @@ _NOT_MUTABLE = "error at step 1: member a not mutable (right mutation of 1:0 pas
          "0126886e3b03ca4d821ce3f3ccb65cbe26bde2d3a23f3d22854bccdd19d78898", ""),
         ("hilbert --d 40 --order 512", 0,
          "2289920862706e8d3e9c3ae85b81357f1b424484af1afc0023198818a59dcad2", ""),
+        ("hilbert --d 22 --order 210", 0,
+         "60a5bc239eb29f6bc47eac44474a0d880e468db37c96d8edb7d72ea29fd6b829", ""),
+        ("hilbert --d 39 --order 210", 0,
+         "20f41850279cd87b53107fce2c32d2088a6c3817bb0901604e302c8a5498de0e", ""),
         ("triad 1:0 2:5 1:5 --right --steps 300", 0,
          "466efe77f206d3e6367398143231de1421f9807e7e6639cd661ba743b4ba711d", ""),
         ("triad 1:5 4:25 3:20 --left --steps 300", 0,
@@ -1052,11 +1189,14 @@ _NOT_MUTABLE = "error at step 1: member a not mutable (right mutation of 1:0 pas
     ],
     ids=["family-table", "family-json", "family-csv", "twisted", "degenerate",
          "degenerate-csv", "twisted-csv", "hilbert-3", "hilbert-5", "hilbert-40",
+         "hilbert-22-skipped", "hilbert-39",
          "triad-right", "triad-left", "triad-exit-1", "limits-5", "limits-7",
          "limits-41", "limits-399"],
 )
 def test_tables_commands_are_byte_identical(capsys, argv, code, digest, err):
-    # golden: sha256 of the stdout of the Fraction series arithmetic, the
+    # golden: sha256 of the stdout of the Fraction series arithmetic (the
+    # two order-210 hilbert cases, one with its cross-check skipped, of the
+    # integer division that sliced its terms per coefficient), the
     # eight-determinant periodicity check and the Fraction slope comparisons
     # this package used before they ran on integers; the two csv cases, of
     # the four-product recursion and the Fraction slope column (row 4 of

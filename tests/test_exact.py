@@ -23,6 +23,7 @@ from helixkit.exact import (
     _floor_surd,
     _frac,
     _sparse_rank,
+    first_series_mismatch,
     matrix_kernel,
     row_space_equal,
     surd_to_decimal,
@@ -122,6 +123,7 @@ def test_mul_matches_dense_cauchy_product(a, b):
 @settings(max_examples=200, deadline=None)
 @given(_series(_nonzero_c0))
 @example(CUBIC_512)
+@example([F(-1), F(0)])  # c_0^(n+1) = 1, yet c_0^(n-i) = -1 at odd n - i
 def test_inverse_matches_long_division(c):
     assert list(TruncatedSeries(c).inverse().coeffs) == _long_division(c)
 
@@ -171,6 +173,47 @@ def test_series_spellings_are_one_value(cs, hows, k, order):
         cut = cs[: order + 1] + [F(0)] * (order + 1 - len(cs))
         assert s.with_order(order) == TruncatedSeries(cut)
         assert hash(s.with_order(order)) == hash(TruncatedSeries(cut))
+
+
+def _fraction_mismatch(a, b):
+    """first_series_mismatch of the series with Fraction coefficients a and
+    b, by a plain walk, the shorter padded with zeros."""
+    n = max(len(a), len(b))
+    a, b = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
+    return next((i for i in range(n) if a[i] != b[i]), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _series(st.one_of(st.just(F(0)), _p_over_q)),
+    st.sampled_from(("equal", "first", "last", "scaled", "other")),
+    st.builds(F, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 1000)),
+    st.integers(0, 20),
+    _series(st.one_of(st.just(F(0)), _p_over_q)),
+)
+@example([F(1), F(1, 2)], "equal", F(1), 3, [F(0)])
+@example([F(1, 3)] * 4, "last", F(1, 7), 0, [F(0)])
+@example([F(0)], "first", F(5, 2), 9, [F(0)])
+@example([F(1, 2), F(3, 2)], "scaled", F(2, 3), 0, [F(0)])
+def test_first_series_mismatch_matches_a_fraction_walk(cs, change, delta, pad, other):
+    # the series itself padded with zeros to a higher order, the series
+    # with its first or last coefficient moved by delta (its den may change),
+    # the series times delta (the same nums over another den: 1/2, 3/2 and
+    # 1/3, 1), or another series
+    if change == "other":
+        ts = list(other)
+    elif change == "scaled":
+        ts = [x * delta for x in cs]
+    else:
+        ts = list(cs)
+        if change != "equal":
+            ts[0 if change == "first" else -1] += delta
+    ts += [F(0)] * pad
+    s, t = TruncatedSeries(cs), TruncatedSeries(ts)
+    want = _fraction_mismatch(cs, ts)
+    assert first_series_mismatch(s, t) == first_series_mismatch(t, s) == want
+    if change in ("equal", "first", "last"):
+        assert want == {"equal": None, "first": 0, "last": len(cs) - 1}[change]
 
 
 def test_series_order_cap():

@@ -1132,6 +1132,18 @@ def test_normal_quotient_check():
         normal_quotient_check(*series_pair(5, 5))
 
 
+@pytest.mark.parametrize("d", [3, 5, 40])
+def test_normal_quotient_check_fails_on_a_B_off_in_its_last_coefficient(d):
+    # equal series are compared by their stored form; one that differs only
+    # at index 512 must still fail, whichever way the B coefficient moves
+    a, b = series_pair(d, 512)
+    assert normal_quotient_check(a, b)
+    for delta in (1, -1):
+        off = TruncatedSeries._of(b.den, (*b.nums[:-1], b.nums[-1] + delta))
+        assert not normal_quotient_check(a, off)
+        assert not normal_quotient_check(off, b)
+
+
 def test_cross_check_hilbert_order_0_compares_coefficient_0():
     b = series_pair(5, 6)[1]
     assert cross_check_hilbert(EquigenModel(5), b.with_order(0)) == (True, None)
