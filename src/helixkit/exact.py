@@ -46,6 +46,12 @@ from .errors import ColumnMismatch, RadicandMismatch, ZeroConstantTerm
 _ORDER_CAP = 512
 
 
+def _require_order(order: int) -> None:
+    """Refuse a series order past the cap, before any coefficient is made."""
+    if order > _ORDER_CAP:
+        raise ValueError(f"series order {order} exceeds the cap {_ORDER_CAP}")
+
+
 def _frac(x) -> Fraction:
     """The one rational parser (API, JSON, argv): a Fraction comes back as is;
     ints, "p/q" strings and other rationals are parsed exactly; floats and
@@ -104,8 +110,7 @@ class TruncatedSeries(Value):
         """Pad with zeros or truncate so that the order becomes `order`."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if order > _ORDER_CAP:
-            raise ValueError(f"series order {order} exceeds the cap {_ORDER_CAP}")
+        _require_order(order)
         if order == len(self.nums) - 1:
             return self  # a series is immutable, so it is its own copy
         nums = self.nums[: order + 1]
@@ -177,8 +182,7 @@ def _settle(s: TruncatedSeries, den: int, nums: Iterable[int]) -> None:
     nums = tuple(nums)
     if not nums:
         raise ValueError("a series needs at least its constant coefficient")
-    if len(nums) - 1 > _ORDER_CAP:
-        raise ValueError(f"series order {len(nums) - 1} exceeds the cap {_ORDER_CAP}")
+    _require_order(len(nums) - 1)
     if den < 0:
         den, nums = -den, tuple(-x for x in nums)
     if den != 1:
