@@ -28,7 +28,7 @@ from .bundles import (
     mutate_triad_right,
 )
 from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
-from .exact import TruncatedSeries, _frac
+from .exact import _frac, _require_order
 from .helix import (
     _EXACT,
     HelixTable,
@@ -323,16 +323,9 @@ def _run_hilbert(args) -> int:
     model = qa.EquigenModel(args.d)
     if args.order < 3:
         raise ValueError("--order must be at least 3")
-    # A's coefficients increase, and B's lie between 0 and A's, so A's are
-    # checked as they are made. Both series have den 1: nums are coefficients
-    limit = _int_max_str_digits()
-    bits = _printable_bits(limit)
-    nums = []
-    for x in qa._model_dims(model.d, args.order):
-        if limit and x.bit_length() > bits:
-            _require_printable(x)
-        nums.append(x)
-    a = TruncatedSeries._of(1, nums)
+    # the A denominator has constant term 1, so both series have den 1:
+    # their nums are the coefficients
+    a = _printable_hilbert_A(model, args.order)
     b = qa.hilbert_B(a)
     print("A: " + " ".join(map(str, a.nums)))
     print("B: " + " ".join(map(str, b.nums)))
@@ -350,6 +343,32 @@ def _run_hilbert(args) -> int:
         print("normal-quotient: PASS" if ok else "normal-quotient: FAIL")
         failed = failed or not ok
     return 2 if failed else 0
+
+
+def _printable_hilbert_A(model: qa.EquigenModel, order: int):
+    """qa.hilbert_A(model, order), or the ValueError str() raises for its
+    first coefficient past the int str digit limit, raised without building
+    the coefficients much past that one.
+
+    For d >= 3, A = 1 / ((1 - t)(1 - (d - 1) t + t^2)): its coefficient a_n
+    is u_0 + ... + u_n, where u_n = (d - 1) u_(n-1) - u_(n-2) increases with
+    n from u_0 = 1, so the a_n increase, and a_n <= d a_(n-1) <= d^n. B's
+    coefficients a_n - a_(n-3) lie between 0 and a_n. So the A line holds
+    the first int str() would refuse, if any, and A's last coefficient
+    decides. No a_n with n * bitlen(d) within _printable_bits is refused;
+    from the first order past that, A is built to doubling orders, each a
+    prefix of the next, until one's last coefficient is refused or the
+    order is reached. An order past the series cap is refused first.
+    """
+    _require_order(order)
+    limit = _int_max_str_digits()
+    k = max(3, _printable_bits(limit) // model.d.bit_length() + 1) if limit else order
+    while True:
+        a = qa.hilbert_A(model, min(k, order))
+        _require_printable(a.nums[-1])
+        if k >= order:
+            return a
+        k *= 2
 
 
 def _run_koszul_dual(args) -> int:

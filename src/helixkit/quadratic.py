@@ -10,9 +10,9 @@ relations to be a quadratic Groebner basis, after which the normal words are
 counted instead, and the witness (_dims_witness) folds two dim tables into an
 alternating sum that must hit a delta. A parallel series model covers the
 equigenerated family where only dimensions, not relation spaces, are pinned
-down by the defining data d: _model_dims runs A's integer recursion, and
-hilbert_B and both series checks take the series they work on, so a caller
-builds each series once. The model's witness folds two dim tables too.
+down by the defining data d: hilbert_A inverts its cubic denominator once,
+and hilbert_B and both series checks take the series they work on, so a
+caller builds each series once. The model's witness folds two dim tables too.
 
 Each relation block is handled once, from input text to output text. Its int
 rows are read straight from the JSON entry strings, and it is eliminated at
@@ -51,7 +51,6 @@ from .exact import (
     _insert,
     _kernel_rows,
     _normal_form,
-    _require_order,
     _sparse_rank,
     first_series_mismatch,
     matrix_kernel,
@@ -611,7 +610,7 @@ def _dims_witness(prim: DimTable, dual: DimTable, bound: int) -> WitnessReport:
 def koszulity_witness(p, bound: int) -> WitnessReport:
     """Necessary Euler-characteristic condition over all (j, q), q - j <= bound."""
     if isinstance(p, EquigenModel):
-        # A comes from its integer recursion: den is 1, nums are ints
+        # A inverts an int series with constant term 1: den is 1, nums are ints
         top = max(3, bound)
         rows = hilbert_A(p, top).nums, (1, p.d, p.d, 1) + (0,) * (top - 3)
         prim, dual = (DimTable(3, top, (row,) * 3) for row in rows)
@@ -631,22 +630,12 @@ class EquigenModel(Value):
         super().__init__(d)
 
 
-def _model_dims(d: int, order: int):
-    """Yield a_0 .. a_order of 1 / (1 - d t + d t^2 - t^3) once the order is
-    under the cap: A is Koszul with dual dims (1, d, d, 1), so each a_n is
-    d (a_(n-1) - a_(n-2)) + a_(n-3), from a_(-3) = 1, a_(-2) = a_(-1) = 0."""
-    _require_order(order)
-    a3, a2, a1 = 1, 0, 0
-    for _ in range(order + 1):
-        a3, a2, a1 = a2, a1, d * (a1 - a2) + a3
-        yield a1
-
-
 def hilbert_A(model: EquigenModel, order: int) -> TruncatedSeries:
     """Coefficients of 1 / (1 - d t + d t^2 - t^3) to the given order."""
     if order < 3:
         raise ValueError("order must be at least 3")
-    return TruncatedSeries._of(1, _model_dims(model.d, order))
+    d = model.d
+    return TruncatedSeries([1, -d, d, -1]).with_order(order).inverse()
 
 
 def hilbert_B(a: TruncatedSeries) -> TruncatedSeries:
@@ -662,8 +651,9 @@ def cross_check_hilbert(
 
     Coefficient i of b must be the pairing of (1, 0) with row i of the
     (0, d/2, d) table, which is that row's d, read as the seed recursion
-    grows the rows. The two routes share no code. The check covers odd d
-    (EquigenModel already requires d >= 3).
+    grows the rows, with no table built. The two routes share no code: one
+    inverts a power series, the other runs the integer recursion. The check
+    covers odd d (EquigenModel already requires d >= 3).
     """
     d = model.d
     if d % 2 == 0:

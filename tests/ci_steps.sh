@@ -62,9 +62,9 @@ digit_limit() {
   # 640 is the least limit python accepts; every run must exit 65
   # (invalid input) with zero bytes of stdout, through python -m.
   # D = 10^629 + 1 parses under the limit, but its surds and series
-  # do not print; hilbert checks each of A's coefficients as its recursion
-  # makes it, so at order 512 it stops at a_2, the first past the limit.
-  # An order past the series cap (512) is refused before any coefficient
+  # do not print; at order 512 hilbert must stop at A's coefficient 2,
+  # not build all 513. An order past the series cap (512) is refused
+  # before A is built
   D="1$(printf '0%.0s' $(seq 628))1"
   for argv in "triad 1:0 2:5 1:5 --right --steps 2000" "triad 7:-27 7:-12 2:7 --left --steps 2000" \
       "seed-table 0 5/2 5 --n 2000" \

@@ -561,70 +561,51 @@ def test_hilbert_builds_no_fraction_per_coefficient(capsys):
     assert counts[0] == counts[1]
 
 
-def recording_model_dims(monkeypatch):
-    """Wrap quadratic._model_dims, the recursion that inverts A's denominator:
-    each call appends [d, order, coefficients made] to the list returned,
-    counting a coefficient when the recursion yields it."""
-    real = quadratic._model_dims
-    runs = []
-
-    def recording(d, order):
-        runs.append([d, order, 0])
-        for x in real(d, order):
-            runs[-1][2] += 1
-            yield x
-
-    monkeypatch.setattr(quadratic, "_model_dims", recording)
-    return runs
-
-
 def test_hilbert_inverts_the_A_denominator_once(capsys, monkeypatch):
     # B, the cross-check and the normal-quotient check reuse the A series;
-    # dividing by 1 - t^3 is no inversion, and A is its recursion, run once
-    runs = recording_model_dims(monkeypatch)
-    inverted = []
+    # dividing by 1 - t^3 is no inversion
     real = TruncatedSeries.inverse
-    monkeypatch.setattr(TruncatedSeries, "inverse",
-                        lambda self: inverted.append(self) or real(self))
+    inverted = []
+
+    def counting(self):
+        inverted.append(self.nums[:4])
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counting)
     code, out, _ = run(capsys, "hilbert", "--d", "21", "--order", "60")
     assert code == 0
     assert "cross-check: PASS" in out and "normal-quotient: PASS" in out
-    assert runs == [[21, 60, 61]]
-    assert inverted == []
-
-
-def first_refused_index(d, order, limit):
-    """The index of A's first coefficient of 10**limit or more, by A's
-    recursion written out here, or None if a_0 .. a_order are all below."""
-    a = [1, d, d * d - d]
-    for n in range(order + 1):
-        if n >= 3:
-            a.append(d * (a[n - 1] - a[n - 2]) + a[n - 3])
-        if a[n] >= 10**limit:
-            return n
-    return None
+    assert inverted == [(1, -21, 21, -1)]
 
 
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
 )
 @pytest.mark.parametrize(
-    "d, limit, code, made",
+    "d, limit, code, built",
     [
-        # A's coefficient 2 is about d^2, past the limit: three of the 513
-        # coefficients are made
-        (10**629 + 1, 640, 65, 3),
-        (10**3001 + 1, 4300, 65, 3),
-        # 39^512 has 815 digits: a_403 is the first past 640; 15^512 has 601
-        (40, 640, 65, 404),
-        (16, 640, 0, 513),
+        # A's coefficient 2 is about d^2, past the limit: A is built to
+        # order 3, not to 512
+        (10**629 + 1, 640, 65, [3]),
+        (10**3001 + 1, 4300, 65, [3]),
+        # a_n <= d^n vouches for orders up to 2124 // bitlen(d), 354 and 424;
+        # past that the order doubles: 39^512 has 815 digits, 15^512 601
+        (40, 640, 65, [355, 512]),
+        (16, 640, 0, [425, 512]),
     ],
     ids=["630-digits", "3002-digits", "d40-doubled", "d16-doubled-prints"],
 )
 def test_hilbert_past_the_digit_limit_stops_at_the_first_unprintable_coefficient(
-    capsys, monkeypatch, d, limit, code, made
+    capsys, monkeypatch, d, limit, code, built
 ):
-    runs = recording_model_dims(monkeypatch)
+    real = quadratic.hilbert_A
+    orders = []
+
+    def recording(model, order):
+        orders.append(order)
+        return real(model, order)
+
+    monkeypatch.setattr(quadratic, "hilbert_A", recording)
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
@@ -635,22 +616,29 @@ def test_hilbert_past_the_digit_limit_stops_at_the_first_unprintable_coefficient
     assert got == code
     if code == 65:
         assert (out, err) == ("", f"error: {refusal}\n")
-        assert made == first_refused_index(d, 512, limit) + 1
-    else:
-        assert first_refused_index(d, 512, limit) is None
-    assert runs == [[d, 512, made]]
+    assert orders == built
 
 
-def test_hilbert_order_past_the_cap_is_refused_before_any_coefficient(
-    capsys, monkeypatch
-):
-    # a billion coefficients would never finish: the cap is read first
-    runs = recording_model_dims(monkeypatch)
-    got = run(capsys, "hilbert", "--d", "3", "--order", "1000000000")
-    assert got == (65, "", "error: series order 1000000000 exceeds the cap 512\n")
-    assert runs == [[3, 1000000000, 0]]
-    assert run(capsys, "hilbert", "--d", "3", "--order", "513")[1:] == (
-        "", "error: series order 513 exceeds the cap 512\n")
+def test_hilbert_order_past_the_cap_is_refused_before_A_is_built(capsys, monkeypatch):
+    # the cap message names the order given, not one of the doubling orders,
+    # at every digit limit, and no series is built first
+    real = quadratic.hilbert_A
+    orders = []
+    monkeypatch.setattr(quadratic, "hilbert_A",
+                        lambda model, order: orders.append(order) or real(model, order))
+    limits = [0, 640, 4300] if hasattr(sys, "get_int_max_str_digits") else [None]
+    for limit in limits:
+        if limit is not None:
+            old = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(limit)
+        try:
+            for d, order in ((3, 10**9), (10**629 + 1, 1000), (40, 513)):
+                got = run(capsys, "hilbert", "--d", str(d), "--order", str(order))
+                assert got == (65, "", f"error: series order {order} exceeds the cap 512\n")
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(old)
+    assert orders == []
 
 
 @pytest.mark.parametrize("d", range(5, 42, 2))
@@ -662,7 +650,6 @@ def test_hilbert_cross_check_reads_no_table(capsys, monkeypatch, d):
 
     monkeypatch.setattr(helix, "_table", refuse)
     monkeypatch.setattr(helix, "invariants_from_seed", refuse)
-    monkeypatch.setattr(quadratic, "invariants_from_seed", refuse, raising=False)
     order = 40
     code, out, _ = run(capsys, "hilbert", "--d", str(d), "--order", str(order))
     assert code == 0
@@ -1349,20 +1336,21 @@ def test_verify_catches_perturbed_series(capsys, monkeypatch):
 
 def test_verify_inverts_each_A_denominator_once(capsys, monkeypatch):
     # the hilbert-crosscheck and normal-quotient suites share one (A, B)
-    # pair per d; the witness suite runs its own A at order 6; each is one
-    # run of A's recursion, and no series is inverted
-    runs = recording_model_dims(monkeypatch)
-    inverted = []
+    # pair per d; the witness suite inverts its own A at order 6
     real = TruncatedSeries.inverse
-    monkeypatch.setattr(TruncatedSeries, "inverse",
-                        lambda self: inverted.append(self) or real(self))
+    inverted = []
+
+    def counting(self):
+        inverted.append((self.nums[:4], self.order))
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counting)
     code, _, _ = run(capsys, "verify", "--d-range", "5:9", "--horizon", "12",
                      "--seed-samples", "0")
     assert code == 0
-    assert sorted(runs) == sorted(
-        [d, order, order + 1] for d in (5, 7, 9) for order in (12, 6)
+    assert sorted(inverted) == sorted(
+        ((1, -d, d, -1), order) for d in (5, 7, 9) for order in (12, 6)
     )
-    assert inverted == []
 
 
 def test_verify_smallest_horizon_is_byte_identical(capsys):
