@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from ._value import Value
@@ -120,20 +120,32 @@ class TruncatedSeries(Value):
         """Cauchy product truncated at the longer operand's order.
 
         Each nonzero numerator c_k of the operand that has fewer of them adds
-        c_k times the other operand's numerators into the coefficients from
-        k on, so coefficient i gets exactly its terms with k <= i; the
-        denominator is the product of the two.
+        c_k times the other operand's numerators, cut to the n + 1 - k
+        coefficients from k on, into those coefficients, so coefficient i
+        gets exactly its terms with k <= i; the denominator is the product
+        of the two. The first such c_k writes its multiple into the zero
+        coefficients (a copy when c_k = 1), and a later c_k of 1 or -1 adds
+        or subtracts the numerators with no product.
         """
         n = max(self.order, other.order)
         a, b = self.nums, other.nums
         if sum(map(bool, b)) < sum(map(bool, a)):
             a, b = b, a
         b += (0,) * (n + 1 - len(b))
-        out = [0] * (n + 1)
+        out = None
         for k, c in enumerate(a):
-            if c:
+            if not c:
+                continue
+            if out is None:
+                out = [0] * k
+                out += b[: n + 1 - k] if c == 1 else map(c.__mul__, b[: n + 1 - k])
+            elif c == 1:
+                out[k:] = map(add, out[k:], b)
+            elif c == -1:
+                out[k:] = map(sub, out[k:], b)
+            else:
                 out[k:] = map(add, out[k:], map(c.__mul__, b))
-        return TruncatedSeries._of(self.den * other.den, out)
+        return TruncatedSeries._of(self.den * other.den, out or [0] * (n + 1))
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """self / other to the longer operand's order, by an integer
@@ -144,7 +156,9 @@ class TruncatedSeries(Value):
         1 <= k <= n; the n-th coefficient of b / c is v_n / c_0^(n+1), and
         self / other is b / c times other.den / self.den. Each v_n is one
         plain loop over the divisor's nonzero terms, in order of k, that
-        stops at the first k > n.
+        stops at the first k > n. When c_0 = 1, every power of c_0 is 1, so
+        b_n is taken as it is and a term with c_k = -1 adds v_(n-k) with no
+        product.
         """
         n = max(self.order, other.order)
         b, c = self.nums, other.nums
@@ -153,7 +167,23 @@ class TruncatedSeries(Value):
             raise ZeroConstantTerm("cannot divide by a series with zero constant term")
         terms = [(k, ck * c0 ** (k - 1)) for k, ck in enumerate(c) if k and ck]
         b += (0,) * (n + 1 - len(b))
-        v, power = [], 1
+        v = []
+        if c0 == 1:
+            units = [k for k, w in terms if w == -1]
+            terms = [(k, w) for k, w in terms if w != -1]
+            for i, x in enumerate(b):
+                for k, w in terms:
+                    if k > i:
+                        break
+                    x -= w * v[i - k]
+                for k in units:
+                    if k > i:
+                        break
+                    x += v[i - k]
+                v.append(x)
+            scale = other.den
+            return TruncatedSeries._of(self.den, v if scale == 1 else map(scale.__mul__, v))
+        power = 1
         for i in range(n + 1):
             x = b[i] * power
             for k, w in terms:
@@ -164,8 +194,6 @@ class TruncatedSeries(Value):
             power *= c0
         # v_i / c_0^(i+1) = v_i c_0^(n-i) / c_0^(n+1); power is c_0^(n+1)
         scale = other.den
-        if c0 == 1 and scale == 1:
-            return TruncatedSeries._of(self.den, v)
         nums = []
         for vi in reversed(v):
             nums.append(vi * scale)

@@ -635,13 +635,13 @@ def hilbert_A(model: EquigenModel, order: int) -> TruncatedSeries:
     if order < 3:
         raise ValueError("order must be at least 3")
     d = model.d
-    return TruncatedSeries([1, -d, d, -1]).with_order(order).inverse()
+    return TruncatedSeries._of(1, (1, -d, d, -1)).with_order(order).inverse()
 
 
 def hilbert_B(a: TruncatedSeries) -> TruncatedSeries:
     """(1 - t^3) times the A series a, to a's order: same denominator, cubic
     numerator, and no second inversion."""
-    return TruncatedSeries([1, 0, 0, -1]).with_order(a.order) * a
+    return TruncatedSeries._of(1, (1, 0, 0, -1)[: a.order + 1]) * a
 
 
 def cross_check_hilbert(
@@ -658,12 +658,13 @@ def cross_check_hilbert(
     d = model.d
     if d % 2 == 0:
         raise UnsupportedD(f"cross check covers d = 3 and odd d >= 5, got {d}")
-    if b.nums[0] != b.den:
+    den = b.den
+    if b.nums[0] != den:
         return False, 0
     grown = _grow(Seed(0, Fraction(d, 2), d), b.order)
     next(grown)  # row 0 is (1, 0) itself
     for bi, (row, _) in zip(b.nums[1:], grown):
-        if bi != b.den * row.d:
+        if bi != (row.d if den == 1 else den * row.d):
             return False, row.n
     return True, None
 
@@ -679,7 +680,7 @@ def normal_quotient_check(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     n = min(a.order, b.order)
     if n < 6:
         raise ValueError("order must be at least 6")
-    cubic = TruncatedSeries([1, 0, 0, -1]).with_order(n)
+    cubic = TruncatedSeries._of(1, (1, 0, 0, -1))
     return first_series_mismatch(b.with_order(n) / cubic, a.with_order(n)) is None
 
 

@@ -52,7 +52,8 @@ self_check_closed_form_400() {
 
 route_sweeps() {
   # quotient route against the ambient route; double-dual certificate against
-  # the composed route; residual minor route against four products
+  # the composed route; residual minor route against four products; series
+  # route against the three-term recursion
   PYTHONPATH=src python -W error tests/route_sweeps.py
 }
 

@@ -1,4 +1,4 @@
-"""Three long cross-checks of independent routes, run by CI and by hand:
+"""Four long cross-checks of independent routes, run by CI and by hand:
 
     PYTHONPATH=src python -W error tests/route_sweeps.py
 
@@ -18,6 +18,12 @@
    minors off by one, replaced by small values or truncated). The minor
    lists must agree on every table; the summary also counts the tables
    verify_periodicity reports broken.
+4. The series route: hilbert_A's series inverse against A's three-term
+   recursion a_n = d (a_(n-1) - a_(n-2)) + a_(n-3), and hilbert_B's product
+   against b_n = a_n - a_(n-3), for d = 3 .. 101 at order 512. The normal
+   quotient must pass on each (A, B) and fail on B moved by +-1 at 10
+   sampled indices; the cross-check must pass for odd d and name the
+   moved index.
 
 Each sweep prints its summary lines. The exit status is 1 if any fails.
 Tier-1 (pytest) does not collect this file: it takes about a minute.
@@ -26,17 +32,22 @@ Tier-1 (pytest) does not collect this file: it takes about a minute.
 import random
 import sys
 
-from helixkit.exact import row_space_equal
+from helixkit.exact import TruncatedSeries, row_space_equal
 from helixkit.helix import HelixTable, _row_minors, verify_periodicity
 from helixkit.quadratic import (
+    EquigenModel,
     _ambient_degree_dims,
     _normal_pairs,
     _normal_word_counts,
     _quotient_dims,
     classical_euler_fixture,
+    cross_check_hilbert,
     degree_dims,
     double_dual_check,
+    hilbert_A,
+    hilbert_B,
     koszul_dual,
+    normal_quotient_check,
 )
 from helixkit.sampling import random_presentation, random_seed_table
 
@@ -116,8 +127,37 @@ def residual_minors_against_four_products() -> bool:
     return not bad
 
 
+def series_against_recursion() -> bool:
+    bad = []
+    for d in range(3, 102):
+        a = [1, d, d * d - d]
+        while len(a) <= 512:
+            a.append(d * (a[-1] - a[-2]) + a[-3])
+        b = a[:3] + [x - y for x, y in zip(a[3:], a)]
+        model = EquigenModel(d)
+        got_a = hilbert_A(model, 512)
+        got_b = hilbert_B(got_a)
+        ok = (got_a.den, got_a.nums, got_b.den, got_b.nums) == (1, tuple(a), 1, tuple(b))
+        ok = ok and normal_quotient_check(got_a, got_b)
+        if d % 2:
+            ok = ok and cross_check_hilbert(model, got_b) == (True, None)
+        rng = random.Random(d)
+        for i in rng.sample(range(513), 10):
+            nums = list(b)
+            nums[i] += rng.choice([1, -1])
+            off = TruncatedSeries._of(1, nums)
+            ok = ok and not normal_quotient_check(got_a, off)
+            if d % 2:
+                ok = ok and cross_check_hilbert(model, off) == (False, i)
+        if not ok:
+            bad.append(d)
+    print(f"series route, d = 3..101 at order 512: {len(bad)} mismatches {bad}")
+    return not bad
+
+
 if __name__ == "__main__":
     ok = quotient_against_ambient()
     ok = double_dual_against_composed() and ok
     ok = residual_minors_against_four_products() and ok
+    ok = series_against_recursion() and ok
     sys.exit(0 if ok else 1)

@@ -666,6 +666,40 @@ def test_hilbert_cross_check_reads_no_table(capsys, monkeypatch, d):
         assert f"cross-check: FAIL (first mismatch at i={i})" in out
 
 
+def reference_hilbert(d: int, order: int) -> tuple[int, str, str]:
+    """hilbert's exit code, stdout and stderr, written out: A from a_n =
+    d (a_(n-1) - a_(n-2)) + a_(n-3), B from b_n = a_n - a_(n-3), and the
+    check lines, with the cross-check skipped for even d."""
+    a = [1, d, d * d - d]
+    while len(a) <= order:
+        a.append(d * (a[-1] - a[-2]) + a[-3])
+    a = a[: order + 1]
+    b = a[:3] + [x - y for x, y in zip(a[3:], a)]
+    lines = ["A: " + " ".join(map(str, a)), "B: " + " ".join(map(str, b))]
+    if d % 2:
+        lines.append("cross-check: PASS")
+    else:
+        lines.append("cross-check: SKIPPED (only defined for d=3 and odd d>=5)")
+    if order >= 6:
+        lines.append("normal-quotient: PASS")
+    return 0, "".join(line + "\n" for line in lines), ""
+
+
+@pytest.mark.parametrize("d", [*range(3, 42), 2**64 + 1, 10**6 + 1])
+def test_hilbert_prints_what_the_recursion_gives(capsys, d):
+    # 246 runs in all, with no int str digit limit: 41 d at six orders
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for order in (3, 6, 7, 64, 210, 512):
+            got = run(capsys, "hilbert", "--d", str(d), "--order", str(order))
+            assert got == reference_hilbert(d, order), order
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
 )

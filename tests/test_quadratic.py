@@ -1162,6 +1162,39 @@ def test_cross_check_hilbert_order_0_compares_coefficient_0():
     assert cross_check_hilbert(EquigenModel(5), TruncatedSeries([2])) == (False, 0)
 
 
+def _one_off_Bs(b):
+    """(index, den, series) for the int series b moved at one index: by +-1
+    at index 0, 3 and the last; and over den 3 at index 1 and the last, as
+    (3 b_0, 3 b_1 + 1, ...) and (3 b_0, ..., 3 b_N - 1)."""
+    last = b.order
+    for i, delta in itertools.product((0, 3, last), (1, -1)):
+        nums = list(b.nums)
+        nums[i] += delta
+        yield i, 1, TruncatedSeries._of(1, nums)
+    for i, delta in ((1, 1), (last, -1)):
+        nums = [3 * x for x in b.nums]
+        nums[i] += delta
+        yield i, 3, TruncatedSeries._of(3, nums)
+
+
+@pytest.mark.parametrize("d", [3, 5, 41, 2**64 + 1])
+@pytest.mark.parametrize("order", [6, 7, 64, 512])
+def test_cross_check_and_normal_quotient_fail_on_a_B_one_off(d, order):
+    # the cross-check compares an int B (den 1) with the seed recursion's d
+    # column directly and a B over den 3 with den times that column; both
+    # must name the first bad index, and the normal quotient must fail on
+    # each of these B
+    a, b = series_pair(d, order)
+    model = EquigenModel(d)
+    assert b.den == 1
+    assert cross_check_hilbert(model, b) == (True, None)
+    assert normal_quotient_check(a, b)
+    for i, den, off in _one_off_Bs(b):
+        assert off.den == den
+        assert cross_check_hilbert(model, off) == (False, i), (i, den)
+        assert not normal_quotient_check(a, off), (i, den)
+
+
 def test_normal_quotient_compares_to_the_lower_order():
     a, b = series_pair(5, 12)
     assert normal_quotient_check(a, b.with_order(8))
