@@ -154,11 +154,10 @@ class TruncatedSeries(Value):
         With b, c the numerators of self and other and c_0 != 0, v_n =
         b_n c_0^n - sum_k c_k c_0^(k-1) v_(n-k) over the nonzero c_k with
         1 <= k <= n; the n-th coefficient of b / c is v_n / c_0^(n+1), and
-        self / other is b / c times other.den / self.den. Each v_n is one
-        plain loop over the divisor's nonzero terms, in order of k, that
-        stops at the first k > n. When c_0 = 1, every power of c_0 is 1, so
-        b_n is taken as it is and a term with c_k = -1 adds v_(n-k) with no
-        product.
+        self / other is b / c times other.den / self.den. Each v_n runs over
+        the divisor's nonzero terms in order of k and stops at the first
+        k > n; the terms whose weight c_k c_0^(k-1) is -1 have a loop of
+        their own that adds v_(n-k) with no product.
         """
         n = max(self.order, other.order)
         b, c = self.nums, other.nums
@@ -166,34 +165,27 @@ class TruncatedSeries(Value):
         if c0 == 0:
             raise ZeroConstantTerm("cannot divide by a series with zero constant term")
         terms = [(k, ck * c0 ** (k - 1)) for k, ck in enumerate(c) if k and ck]
+        units = [k for k, w in terms if w == -1]
+        terms = [(k, w) for k, w in terms if w != -1]
         b += (0,) * (n + 1 - len(b))
-        v = []
-        if c0 == 1:
-            units = [k for k, w in terms if w == -1]
-            terms = [(k, w) for k, w in terms if w != -1]
-            for i, x in enumerate(b):
-                for k, w in terms:
-                    if k > i:
-                        break
-                    x -= w * v[i - k]
-                for k in units:
-                    if k > i:
-                        break
-                    x += v[i - k]
-                v.append(x)
-            scale = other.den
-            return TruncatedSeries._of(self.den, v if scale == 1 else map(scale.__mul__, v))
-        power = 1
+        v, power = [], 1
         for i in range(n + 1):
             x = b[i] * power
             for k, w in terms:
                 if k > i:
                     break
                 x -= w * v[i - k]
+            if units:
+                for k in units:
+                    if k > i:
+                        break
+                    x += v[i - k]
             v.append(x)
             power *= c0
         # v_i / c_0^(i+1) = v_i c_0^(n-i) / c_0^(n+1); power is c_0^(n+1)
         scale = other.den
+        if c0 == 1 and scale == 1:
+            return TruncatedSeries._of(self.den, v)
         nums = []
         for vi in reversed(v):
             nums.append(vi * scale)

@@ -20,10 +20,10 @@
    verify_periodicity reports broken.
 4. The series route: hilbert_A's series inverse against A's three-term
    recursion a_n = d (a_(n-1) - a_(n-2)) + a_(n-3), and hilbert_B's product
-   against b_n = a_n - a_(n-3), for d = 3 .. 101 at order 512. The normal
-   quotient must pass on each (A, B) and fail on B moved by +-1 at 10
-   sampled indices; the cross-check must pass for odd d and name the
-   moved index.
+   against b_n = a_n - a_(n-3) (both from tests/hilbert_reference.py), for
+   d = 3 .. 101 at order 512. The normal quotient must pass on each (A, B)
+   and fail on B moved by +-1 at 10 sampled indices; the cross-check must
+   pass for odd d and name the moved index.
 
 Each sweep prints its summary lines. The exit status is 1 if any fails.
 Tier-1 (pytest) does not collect this file: it takes about a minute.
@@ -50,6 +50,8 @@ from helixkit.quadratic import (
     normal_quotient_check,
 )
 from helixkit.sampling import random_presentation, random_seed_table
+
+from hilbert_reference import three_term_series
 
 
 def quotient_against_ambient() -> bool:
@@ -130,10 +132,7 @@ def residual_minors_against_four_products() -> bool:
 def series_against_recursion() -> bool:
     bad = []
     for d in range(3, 102):
-        a = [1, d, d * d - d]
-        while len(a) <= 512:
-            a.append(d * (a[-1] - a[-2]) + a[-3])
-        b = a[:3] + [x - y for x, y in zip(a[3:], a)]
+        a, b = three_term_series(d, 512)
         model = EquigenModel(d)
         got_a = hilbert_A(model, 512)
         got_b = hilbert_B(got_a)

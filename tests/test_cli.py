@@ -30,6 +30,8 @@ from helixkit.errors import NotMutable
 from helixkit.exact import TruncatedSeries
 from helixkit.sampling import random_right_mutable_triad, random_seed_triple
 
+from hilbert_reference import three_term_series
+
 SEED_CSV = (
     "n,d,r,dp,rp,slope\n"
     "0,0,1,,,0\n"
@@ -667,14 +669,10 @@ def test_hilbert_cross_check_reads_no_table(capsys, monkeypatch, d):
 
 
 def reference_hilbert(d: int, order: int) -> tuple[int, str, str]:
-    """hilbert's exit code, stdout and stderr, written out: A from a_n =
-    d (a_(n-1) - a_(n-2)) + a_(n-3), B from b_n = a_n - a_(n-3), and the
-    check lines, with the cross-check skipped for even d."""
-    a = [1, d, d * d - d]
-    while len(a) <= order:
-        a.append(d * (a[-1] - a[-2]) + a[-3])
-    a = a[: order + 1]
-    b = a[:3] + [x - y for x, y in zip(a[3:], a)]
+    """hilbert's exit code, stdout and stderr, written out: A and B from
+    A's three-term recursion, and the check lines, with the cross-check
+    skipped for even d."""
+    a, b = three_term_series(d, order)
     lines = ["A: " + " ".join(map(str, a)), "B: " + " ".join(map(str, b))]
     if d % 2:
         lines.append("cross-check: PASS")

@@ -111,29 +111,51 @@ def _series(c0):
     return st.builds(lambda head, tail: [head, *tail], c0, _tails)
 
 
-# integer series heavy in units: coefficients from {-1, 0, 1}, now and then
-# an int up to 10**40 in size
+@settings(max_examples=200, deadline=None)
+@given(_series(st.one_of(st.just(F(0)), _nonzero_c0)),
+       _series(st.one_of(st.just(F(0)), _nonzero_c0)))
+@example([F(1), F(0), F(0), F(-1)], CUBIC_512)
+@example(CUBIC_512, _long_division(CUBIC_512))
+def test_mul_matches_dense_cauchy_product(a, b):
+    assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == _cauchy(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(_nonzero_c0))
+@example(CUBIC_512)
+@example([F(-1), F(0)])  # c_0^(n+1) = 1, yet c_0^(n-i) = -1 at odd n - i
+def test_inverse_matches_long_division(c):
+    assert list(TruncatedSeries(c).inverse().coeffs) == _long_division(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(st.one_of(st.just(F(0)), _nonzero_c0)), _series(_nonzero_c0))
+@example(CUBIC_512, [F(1), F(0), F(0), F(-1)])
+def test_div_is_mul_by_inverse(b, c):
+    # the shorter operand is padded with zeros, as in the product
+    n = max(len(b), len(c)) - 1
+    assert TruncatedSeries(b) / TruncatedSeries(c) == (
+        TruncatedSeries(b) * TruncatedSeries(c).with_order(n).inverse()
+    )
+
+
+# integer series heavy in units, which the p/q draws above almost never give:
+# coefficients from {-1, 0, 1}, now and then an int up to 10**40 in size
 _unit = st.sampled_from((F(-1), F(0), F(1)))
-_big = st.integers(-(10**40), 10**40).map(F)
-_unit_or_big = st.one_of(_unit, _unit, _unit, _big)
-_unit_c0 = st.sampled_from((F(1), F(-1)))
+_unit_or_big = st.one_of(_unit, _unit, _unit, st.integers(-(10**40), 10**40).map(F))
 
 
 def _unit_series(c0):
     return st.builds(lambda head, tail: [head, *tail], c0, st.lists(_unit_or_big, max_size=40))
 
 
-_any_c0 = st.one_of(st.just(F(0)), _nonzero_c0)
-_mul_operand = st.one_of(_series(_any_c0), _unit_series(_unit_or_big))
-_divisor = st.one_of(_series(_nonzero_c0), _unit_series(_unit_c0))
+_unit_divisor = _unit_series(st.sampled_from((F(1), F(-1))))
 # A = 1 / (1 - 5t + 5t^2 - t^3) to order 64
 A_64 = _long_division(CUBIC_512[:65])
 
 
 @settings(max_examples=200, deadline=None)
-@given(_mul_operand, _mul_operand)
-@example([F(1), F(0), F(0), F(-1)], CUBIC_512)
-@example(CUBIC_512, _long_division(CUBIC_512))
+@given(_unit_series(_unit_or_big), _unit_series(_unit_or_big))
 # t^3 A: the sparser operand's first term, 1 at k = 3, copies A's first 62
 # numerators into coefficients 3 .. 64, and no more
 @example([F(0), F(0), F(0), F(1)], A_64)
@@ -144,31 +166,29 @@ A_64 = _long_division(CUBIC_512[:65])
 @example([F(0), F(0), F(10**40), F(-1), F(1)] + [F(0)] * 9, [F(1), F(1), F(-1)])
 # the denser operand the shorter, units on both sides
 @example([F(1), F(-1), F(0), F(-1), F(1)], [F(0), F(-1), F(1)] + [F(0)] * 12)
-def test_mul_matches_dense_cauchy_product(a, b):
+def test_mul_of_unit_series_matches_dense_cauchy_product(a, b):
     assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == _cauchy(a, b)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_divisor)
-@example(CUBIC_512)
-@example([F(-1), F(0)])  # c_0^(n+1) = 1, yet c_0^(n-i) = -1 at odd n - i
+@given(_unit_divisor)
 @example([F(1), F(0), F(0), F(-1)] + [F(0)] * 20)  # one unit term, c_0 = 1
 @example([F(1), F(-1), F(10**40), F(-1), F(1), F(-1)] + [F(0)] * 6)
-@example([F(-1), F(1), F(0), F(-1)] + [F(0)] * 6)  # c_0 = -1: weights +-1
+@example([F(-1), F(1), F(0), F(-1)] + [F(0)] * 6)  # c_0 = -1: weights 1, -1
+@example([F(3), F(-1), F(2)] + [F(0)] * 6)  # c_0 = 3, weight -1 at k = 1
+@example([F(3, 2), F(-1, 2), F(0), F(1, 2)])  # the same over den 2
 @example([F(1, 6), F(1, 2), F(-1, 6), F(0)])  # numerators (1, 3, -1) over 6
-def test_inverse_matches_long_division(c):
+def test_inverse_of_unit_series_matches_long_division(c):
     assert list(TruncatedSeries(c).inverse().coeffs) == _long_division(c)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_mul_operand, _divisor)
-@example(CUBIC_512, [F(1), F(0), F(0), F(-1)])
+@given(_unit_series(_unit_or_big), _unit_divisor)
 @example(A_64, [F(1), F(0), F(0), F(-1)])
 @example([F(1), F(10**40)], [F(1), F(-1), F(0), F(-1)] + [F(0)] * 8)
 @example([F(2, 5), F(1), F(-3)], [F(1, 6), F(1, 2), F(-1, 6)])  # c_0 = 1 over den 6
 @example([F(0), F(0), F(-1)] + [F(1)] * 10, [F(-1), F(0), F(1)])
-def test_div_is_mul_by_inverse(b, c):
-    # the shorter operand is padded with zeros, as in the product
+def test_div_of_unit_series_is_mul_by_inverse(b, c):
     n = max(len(b), len(c)) - 1
     assert TruncatedSeries(b) / TruncatedSeries(c) == (
         TruncatedSeries(b) * TruncatedSeries(c).with_order(n).inverse()

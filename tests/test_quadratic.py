@@ -45,6 +45,8 @@ from helixkit.quadratic import (
 )
 from helixkit.sampling import random_presentation
 
+from hilbert_reference import three_term_series
+
 M = RationalMatrix.from_rows
 
 
@@ -1097,14 +1099,14 @@ def test_hilbert_denominator_identity():
 
 @pytest.mark.parametrize("d", [*range(3, 42), 2**64 + 1, 10**6 + 1])
 def test_hilbert_A_matches_its_three_term_recursion(d):
-    # A is Koszul with dual dims (1, d, d, 1): a_n = d (a_(n-1) - a_(n-2))
-    # + a_(n-3), written out here, is the reference for the series inverse
-    a = [1, d, d * d - d]
-    while len(a) <= 512:
-        a.append(d * (a[-1] - a[-2]) + a[-3])
+    # the recursion is the reference for A's series inverse and for B's
+    # product b_n = a_n - a_(n-3)
+    a, b = three_term_series(d, 512)
     for order in (3, 6, 7, 64, 210, 512):
         got = hilbert_A(EquigenModel(d), order)
         assert (got.den, got.nums) == (1, tuple(a[: order + 1])), order
+        got = hilbert_B(got)
+        assert (got.den, got.nums) == (1, tuple(b[: order + 1])), order
 
 
 def test_hilbert_linear_recursion():
