@@ -34,13 +34,8 @@ from .helix import (
     HelixTable,
     Seed,
     _checked_text,
-    _csv_lines,
     _grow,
-    _int_max_str_digits,
-    _periodicity,
-    _printable_bits,
     _replay,
-    _require_printable,
     _table,
     check_positivity,
     invariants_from_seed,
@@ -52,6 +47,8 @@ from .helix import (
 from .sampling import random_presentation, random_right_step, random_seed_table
 
 _VERIFY_SEED = 0x5EED5
+
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # exit code per error class, first match wins; one class per row (flat except tuple)
 _EXIT_CODES = (
@@ -165,8 +162,8 @@ def _run_seed_table(args) -> int:
     # first unprintable row ends the run before any later row is built
     table = _table(seed, _printable(_grow(seed, args.n)))
     report = check_positivity(table)
-    # _row_texts without its checks, passed above; lines stream as replayed
-    texts = _replay(table.rows, table.minors)
+    # lines stream as replayed
+    texts = _replay(table)
 
     if args.format == "csv":
         sys.stdout.writelines(_csv_lines(texts))
@@ -182,8 +179,8 @@ def _run_seed_table(args) -> int:
     else:
         print(f"positivity: {report}")
     if len(table.rows) >= 5:
-        # the replay yielded every row, so every residual is zero
-        ok, why = _periodicity(table, replayed=True)
+        # reads the residual walk the replay kept on the table
+        ok, why = verify_periodicity(table)
         print("periodicity: ok" if ok else f"periodicity: BROKEN ({why})")
         if not ok:
             return 2
@@ -211,9 +208,37 @@ def _printable(grown):
         yield pair
 
 
+def _printable_bits(limit: int) -> int:
+    """The most bits an int may have and still print whatever its value,
+    under an int str digit limit of `limit` digits: as log2(10) > 3.32, an
+    int of at most 3.32 * limit bits is below 10**limit."""
+    return 332 * limit // 100
+
+
+def _require_printable(top: int) -> None:
+    """Raise the ValueError str() raises for top, if it would.
+
+    str() refuses an int of more digits than sys.get_int_max_str_digits()
+    (0: no limit), one of size 10**limit or more. Only an int longer than
+    _printable_bits(limit) is compared with 10**limit, and str(), quadratic
+    in the digits, runs only on an int it refuses.
+    """
+    limit = _int_max_str_digits()
+    if limit and top.bit_length() > _printable_bits(limit) and abs(top) >= 10**limit:
+        str(top)
+
+
+def _csv_lines(texts):
+    """The lines of seed-table's csv format, from the table's _replay."""
+    yield "n,d,r,dp,rp,slope\n"
+    for row, c, d, r, dp, rp in texts:
+        mu = slope_text(row, c, d, r) if row.r != 0 else ""
+        yield f"{row.n},{d},{r},{dp or ''},{rp or ''},{mu}\n"
+
+
 def _table_lines(texts):
     """The row lines of seed-table's table format, from the table's
-    _row_texts."""
+    _replay."""
     for row, c, d, r, dp, rp in texts:
         primed = "" if dp is None else f" dp={dp} rp={rp}"
         mu = f" slope={slope_text(row, c, d, r)}" if row.r > 0 else ""

@@ -11,7 +11,6 @@ growth factor alone.
 
 from __future__ import annotations
 
-import sys
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -29,7 +28,7 @@ from math import gcd
 from typing import NamedTuple
 
 from ._value import Value
-from .bundles import ChernVector, Triad, dualize, dualize_triad, mutate_triad_right
+from .bundles import ChernVector, Triad
 from .errors import (
     InvalidSeed,
     NotEquigeneratedSeed,
@@ -37,8 +36,6 @@ from .errors import (
     UnsupportedD,
 )
 from .exact import SurdValue, _frac, surd_to_decimal
-
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class Seed(Value):
@@ -88,11 +85,25 @@ class HelixTable(Value):
     # minors[n] * row n-1 - primed_(n-1), so minors[n] is also row n-1's
     # mixed minor, and for n >= 4 the expansion in invariants_from_seed
     # gives minors[n] = minors[n-3]: only minors[1..3] come from the rows.
-    # The printed texts replay the rows from them, so _row_texts needs one
-    # per row and refuses a row that is not their recursion; verify_periodicity
-    # reads them only as multipliers of its residuals, and its minors are the
-    # rows' own whatever they hold
+    # The printed texts replay the rows from them (_replay), which refuses a
+    # row that is not their recursion; verify_periodicity reads them only as
+    # multipliers of its residuals, and its minors are the rows' own whatever
+    # they hold. Both read a minor past the end of the tuple as 0
     _fields = ("seed", "d_param", "rows", "degenerate_at", "minors")
+    # the first walk of the residuals, kept outside ==, hash and repr
+    _nonzero: dict[int, list[int]] | None = None
+
+    def _multipliers(self) -> tuple[int, ...]:
+        """minors, with a 0 for each row past the end of the tuple."""
+        return (*self.minors, *(0,) * (len(self.rows) - len(self.minors)))
+
+    def _nonzero_residuals(self) -> dict[int, list[int]]:
+        """{i: [ed, er, fd, fr]} for each row i whose residuals E_i, F_i
+        (_residuals) are not zero, walked on the first call and kept."""
+        if self._nonzero is None:
+            residuals = _residuals(self.rows, self._multipliers())
+            self.__dict__["_nonzero"] = {i: e_f for i, *e_f in residuals}
+        return self._nonzero
 
     def seed_triad(self) -> Triad:
         (d0, r0), (d1p, r1p), (d1, r1) = self.seed.pairs()
@@ -119,37 +130,6 @@ class HelixTable(Value):
         if self.degenerate_at is not None:
             doc["degenerate_at"] = self.degenerate_at
         return doc
-
-    def to_csv(self) -> str:
-        return "".join(_csv_lines(_row_texts(self)))
-
-
-def _csv_lines(texts):
-    """The lines of to_csv, from the _row_texts of the table."""
-    yield "n,d,r,dp,rp,slope\n"
-    for row, c, d, r, dp, rp in texts:
-        mu = slope_text(row, c, d, r) if row.r != 0 else ""
-        yield f"{row.n},{d},{r},{dp or ''},{rp or ''},{mu}\n"
-
-
-def _printable_bits(limit: int) -> int:
-    """The most bits an int may have and still print whatever its value,
-    under an int str digit limit of `limit` digits: as log2(10) > 3.32, an
-    int of at most 3.32 * limit bits is below 10**limit."""
-    return 332 * limit // 100
-
-
-def _require_printable(top: int) -> None:
-    """Raise the ValueError str() raises for top, if it would.
-
-    str() refuses an int of more digits than sys.get_int_max_str_digits()
-    (0: no limit), one of size 10**limit or more. Only an int longer than
-    _printable_bits(limit) is compared with 10**limit, and str(), quadratic
-    in the digits, runs only on an int it refuses.
-    """
-    limit = _int_max_str_digits()
-    if limit and top.bit_length() > _printable_bits(limit) and abs(top) >= 10**limit:
-        str(top)
 
 
 # Every Decimal operation of the replay is exact or raises: no result may
@@ -180,33 +160,23 @@ def _checked_text(x: int, v: Decimal) -> str:
     return text
 
 
-def _row_texts(table: HelixTable):
+def _replay(table: HelixTable):
     """Yield (row, minor, d, r, dp, rp) for each row of table, with the texts
     str() gives for row.d, row.r, row.dp and row.rp (dp, rp None on row 0).
 
-    Raises a ValueError before yielding anything if the table carries fewer
-    minors than rows, or the one str() would if some entry has more digits
-    than the int str limit allows. str() of an int is quadratic in its
-    digits, while a Decimal holds base-10 digits and prints in linear time;
-    so the texts come from an exact Decimal replay of invariants_from_seed's
-    two updates, from the Decimals of rows 0 and 1 and the table's carried
-    minors. Only the last two rows are kept. Before a row from row 2 on is
-    yielded, its residuals E_i and F_i (_residuals) must be zero, so that it
-    is the recursion the replay runs, and each of its texts is checked
-    against its int (_checked_text): a row that disagrees with the
-    recursion, or a replay that disagrees with the table, raises
-    ArithmeticError and the row is never yielded.
+    str() of an int is quadratic in its digits, while a Decimal holds base-10
+    digits and prints in linear time; so the texts come from an exact Decimal
+    replay of invariants_from_seed's two updates, from the Decimals of rows 0
+    and 1 and the table's carried minors. Only the last two rows are kept.
+    Before a row from row 2 on is yielded, its residuals E_i and F_i must be
+    zero (HelixTable._nonzero_residuals), so that it is the recursion the
+    replay runs, and each of its texts is checked against its int
+    (_checked_text): a row that disagrees with the recursion, or a replay
+    that disagrees with the table, raises ArithmeticError and the row is
+    never yielded. The caller keeps the texts within the int str digit
+    limit.
     """
-    rows, minors = table.rows, table.minors
-    if len(minors) < len(rows):
-        raise ValueError(f"table of {len(rows)} rows carries only {len(minors)} minors")
-    _require_printable(max(
-        (x for row in rows for x in row[1:] if x is not None), key=int.bit_length
-    ))
-    return _replay(rows, minors)
-
-
-def _replay(rows: tuple[Row, ...], minors: tuple[int, ...]):
+    rows, minors = table.rows, table._multipliers()
     mul, sub = _EXACT.multiply, _EXACT.subtract
     first, row = rows[0], rows[1]
     d2, r2 = Decimal(first.d), Decimal(first.r)
@@ -218,7 +188,7 @@ def _replay(rows: tuple[Row, ...], minors: tuple[int, ...]):
     )
     c = Decimal(minors[1])
     # the first row that is not the recursion of the rows before it
-    bad = next(_residuals(rows, minors), (len(rows),))[0]
+    bad = next(iter(table._nonzero_residuals()), len(rows))
     for i in range(1, bad):
         if i > 1:
             # the two updates of invariants_from_seed: row i from rows i-1, i-2
@@ -375,17 +345,12 @@ def verify_periodicity(table: HelixTable) -> tuple[bool, str | None]:
     Cost: four products of a carried minor with a table-size integer per
     row, none of two table-size integers, so the check is linear in the
     table's digits. A nonzero residual adds its determinants with two rows.
+    The residuals are walked once per table (HelixTable._nonzero_residuals),
+    so a table _replay has printed is not walked again.
     """
-    return _periodicity(table, replayed=False)
-
-
-def _periodicity(table: HelixTable, replayed: bool) -> tuple[bool, str | None]:
-    """verify_periodicity(table). replayed says that _replay has yielded
-    every row of table, which it does only when every residual is zero, so
-    the residuals are not walked again."""
     if len(table.rows) < 5:
         raise TableTooShort("periodicity checks need at least rows 0..4")
-    consec, mixed = _row_minors(table, replayed)
+    consec, mixed = _row_minors(table)
     top = len(consec)
     for n in range(1, top):
         if consec[n] != mixed[n]:
@@ -401,15 +366,11 @@ def _periodicity(table: HelixTable, replayed: bool) -> tuple[bool, str | None]:
     return True, None
 
 
-def _row_minors(
-    table: HelixTable, replayed: bool = False
-) -> tuple[list[int], list[int | None]]:
+def _row_minors(table: HelixTable) -> tuple[list[int], list[int | None]]:
     """(consec, mixed) of a table of at least 3 rows: consec[n] is the minor
     of rows n+1, n and mixed[n] row n's mixed minor (None at n = 0), by the
-    residual identities in verify_periodicity's docstring. replayed (see
-    _periodicity) takes every residual as zero."""
-    rows = table.rows
-    minors = (*table.minors, *(0,) * len(rows))
+    residual identities in verify_periodicity's docstring."""
+    rows, minors = table.rows, table._multipliers()
     # in step i, row i-1 is (d1, r1), row i-2 is (d2, r2) and (fd1, fr1) is
     # F_(i-1), first read at i = 3
     _, d2, r2, _, _ = rows[0]
@@ -417,7 +378,7 @@ def _row_minors(
     consec = [d1 * r2 - d2 * r1]
     mixed = [None, *(x.d * x.rp - x.dp * x.r for x in rows[1:3])]
     fd1 = fr1 = 0
-    nonzero = {} if replayed else {i: e_f for i, *e_f in _residuals(rows, minors)}
+    nonzero = table._nonzero_residuals()
     for i in range(2, len(rows)):
         _, d, r, _, _ = rows[i]
         c, c1 = minors[i], minors[i - 1]
@@ -553,18 +514,19 @@ class TwoSidedTable(Value):
 
 
 def extend_two_sided(d: int, n_max: int) -> TwoSidedTable:
-    """Entries 0..n_max from the table; entries -1..-n_max through the dual.
+    """Entries 0..n_max from the table; entries -1..-n_max from the dual's.
 
-    The dualized seed triad is mutated rightward; after i steps the dual of
-    its last member is the entry at -i.
+    Entry -i is row i+1 of the table of the dual seed (-d, -d/2, 0),
+    dualized: that row is the last member of the dualized seed triad after
+    i right mutations. Both sides grow by the seed recursion (_grow).
     """
     _require_odd_ge5(d)
     if n_max < 1:
         raise ValueError("window must include indices -1, 0, 1")
-    table = invariants_from_seed(Seed(0, Fraction(d, 2), d), n_max)
-    entries = {row.n: ChernVector(row.r, row.d) for row in table.rows}
-    tri = dualize_triad(table.seed_triad())
-    for i in range(1, n_max + 1):
-        tri = mutate_triad_right(tri)
-        entries[-i] = dualize(tri.c)
+    half = Fraction(d, 2)
+    rows = _grow(Seed(0, half, d), n_max)
+    entries = {row.n: ChernVector(row.r, row.d) for row, _ in rows}
+    for row, _ in _grow(Seed(-d, -half, 0), n_max + 1):
+        if row.n > 1:
+            entries[1 - row.n] = ChernVector(row.r, -row.d)
     return TwoSidedTable(n_max, entries)

@@ -103,10 +103,12 @@ benchmark_smoke() {
 traced_benchmark_smoke() {
   # every traced name must still exist.
   # the tracer looks each TARGETS name up in its module or class, so a
-  # deleted name fails here even when no src/ code calls it any more
+  # deleted name fails here even when no src/ code calls it any more.
+  # seed-table's periodicity check must go through the traced
+  # verify_periodicity: the tables run must count calls to it
   for w in verify koszul tables; do
     python3 perfbench/run.py --workload "$w" --seed 1 --seconds 5 --trace 1 | tail -n 1 \
-      | python3 -c 'import json, sys; doc = json.load(sys.stdin); print({k: doc[k] for k in ("correct", "attempted", "failed")}); sys.exit(doc["correct"] is not True)'
+      | python3 -c 'import json, sys; doc = json.load(sys.stdin); calls = doc["metrics"]["helix.verify_periodicity.calls"]["value"]; print({k: doc[k] for k in ("correct", "attempted", "failed")}, f"verify_periodicity calls: {calls}"); sys.exit(doc["correct"] is not True or (sys.argv[1] == "tables" and calls == 0))' "$w"
   done
 }
 

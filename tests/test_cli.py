@@ -202,22 +202,27 @@ def test_printable_refuses_exactly_the_rows_str_refuses(limit):
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_seed_table_walks_the_residuals_once(capsys, monkeypatch, fmt):
-    # the replay walks every row's residuals, and has found them all zero
-    # once it has yielded every row, so the table format's periodicity check
-    # takes that verdict instead of walking them again; verify_periodicity
-    # itself still walks them
-    real = helix._residuals
-    walks = []
+    # the replay walks every row's residuals and the table keeps that walk,
+    # so the table format's verify_periodicity reads it instead of walking
+    # them again; a fresh table is walked again
+    real, real_check = helix._residuals, cli.verify_periodicity
+    walks, checks = [], []
 
     def counting(rows, minors):
         walks.append(len(rows))
         return real(rows, minors)
 
+    def counting_check(table):
+        checks.append(len(table.rows))
+        return real_check(table)
+
     monkeypatch.setattr(helix, "_residuals", counting)
+    monkeypatch.setattr(cli, "verify_periodicity", counting_check)
     code, out, _ = run(capsys, "seed-table", "0", "5/2", "5", "--n", "40", "--format", fmt)
     assert code == 0
     assert ("periodicity: ok" in out) == (fmt == "table")
     assert walks == [41]
+    assert checks == ([41] if fmt == "table" else [])
     table = helix.invariants_from_seed(helix.Seed(0, fractions.Fraction(5, 2), 5), 40)
     assert helix.verify_periodicity(table) == (True, None)
     assert walks == [41, 41]

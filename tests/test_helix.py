@@ -10,7 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helixkit.bundles import ChernVector, Triad, hom_dims, mutate_triad_right
+from helixkit import cli, helix
+from helixkit.bundles import (
+    ChernVector,
+    Triad,
+    dualize,
+    dualize_triad,
+    hom_dims,
+    mutate_triad_right,
+)
+from helixkit.cli import _require_printable
 from helixkit.errors import (
     InvalidSeed,
     NotEquigeneratedSeed,
@@ -30,9 +39,8 @@ from helixkit.helix import (
     slope_text,
     verify_periodicity,
     verify_ratio_bound,
-    _require_printable,
+    _replay,
     _row_minors,
-    _row_texts,
 )
 
 F = Fraction
@@ -168,6 +176,26 @@ def test_rows_match_iterated_triad_mutation():
         assert tri.c == ChernVector(rn.r, rn.d)
 
 
+def dual_chain_entries(d, n_max):
+    """Entries -1..-n_max of the two-sided table by the triad route: the
+    dualized seed triad mutated rightward, entry -i the dual of its last
+    member after i steps."""
+    tri = dualize_triad(invariants_from_seed(seed_0_half_d(d), 1).seed_triad())
+    entries = {}
+    for i in range(1, n_max + 1):
+        tri = mutate_triad_right(tri)
+        entries[-i] = dualize(tri.c)
+    return entries
+
+
+@pytest.mark.parametrize("d", range(5, 42, 2))
+def test_two_sided_negative_side_matches_the_dual_triad_chain(d):
+    # one target, two code paths: the dual seed's table recursion vs the
+    # dualized triad's mutation chain
+    ts = extend_two_sided(d, 30)
+    assert {n: ts.entry(n) for n in range(-30, 0)} == dual_chain_entries(d, 30)
+
+
 def test_constant_hom_dims_along_the_chain():
     for d in (5, 7, 9):
         t = invariants_from_seed(seed_0_half_d(d), 8)
@@ -249,6 +277,47 @@ def test_periodicity_reports_mixed_minor_recursion(index, change, n):
     # frozen: the reports of the eight-determinant check
     ok, detail = verify_periodicity(_tampered(index, **change))
     assert (ok, detail) == (False, f"mixed-minor recursion identity fails at n={n}")
+
+
+@pytest.mark.parametrize("index, change", [(5, {"d": 1}), (-1, {"rp": 1}), (0, {"d": 1})])
+def test_periodicity_after_a_refused_replay_is_the_fresh_verdict(index, change):
+    # the replay keeps its residual walk on the table, nonzero rows and all,
+    # and verify_periodicity reads that walk
+    walked = _tampered(index, **change)
+    with pytest.raises(ArithmeticError, match="is not the seed recursion"):
+        list(_replay(walked))
+    assert walked._nonzero
+    assert verify_periodicity(walked) == verify_periodicity(_tampered(index, **change))
+
+
+@pytest.mark.parametrize("replay_first", [True, False])
+def test_replay_and_periodicity_walk_the_residuals_once(monkeypatch, replay_first):
+    real, walks = helix._residuals, []
+
+    def counting(rows, minors):
+        walks.append(len(rows))
+        return real(rows, minors)
+
+    monkeypatch.setattr(helix, "_residuals", counting)
+    t = invariants_from_seed(seed_0_half_d(5), 12)
+    if replay_first:
+        assert len(list(_replay(t))) == 13
+    assert verify_periodicity(t) == (True, None)
+    assert len(list(_replay(t))) == 13
+    assert walks == [13]
+
+
+@pytest.mark.parametrize("table", [
+    lambda: invariants_from_seed(seed_0_half_d(5), 12),
+    lambda: _tampered(5, d=1),
+])
+def test_a_walked_table_equals_an_unwalked_one(table):
+    walked, fresh = table(), table()
+    verify_periodicity(walked)
+    assert walked._nonzero is not None and fresh._nonzero is None
+    assert walked == fresh
+    assert hash(walked) == hash(fresh)
+    assert repr(walked) == repr(fresh)
 
 
 def _carried_table(seed, n_max, offset_at):
@@ -422,15 +491,15 @@ def test_periodicity_forms_no_product_of_two_table_size_integers():
     assert max(min(pair) for pair in products) <= 8
 
 
-@pytest.mark.parametrize("keep", [4, 0])
-def test_row_texts_refuses_fewer_minors_than_rows(keep):
+@pytest.mark.parametrize("keep, bad", [(4, 4), (0, 2)])
+def test_replay_reads_missing_minors_as_zero(keep, bad):
+    # a minor past the end of the tuple reads as 0, and the first row whose
+    # residual that breaks is refused
     t = invariants_from_seed(seed_0_half_d(5), 6)
-    short = HelixTable(t.seed, t.d_param, t.rows, None, t.minors[:keep])
-    message = f"table of 7 rows carries only {keep} minors"
-    with pytest.raises(ValueError, match=message):
-        _row_texts(short)
-    with pytest.raises(ValueError, match=message):
-        short.to_csv()
+    texts = _replay(HelixTable(t.seed, t.d_param, t.rows, None, t.minors[:keep]))
+    assert [next(texts)[0] for _ in range(bad)] == list(t.rows[:bad])
+    with pytest.raises(ArithmeticError, match=f"row {bad} "):
+        next(texts)
 
 
 @pytest.mark.parametrize("field", ["d", "r", "dp", "rp"])
@@ -443,9 +512,7 @@ def test_csv_of_a_row_off_by_ten_to_the_ninth_raises(field):
     rows[7] = rows[7]._replace(**{field: getattr(rows[7], field) + 10**9})
     bad = HelixTable(t.seed, t.d_param, tuple(rows), t.degenerate_at, t.minors)
     assert verify_periodicity(bad)[0] is False
-    with pytest.raises(ArithmeticError, match="row 7 "):
-        bad.to_csv()
-    texts = _row_texts(bad)
+    texts = _replay(bad)
     assert [next(texts)[0] for _ in range(7)] == list(t.rows[:7])
     with pytest.raises(ArithmeticError, match="row 7 "):
         next(texts)
@@ -647,7 +714,7 @@ def test_json_shape():
 
 def test_csv_shape():
     t = invariants_from_seed(seed_0_half_d(5), 2)
-    assert t.to_csv() == (
+    assert "".join(cli._csv_lines(_replay(t))) == (
         "n,d,r,dp,rp,slope\n"
         "0,0,1,,,0\n"
         "1,5,1,5,2,5\n"
@@ -660,22 +727,8 @@ def test_csv_prints_zero_without_a_sign():
     # as -1 * 0 - 0, which Decimal signs as -0
     rows = (Row(0, 0, 1, None, None), Row(1, 0, 1, 5, 2), Row(2, -5, 1, 0, -2))
     t = HelixTable(seed_0_half_d(5), None, rows, None, (0, -1, 3))
-    assert t.to_csv() == "n,d,r,dp,rp,slope\n0,0,1,,,0\n1,0,1,5,2,0\n2,-5,1,0,-2,-5\n"
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
-)
-def test_csv_past_the_digit_limit_raises():
-    # a Decimal prints any number of digits; to_csv refuses what str() would
-    t = invariants_from_seed(seed_0_half_d(5), 2000)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        with pytest.raises(ValueError):
-            t.to_csv()
-    finally:
-        sys.set_int_max_str_digits(limit)
+    csv = "".join(cli._csv_lines(_replay(t)))
+    assert csv == "n,d,r,dp,rp,slope\n0,0,1,,,0\n1,0,1,5,2,0\n2,-5,1,0,-2,-5\n"
 
 
 @settings(max_examples=500, deadline=None)
