@@ -14,7 +14,6 @@ import json
 import random
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -30,14 +29,15 @@ from .bundles import (
 from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
 from .exact import _frac, _require_order
 from .helix import (
-    _EXACT,
     HelixTable,
     Seed,
-    _checked_text,
+    _decimals,
     _grow,
+    _reflect,
     _replay,
     _table,
     check_positivity,
+    closed_form,
     invariants_from_seed,
     limit_slopes,
     slope_text,
@@ -191,41 +191,45 @@ def _printable(grown):
     """Yield grown's (row, minor) pairs; at the first row with an entry str()
     would refuse, raise its ValueError instead.
 
-    The limit is read once. Every entry of at most `bits` bits prints, and
-    the or of a row's bit lengths is at least the longest of them, so only a
-    row whose or is past `bits` is checked further.
+    The limit's bound `bits` is read once. Every entry of at most `bits`
+    bits prints, and the or of a row's bit lengths is at least the longest
+    of them, so only a row whose or is past `bits` goes to the guard.
     """
-    limit = _int_max_str_digits()
-    if not limit:
+    bits = _require_printable()
+    if not bits:
         yield from grown
         return
-    bits = _printable_bits(limit)
     for pair in grown:
         _, d, r, dp, rp = pair[0]
         dp, rp = dp or 0, rp or 0
         if d.bit_length() | r.bit_length() | dp.bit_length() | rp.bit_length() > bits:
-            _require_printable(max(d, r, dp, rp, key=int.bit_length))
+            _require_printable(d, r, dp, rp)
         yield pair
 
 
-def _printable_bits(limit: int) -> int:
-    """The most bits an int may have and still print whatever its value,
-    under an int str digit limit of `limit` digits: as log2(10) > 3.32, an
-    int of at most 3.32 * limit bits is below 10**limit."""
-    return 332 * limit // 100
-
-
-def _require_printable(top: int) -> None:
-    """Raise the ValueError str() raises for top, if it would.
+def _require_printable(*xs: int) -> int:
+    """Raise the ValueError str() raises for some x of xs, if it would;
+    return `bits`, the most bits an int may have and still print whatever
+    its value (0: no limit).
 
     str() refuses an int of more digits than sys.get_int_max_str_digits()
-    (0: no limit), one of size 10**limit or more. Only an int longer than
-    _printable_bits(limit) is compared with 10**limit, and str(), quadratic
-    in the digits, runs only on an int it refuses.
+    (0: no limit), one of size 10**limit or more, always with one message.
+    As log2(10) > 3.32, an int of at most 3.32 * limit bits is below
+    10**limit. Only when the or of the xs' bit lengths is past that is their
+    largest size compared with 10**limit, and str(), quadratic in the
+    digits, runs only on an int it refuses.
     """
     limit = _int_max_str_digits()
-    if limit and top.bit_length() > _printable_bits(limit) and abs(top) >= 10**limit:
-        str(top)
+    bits = 332 * limit // 100
+    if limit:
+        length = 0
+        for x in xs:
+            length |= x.bit_length()
+        if length > bits:
+            top = max(map(abs, xs))
+            if top >= 10**limit:
+                str(top)
+    return bits
 
 
 def _csv_lines(texts):
@@ -283,28 +287,20 @@ def _triad_lines(steps: list[Triad], right: bool):
     the triad before it and makes two, each h * pivot - v with h one of that
     triad's small pairings, so the texts of the new members come from an
     exact Decimal replay of those reflections, in linear time, and each is
-    checked against its int (helix._checked_text) before it is yielded.
+    checked against its int (helix._reflect) before it is yielded.
     """
-    mul, sub = _EXACT.multiply, _EXACT.subtract
-
-    def member(v, rank, degree):
-        return rank, degree, _checked_text(v.rank, rank), _checked_text(v.degree, degree)
-
-    def reflect(v, x, pivot, h):
-        # member(v) for v = h * pivot - x, from the Decimals of pivot and x
-        h = Decimal(h)
-        return member(v, sub(mul(h, pivot[0]), x[0]), sub(mul(h, pivot[1]), x[1]))
-
     t = steps[0]
-    ms = [member(v, Decimal(v.rank), Decimal(v.degree)) for v in (t.a, t.b, t.c)]
+    ms = [_decimals(v.rank, v.degree) for v in (t.a, t.b, t.c)]
     for step, t in enumerate(steps):
         if step:
             # h holds the pairings of the triad before t
             a, b, c = ms
             if right:
-                ms = [c, reflect(t.b, a, c, h.ac), reflect(t.c, b, c, h.bc)]
+                ms = [c, _reflect(h.ac, c, a, (t.b.rank, t.b.degree)),
+                      _reflect(h.bc, c, b, (t.c.rank, t.c.degree))]
             else:
-                ms = [reflect(t.a, b, a, h.ab), reflect(t.b, c, a, h.ac), a]
+                ms = [_reflect(h.ab, a, b, (t.a.rank, t.a.degree)),
+                      _reflect(h.ac, a, c, (t.b.rank, t.b.degree)), a]
         h = hom_dims(t)
         # a Triad's members are simple, rank >= 1 and coprime to the degree,
         # so degree/rank is str(slope(v)) already in lowest terms
@@ -329,9 +325,8 @@ def _run_triad(args) -> int:
             except NotMutable as exc:
                 stuck = step, exc
                 break
-        top = max(*hom_dims(t), t.a.rank, abs(t.a.degree), t.b.rank, abs(t.b.degree),
-                  t.c.rank, abs(t.c.degree))
-        _require_printable(top)
+        _require_printable(*hom_dims(t), t.a.rank, t.a.degree, t.b.rank, t.b.degree,
+                           t.c.rank, t.c.degree)
         steps.append(t)
     sys.stdout.writelines(_triad_lines(steps, right))
     if stuck is not None:
@@ -380,14 +375,14 @@ def _printable_hilbert_A(model: qa.EquigenModel, order: int):
     n from u_0 = 1, so the a_n increase, and a_n <= d a_(n-1) <= d^n. B's
     coefficients a_n - a_(n-3) lie between 0 and a_n. So the A line holds
     the first int str() would refuse, if any, and A's last coefficient
-    decides. No a_n with n * bitlen(d) within _printable_bits is refused;
-    from the first order past that, A is built to doubling orders, each a
-    prefix of the next, until one's last coefficient is refused or the
+    decides. No a_n with n * bitlen(d) within _require_printable's bits is
+    refused; from the first order past that, A is built to doubling orders,
+    each a prefix of the next, until one's last coefficient is refused or the
     order is reached. An order past the series cap is refused first.
     """
     _require_order(order)
-    limit = _int_max_str_digits()
-    k = max(3, _printable_bits(limit) // model.d.bit_length() + 1) if limit else order
+    bits = _require_printable()
+    k = max(3, bits // model.d.bit_length() + 1) if bits else order
     while True:
         a = qa.hilbert_A(model, min(k, order))
         _require_printable(a.nums[-1])
@@ -494,8 +489,6 @@ def _verify_checks(ds, horizon, samples, rng):
         return True, ""
 
     def closed_form_equivalence():
-        from .helix import closed_form
-
         for d, table in family.items():
             for row, exact in zip(table.rows, closed_form(d, table.rows[-1].n)):
                 if exact != (row.r, row.d):

@@ -138,6 +138,7 @@ _EXACT = Context(
     prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
     traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
 )
+_mul, _sub = _EXACT.multiply, _EXACT.subtract
 
 
 def _checked_text(x: int, v: Decimal) -> str:
@@ -160,6 +161,20 @@ def _checked_text(x: int, v: Decimal) -> str:
     return text
 
 
+def _decimals(p: int, q: int) -> tuple[Decimal, Decimal, str, str]:
+    """(Decimal(p), Decimal(q), str(p), str(q)), a replay's start as _reflect's."""
+    u, v = Decimal(p), Decimal(q)
+    return u, v, _checked_text(p, u), _checked_text(q, v)
+
+
+def _reflect(h: int, pivot, x, want) -> tuple[Decimal, Decimal, str, str]:
+    """(u, v, str(want[0]), str(want[1])) for (u, v) = h * pivot - x, exact,
+    from the Decimals first in pivot and x: the one step of every Decimal
+    replay. Each text is checked against want's int (_checked_text)."""
+    u, v = _sub(_mul(h, pivot[0]), x[0]), _sub(_mul(h, pivot[1]), x[1])
+    return u, v, _checked_text(want[0], u), _checked_text(want[1], v)
+
+
 def _replay(table: HelixTable):
     """Yield (row, minor, d, r, dp, rp) for each row of table, with the texts
     str() gives for row.d, row.r, row.dp and row.rp (dp, rp None on row 0).
@@ -171,35 +186,25 @@ def _replay(table: HelixTable):
     Before a row from row 2 on is yielded, its residuals E_i and F_i must be
     zero (HelixTable._nonzero_residuals), so that it is the recursion the
     replay runs, and each of its texts is checked against its int
-    (_checked_text): a row that disagrees with the recursion, or a replay
-    that disagrees with the table, raises ArithmeticError and the row is
-    never yielded. The caller keeps the texts within the int str digit
-    limit.
+    (_reflect): a row that disagrees with the recursion, or a replay that
+    disagrees with the table, raises ArithmeticError and the row is never
+    yielded. The caller keeps the texts within the int str digit limit.
     """
     rows, minors = table.rows, table._multipliers()
-    mul, sub = _EXACT.multiply, _EXACT.subtract
     first, row = rows[0], rows[1]
-    d2, r2 = Decimal(first.d), Decimal(first.r)
-    d1, r1 = Decimal(row.d), Decimal(row.r)
-    dp1, rp1 = Decimal(row.dp), Decimal(row.rp)
-    yield (
-        first, minors[0], _checked_text(first.d, d2), _checked_text(first.r, r2),
-        None, None,
-    )
-    c = Decimal(minors[1])
+    # the (d, r) pairs of rows i-2 and i-1 and the primed pair of row i-1
+    before = _decimals(first.d, first.r)
+    last, primed = _decimals(row.d, row.r), _decimals(row.dp, row.rp)
+    yield first, minors[0], before[2], before[3], None, None
     # the first row that is not the recursion of the rows before it
     bad = next(iter(table._nonzero_residuals()), len(rows))
     for i in range(1, bad):
         if i > 1:
             # the two updates of invariants_from_seed: row i from rows i-1, i-2
-            row, c_prev, c = rows[i], c, Decimal(minors[i])
-            dp, rp = sub(mul(c_prev, d1), d2), sub(mul(c_prev, r1), r2)
-            d, r = sub(mul(c, d1), dp1), sub(mul(c, r1), rp1)
-            d2, r2, d1, r1, dp1, rp1 = d1, r1, d, r, dp, rp
-        yield (
-            row, minors[i], _checked_text(row.d, d1), _checked_text(row.r, r1),
-            _checked_text(row.dp, dp1), _checked_text(row.rp, rp1),
-        )
+            row, old = rows[i], primed
+            primed = _reflect(minors[i - 1], last, before, (row.dp, row.rp))
+            before, last = last, _reflect(minors[i], last, old, (row.d, row.r))
+        yield row, minors[i], last[2], last[3], primed[2], primed[3]
     if bad < len(rows):
         raise ArithmeticError(f"row {bad} is not the seed recursion of the rows "
                               f"before it and the table's minors")

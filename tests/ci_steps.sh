@@ -78,6 +78,14 @@ digit_limit() {
     echo "$argv: exit $code, $bytes bytes of stdout"
     if [ "$code" -ne 65 ] || [ "$bytes" -ne 0 ]; then exit 1; fi
   done
+  # at limit 658, row 1150's dp has the bit length of its d and is the
+  # first entry past the limit: a row is refused for any of its entries
+  argv="seed-table 0 5/2 5 --n 1150"
+  code=0
+  PYTHONPATH=src python -X int_max_str_digits=658 -m helixkit.cli $argv > "$RUNNER_TEMP/stdout" || code=$?
+  bytes=$(wc -c < "$RUNNER_TEMP/stdout")
+  echo "$argv (limit 658): exit $code, $bytes bytes of stdout"
+  if [ "$code" -ne 65 ] || [ "$bytes" -ne 0 ]; then exit 1; fi
   # 200,000 rows would take about 20 GB: seed-table must stop growing at the
   # first row it cannot print, inside 1 GiB of address space
   (

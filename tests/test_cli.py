@@ -176,7 +176,9 @@ def _str_refusal(*xs):
 def test_printable_refuses_exactly_the_rows_str_refuses(limit):
     # each row holds one int on either side of 3.32 * limit bits or of
     # 10**limit, at each place, beside small entries whose bit lengths, or-ed
-    # with its own, pass the bound; row 0 holds no dp or rp
+    # with its own, pass the bound; row 0 holds no dp or rp. Then rows hold
+    # 10**limit - 1 in an earlier place and +-10**limit, of the same bit
+    # length, in a later one: only the later entry is refused
     bits = 332 * limit // 100
     xs = [10**limit - 1, 10**limit, (1 << bits) - 1, 1 << bits, 1 << (bits + 1)]
     rows = []
@@ -185,6 +187,11 @@ def test_printable_refuses_exactly_the_rows_str_refuses(limit):
         for place in range(1, 5):
             entries = [7, 6, -5, 3]
             entries[place - 1] = x
+            rows.append(helix.Row(1, *entries))
+    for below, past in itertools.combinations(range(4), 2):
+        for top in (10**limit, -(10**limit)):
+            entries = [7, 6, -5, 3]
+            entries[below], entries[past] = 10**limit - 1, top
             rows.append(helix.Row(1, *entries))
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
@@ -198,6 +205,34 @@ def test_printable_refuses_exactly_the_rows_str_refuses(limit):
             assert got == _str_refusal(*row[1:])
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int str digit limit"
+)
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_seed_table_refuses_a_row_whose_later_entry_is_past_the_limit(capsys, fmt):
+    # at limit 658, row 1150's dp has the bit length of its d, which prints,
+    # and is the first entry of the table at 10**658 or more; the rows
+    # before it print as they do with no limit
+    old = sys.get_int_max_str_digits()
+    argv = ["seed-table", "0", "5/2", "5", "--format", fmt, "--n"]
+    try:
+        sys.set_int_max_str_digits(0)
+        unlimited = run(capsys, *argv, "1149")
+        table = helix.invariants_from_seed(helix.Seed(0, fractions.Fraction(5, 2), 5), 1150)
+        sys.set_int_max_str_digits(658)
+        row = table.rows[1150]
+        entries = [x for r in table.rows for x in r[1:] if x is not None]
+        assert [x for x in entries if abs(x) >= 10**658] == [row.dp]
+        assert row.d.bit_length() == row.dp.bit_length()
+        refusal = _str_refusal(row.dp)
+        refused = run(capsys, *argv, "1150")
+        printed = run(capsys, *argv, "1149")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert refused == (65, "", f"error: {refusal}\n")
+    assert printed == unlimited and printed[0] == 0
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -1429,7 +1464,8 @@ def test_verify_catches_closed_form_disagreement(capsys, monkeypatch):
         rows[3] = (r + 1, deg)
         return rows
 
-    monkeypatch.setattr(helix, "closed_form", bumped)
+    # verify reads the name cli imported from helix
+    monkeypatch.setattr(cli, "closed_form", bumped)
     code, out, _ = run(capsys, "verify", "--d-range", "5:7", "--horizon", "8",
                        "--seed-samples", "2")
     assert code == 2

@@ -1,6 +1,7 @@
 """Seed-driven invariant tables, positivity verdicts, minor periodicity,
 closed forms, limit slopes, and the two-sided extension."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -523,22 +524,38 @@ def test_csv_of_a_row_off_by_ten_to_the_ninth_raises(field):
 )
 @pytest.mark.parametrize("limit", [640, 4300])
 def test_require_printable_refuses_exactly_what_str_refuses(limit):
-    # only an int past 3.32 * limit bits is compared with 10**limit, so the
-    # ints on either side of that bit count and of 10**limit must agree
+    # only ints whose bit lengths or past 3.32 * limit bits have their
+    # largest size compared with 10**limit, so the ints on either side of
+    # that bit count and of 10**limit must agree, alone, in every order
+    # beside one of the same bit length and a small int, and in triad-shaped
+    # tuples (three pairings, then three ranks and degrees)
     bits = 332 * limit // 100
     xs = [10**limit - 1, 10**limit, (1 << bits) - 1, 1 << bits, 1 << (bits + 1)]
+    xs += [-x for x in xs]
+    tuples = [(x,) for x in xs]
+    for top in (10**limit, -(10**limit)):
+        tuples += itertools.permutations((10**limit - 1, top, 7))
+    for x in xs:
+        for place in range(9):
+            nine = [3, 4, 5, 1, -2, 2, 7, 1, 5]
+            nine[place] = x
+            tuples.append(tuple(nine))
+    tuples.append((3, 4, 5, 1, -2, 2, 7, 1, 5))
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
-        for x in xs + [-x for x in xs]:
-            assert _refusal(_require_printable, x) == _refusal(str, x)
+        for ints in tuples:
+            got = _refusal(_require_printable, *ints)
+            assert got == _refusal(lambda *ints: list(map(str, ints)), *ints)
+            if got is None:
+                assert _require_printable(*ints) == bits
     finally:
         sys.set_int_max_str_digits(old)
 
 
-def _refusal(f, x):
+def _refusal(f, *xs):
     try:
-        f(x)
+        f(*xs)
     except ValueError as exc:
         return str(exc)
     return None
