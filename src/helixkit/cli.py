@@ -21,19 +21,19 @@ from . import quadratic as qa
 from .bundles import (
     ChernVector,
     Triad,
+    dualize_triad,
     euler_pairing,
     hom_dims,
     mutate_triad_left,
     mutate_triad_right,
+    slope,
 )
 from .errors import DimensionCapExceeded, NotMutable, UnsupportedD
 from .exact import _frac, _require_order
 from .helix import (
     HelixTable,
     Seed,
-    _decimals,
     _grow,
-    _reflect,
     _replay,
     _table,
     check_positivity,
@@ -158,8 +158,8 @@ def _run_seed_table(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     seed = Seed(args.mu0, args.mu1p, args.mu1)
-    # each row is checked as it is grown, as triad checks each step, so the
-    # first unprintable row ends the run before any later row is built
+    # each row is checked as it is grown, as in triad, so the first
+    # unprintable row ends the run before any later row is built
     table = _table(seed, _printable(_grow(seed, args.n)))
     report = check_positivity(table)
     # lines stream as replayed
@@ -279,60 +279,57 @@ def _seed_table_json(table: HelixTable, texts, positivity: str):
     yield f'  "positivity": "{positivity}"\n}}\n'
 
 
-def _triad_lines(steps: list[Triad], right: bool):
-    """Yield the line _run_triad prints for each triad of steps, a chain of
-    mutation steps (right or left) from steps[0].
-
-    str() of an int is quadratic in its digits. A step keeps one member of
-    the triad before it and makes two, each h * pivot - v with h one of that
-    triad's small pairings, so the texts of the new members come from an
-    exact Decimal replay of those reflections, in linear time, and each is
-    checked against its int (helix._reflect) before it is yielded.
-    """
-    t = steps[0]
-    ms = [_decimals(v.rank, v.degree) for v in (t.a, t.b, t.c)]
-    for step, t in enumerate(steps):
-        if step:
-            # h holds the pairings of the triad before t
-            a, b, c = ms
-            if right:
-                ms = [c, _reflect(h.ac, c, a, (t.b.rank, t.b.degree)),
-                      _reflect(h.bc, c, b, (t.c.rank, t.c.degree))]
-            else:
-                ms = [_reflect(h.ab, a, b, (t.a.rank, t.a.degree)),
-                      _reflect(h.ac, a, c, (t.b.rank, t.b.degree)), a]
-        h = hom_dims(t)
-        # a Triad's members are simple, rank >= 1 and coprime to the degree,
-        # so degree/rank is str(slope(v)) already in lowest terms
-        members = ", ".join(f"{r}:{d}" for _, _, r, d in ms)
-        slopes = ", ".join(d if r == "1" else f"{d}/{r}" for _, _, r, d in ms)
-        yield f"step {step}: ({members}) hom=({h.ab},{h.ac},{h.bc}) slopes=({slopes})\n"
-
-
 def _run_triad(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be nonnegative")
     t = Triad(ChernVector(*args.a), ChernVector(*args.b), ChernVector(*args.c))
     right = args.direction == "right"
-    mutate = mutate_triad_right if right else mutate_triad_left
-    # every step runs before the first line, as in seed-table: the first
-    # that cannot be printed ends the run with nothing printed
-    steps, stuck = [], None
-    for step in range(args.steps + 1):
-        if step:
-            try:
-                t = mutate(t)
-            except NotMutable as exc:
-                stuck = step, exc
-                break
-        _require_printable(*hom_dims(t), t.a.rank, t.a.degree, t.b.rank, t.b.degree,
-                           t.c.rank, t.c.degree)
-        steps.append(t)
-    sys.stdout.writelines(_triad_lines(steps, right))
+    # right step k of s is (row k, primed row k+1, row k+1) of the seed table
+    # of its slopes; a left step of t is a right step of its dual, dualized
+    s = t if right else dualize_triad(t)
+    seed = Seed._unchecked(slope(s.a), slope(s.b), slope(s.c))
+    # a right step turns the pairings (ab, ac, bc) into (ac, bc, ab), so they
+    # are checked once
+    h = hom_dims(s)
+    _require_printable(*h)
+    # every row is checked before the first line, as in seed-table: the first
+    # that cannot be printed ends the run with nothing printed. A row with a
+    # rank <= 0 is the stuck step's, never printed, and is dropped unchecked
+    grown = itertools.takewhile(
+        lambda pair: pair[0].n < 2 or min(pair[0].r, pair[0].rp) > 0,
+        _grow(seed, args.steps + 1),
+    )
+    table = _table(seed, _printable(grown))
+    rows, stuck = table.rows, None
+    if len(rows) < args.steps + 2:
+        # step len(rows) - 1 is stuck: the mutation itself, run on the step
+        # before it, names the member that fails, in its own order
+        x, y = rows[-2:]
+        last = Triad(ChernVector(x.r, x.d), ChernVector(y.rp, y.dp), ChernVector(y.r, y.d))
+        try:
+            mutate_triad_right(last) if right else mutate_triad_left(dualize_triad(last))
+        except NotMutable as exc:
+            stuck = exc
+        else:
+            raise ArithmeticError(f"step {len(rows) - 1} is mutable, but its row has a rank <= 0")
+    homs = [h[k:] + h[:k] for k in range(3)]
+    homs = [",".join(map(str, hom if right else hom[::-1])) for hom in homs]
+    write = sys.stdout.write
+    pairs = itertools.pairwise(_replay(table))
+    for k, ((_, _, d0, r0, _, _), (_, _, d1, r1, dp, rp)) in enumerate(pairs):
+        ms = (r0, d0), (rp, dp), (r1, d1)
+        if not right:
+            # the dual's members in reverse order, their degrees negated
+            ms = [(r, d[1:] if d[0] == "-" else d if d == "0" else "-" + d)
+                  for r, d in reversed(ms)]
+        # a Triad's members are simple, rank >= 1 and coprime to the degree,
+        # so degree/rank is str(slope(v)) already in lowest terms
+        members = ", ".join(f"{r}:{d}" for r, d in ms)
+        slopes = ", ".join(d if r == "1" else f"{d}/{r}" for r, d in ms)
+        write(f"step {k}: ({members}) hom=({homs[k % 3]}) slopes=({slopes})\n")
     if stuck is not None:
-        step, exc = stuck
         print(
-            f"error at step {step}: member {exc.member} not mutable ({exc})",
+            f"error at step {len(rows) - 1}: member {stuck.member} not mutable ({stuck})",
             file=sys.stderr,
         )
         return 1

@@ -161,16 +161,11 @@ def _checked_text(x: int, v: Decimal) -> str:
     return text
 
 
-def _decimals(p: int, q: int) -> tuple[Decimal, Decimal, str, str]:
-    """(Decimal(p), Decimal(q), str(p), str(q)), a replay's start as _reflect's."""
-    u, v = Decimal(p), Decimal(q)
-    return u, v, _checked_text(p, u), _checked_text(q, v)
-
-
 def _reflect(h: int, pivot, x, want) -> tuple[Decimal, Decimal, str, str]:
     """(u, v, str(want[0]), str(want[1])) for (u, v) = h * pivot - x, exact,
-    from the Decimals first in pivot and x: the one step of every Decimal
-    replay. Each text is checked against want's int (_checked_text)."""
+    from the Decimals first in pivot and x: the one step of _replay, which
+    prints every seed-table row and every triad member. Each text is checked
+    against want's int (_checked_text)."""
     u, v = _sub(_mul(h, pivot[0]), x[0]), _sub(_mul(h, pivot[1]), x[1])
     return u, v, _checked_text(want[0], u), _checked_text(want[1], v)
 
@@ -192,9 +187,12 @@ def _replay(table: HelixTable):
     """
     rows, minors = table.rows, table._multipliers()
     first, row = rows[0], rows[1]
-    # the (d, r) pairs of rows i-2 and i-1 and the primed pair of row i-1
-    before = _decimals(first.d, first.r)
-    last, primed = _decimals(row.d, row.r), _decimals(row.dp, row.rp)
+    # the (d, r) pairs of rows i-2 and i-1 and the primed pair of row i-1;
+    # each start is the reflection 1 * (p, q) - 0, checked as every step is
+    before, last, primed = (
+        _reflect(1, (Decimal(p), Decimal(q)), (0, 0), (p, q))
+        for p, q in ((first.d, first.r), (row.d, row.r), (row.dp, row.rp))
+    )
     yield first, minors[0], before[2], before[3], None, None
     # the first row that is not the recursion of the rows before it
     bad = next(iter(table._nonzero_residuals()), len(rows))

@@ -53,7 +53,8 @@ self_check_closed_form_400() {
 route_sweeps() {
   # quotient route against the ambient route; double-dual certificate against
   # the composed route; residual minor route against four products; series
-  # route against the three-term recursion
+  # route against the three-term recursion; triad's seed-table route against
+  # the mutation chain
   PYTHONPATH=src python -W error tests/route_sweeps.py
 }
 
@@ -86,16 +87,18 @@ digit_limit() {
   bytes=$(wc -c < "$RUNNER_TEMP/stdout")
   echo "$argv (limit 658): exit $code, $bytes bytes of stdout"
   if [ "$code" -ne 65 ] || [ "$bytes" -ne 0 ]; then exit 1; fi
-  # 200,000 rows would take about 20 GB: seed-table must stop growing at the
-  # first row it cannot print, inside 1 GiB of address space
+  # 200,000 rows would take about 20 GB: seed-table, and triad, which prints
+  # the rows of a seed table, must stop growing at the first row they cannot
+  # print, inside 1 GiB of address space
   (
     ulimit -v 1048576
-    argv="seed-table 0 5/2 5 --n 200000"
-    code=0
-    PYTHONPATH=src python -X int_max_str_digits=640 -m helixkit.cli $argv > "$RUNNER_TEMP/stdout" || code=$?
-    bytes=$(wc -c < "$RUNNER_TEMP/stdout")
-    echo "$argv (ulimit -v 1048576): exit $code, $bytes bytes of stdout"
-    if [ "$code" -ne 65 ] || [ "$bytes" -ne 0 ]; then exit 1; fi
+    for argv in "seed-table 0 5/2 5 --n 200000" "triad 1:0 2:5 1:5 --right --steps 200000"; do
+      code=0
+      PYTHONPATH=src python -X int_max_str_digits=640 -m helixkit.cli $argv > "$RUNNER_TEMP/stdout" || code=$?
+      bytes=$(wc -c < "$RUNNER_TEMP/stdout")
+      echo "$argv (ulimit -v 1048576): exit $code, $bytes bytes of stdout"
+      if [ "$code" -ne 65 ] || [ "$bytes" -ne 0 ]; then exit 1; fi
+    done
   )
 }
 

@@ -1,4 +1,4 @@
-"""Four long cross-checks of independent routes, run by CI and by hand:
+"""Five long cross-checks of independent routes, run by CI and by hand:
 
     PYTHONPATH=src python -W error tests/route_sweeps.py
 
@@ -24,14 +24,23 @@
    d = 3 .. 101 at order 512. The normal quotient must pass on each (A, B)
    and fail on B moved by +-1 at 10 sampled indices; the cross-check must
    pass for odd d and name the moved index.
+5. The triad route: triad's stdout, stderr and exit code, printed from the
+   seed table of the triad's slopes (or of its dual's, for --left), against
+   the chain of mutate_triad_right or mutate_triad_left steps written out by
+   str() (tests/triad_reference.py), for 2000 sampled triads in both
+   directions to step 40. Chains that turn not mutable are among them: the
+   message must name the member the mutation itself names.
 
 Each sweep prints its summary lines. The exit status is 1 if any fails.
 Tier-1 (pytest) does not collect this file: it takes about a minute.
 """
 
+import contextlib
+import io
 import random
 import sys
 
+from helixkit import cli
 from helixkit.exact import TruncatedSeries, row_space_equal
 from helixkit.helix import HelixTable, _row_minors, verify_periodicity
 from helixkit.quadratic import (
@@ -49,9 +58,10 @@ from helixkit.quadratic import (
     koszul_dual,
     normal_quotient_check,
 )
-from helixkit.sampling import random_presentation, random_seed_table
+from helixkit.sampling import random_presentation, random_seed_table, random_triad
 
 from hilbert_reference import three_term_series
+from triad_reference import reference_triad_run
 
 
 def quotient_against_ambient() -> bool:
@@ -154,9 +164,28 @@ def series_against_recursion() -> bool:
     return not bad
 
 
+def triad_against_mutation_chain() -> bool:
+    bad, stuck = [], 0
+    for s in range(2000):
+        t = random_triad(random.Random(s))
+        for direction in ("right", "left"):
+            want = reference_triad_run(t, direction, 40)
+            stuck += want[0] == 1
+            argv = ["triad", str(t.a), str(t.b), str(t.c), f"--{direction}", "--steps", "40"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if (code, out.getvalue(), err.getvalue()) != want:
+                bad.append((s, direction))
+    print(f"triad route, 2000 triads both ways to step 40 ({stuck} stuck): "
+          f"{len(bad)} mismatches {bad}")
+    return not bad
+
+
 if __name__ == "__main__":
     ok = quotient_against_ambient()
     ok = double_dual_against_composed() and ok
     ok = residual_minors_against_four_products() and ok
     ok = series_against_recursion() and ok
+    ok = triad_against_mutation_chain() and ok
     sys.exit(0 if ok else 1)

@@ -19,18 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helixkit import cli, exact, helix, quadratic
-from helixkit.bundles import (
-    ChernVector,
-    Triad,
-    euler_pairing,
-    mutate_triad_left,
-    mutate_triad_right,
-)
-from helixkit.errors import NotMutable
+from helixkit.bundles import ChernVector, Triad
 from helixkit.exact import TruncatedSeries
 from helixkit.sampling import random_right_mutable_triad, random_seed_triple
 
 from hilbert_reference import three_term_series
+from triad_reference import reference_triad_run
 
 SEED_CSV = (
     "n,d,r,dp,rp,slope\n"
@@ -474,30 +468,15 @@ def test_triad_past_the_digit_limit_prints_nothing(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def reference_triad_line(step: int, t: Triad) -> str:
-    # the hom dims from the members, not the pairings a step carried
-    vs = (t.a, t.b, t.c)
-    members = ", ".join(f"{v.rank}:{v.degree}" for v in vs)
-    hom = ",".join(str(euler_pairing(x, y)) for x, y in itertools.combinations(vs, 2))
-    slopes = ", ".join(str(fractions.Fraction(v.degree, v.rank)) for v in vs)
-    return f"step {step}: ({members}) hom=({hom}) slopes=({slopes})"
-
-
 def check_triad_prints_what_str_prints(capsys, members, direction, steps, stuck=""):
-    # the lines of the decimal replay must be those of str(), up to the step
-    # that is not mutable, if there is one, and stuck is then the stderr
-    code, out, err = run(capsys, "triad", *members, f"--{direction}", "--steps", str(steps))
+    # the lines of the seed-table route must be those of the mutation chain,
+    # up to the step that is not mutable, if there is one, and stuck is then
+    # the stderr
+    got = run(capsys, "triad", *members, f"--{direction}", "--steps", str(steps))
     t = Triad(*(ChernVector(*map(int, m.split(":"))) for m in members))
-    mutate = mutate_triad_right if direction == "right" else mutate_triad_left
-    lines = [reference_triad_line(0, t) + "\n"]
-    for step in range(1, steps + 1):
-        try:
-            t = mutate(t)
-        except NotMutable:
-            break
-        lines.append(reference_triad_line(step, t) + "\n")
-    assert (code, out, err) == (1 if stuck else 0, "".join(lines), stuck)
-    return len(lines)
+    assert got == reference_triad_run(t, direction, steps)
+    assert got[2] == stuck
+    return got[1].count("\n")
 
 
 @pytest.mark.parametrize(
@@ -526,14 +505,48 @@ def test_triad_prints_what_str_prints(capsys, members, direction):
         (("1:-2", "6:-7", "1:1"), "right", 8,
          "error at step 4: member a not mutable "
          "(right mutation of 33:95 past 9:26 has rank -6)\n"),
+        # both new members fail in the stuck step: the message names the
+        # one the mutation checks first, a on a right step and b on a left
+        (("1:-7", "1:-4", "5:-11"), "right", 5,
+         "error at step 3: member a not mutable "
+         "(right mutation of 44:-95 past 13:-28 has rank -5)\n"),
+        (("3:-8", "2:-5", "5:-9"), "left", 5,
+         "error at step 2: member b not mutable "
+         "(left mutation of 34:-95 past 1:-3 has rank -27)\n"),
     ],
-    ids=["left-361", "left-600", "left-stuck-at-4", "right-stuck-at-4"],
+    ids=["left-361", "left-600", "left-stuck-at-4", "right-stuck-at-4",
+         "right-both-stuck-at-3", "left-both-stuck-at-2"],
 )
 def test_triad_long_and_stuck_runs_print_what_str_prints(
     capsys, members, direction, steps, stuck
 ):
     lines = check_triad_prints_what_str_prints(capsys, members, direction, steps, stuck)
-    assert lines == (4 if stuck else steps + 1)
+    # a stuck run prints the steps before the one named on stderr
+    assert lines == (int(re.match(r"error at step (\d+):", stuck)[1]) if stuck else steps + 1)
+
+
+@pytest.mark.parametrize("direction", ["right", "left"])
+def test_triad_grows_one_seed_table_and_mutates_only_a_stuck_step(
+    capsys, monkeypatch, direction
+):
+    # the steps are rows of one seed table, printed from its replay; the one
+    # mutation a run makes names the member of a stuck step
+    calls = collections.Counter()
+    for name in ("_grow", "_replay", "mutate_triad_right", "mutate_triad_left"):
+        def counting(*args, _real=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    code, out, _ = run(capsys, "triad", "1:0", "2:5", "1:5", f"--{direction}",
+                       "--steps", "40")
+    assert (code, out.count("\n")) == (0, 41)
+    assert calls == {"_grow": 1, "_replay": 1}
+    calls.clear()
+    members = ("1:-7", "1:-4", "5:-11") if direction == "right" else ("3:-8", "2:-5", "5:-9")
+    code, _, err = run(capsys, "triad", *members, f"--{direction}", "--steps", "5")
+    assert (code, err.count("\n")) == (1, 1)
+    assert calls == {"_grow": 1, "_replay": 1, f"mutate_triad_{direction}": 1}
 
 
 def test_triad_bad_pair_syntax_is_64(capsys):
