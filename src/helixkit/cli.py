@@ -340,12 +340,10 @@ def _run_hilbert(args) -> int:
     model = qa.EquigenModel(args.d)
     if args.order < 3:
         raise ValueError("--order must be at least 3")
-    # the A denominator has constant term 1, so both series have den 1:
-    # their nums are the coefficients
     a = _printable_hilbert_A(model, args.order)
     b = qa.hilbert_B(a)
-    print("A: " + " ".join(map(str, a.nums)))
-    print("B: " + " ".join(map(str, b.nums)))
+    print("A: " + " ".join(map(str, a.coeffs)))
+    print("B: " + " ".join(map(str, b.coeffs)))
     failed = False
     try:
         ok, where = qa.cross_check_hilbert(model, b)
@@ -382,7 +380,7 @@ def _printable_hilbert_A(model: qa.EquigenModel, order: int):
     k = max(3, bits // model.d.bit_length() + 1) if bits else order
     while True:
         a = qa.hilbert_A(model, min(k, order))
-        _require_printable(a.nums[-1])
+        _require_printable(a.coeffs[-1])
         if k >= order:
             return a
         k *= 2

@@ -18,11 +18,12 @@ rows again (_by_lead, RationalMatrix._of). Fractions are built only when a
 matrix's entries are read. Quadratic presentations hold their relation
 blocks as such matrices from JSON parsing to JSON output, so koszul_dual,
 degree_dims and the double-dual check build no Fraction.
-A TruncatedSeries is stored the same way: int numerators over one
-denominator, in one canonical form. Products, quotients, inverses,
-truncation and equality run on those ints, and its coeffs are Fractions
-built only when read, so the Hilbert series of the hilbert command build no
-Fraction per coefficient.
+A TruncatedSeries is an integer series: its coeffs are ints, and products,
+quotients, inverses, truncation and equality run on them, so the Hilbert
+series of the hilbert command build no Fraction. It divides only by a series
+whose constant term is 1 or -1, a unit of Z[[t]], as the Hilbert series of a
+connected graded algebra is; a coefficient that is not an integer and any
+other divisor are refused with ValueError (ZeroConstantTerm for 0).
 
 A SurdValue is placed on the line by one integer floor (_floor_surd), so
 surd order, floor and decimal rounding share that one exact routine.
@@ -37,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 from ._value import Value
@@ -72,63 +73,61 @@ def _frac(x) -> Fraction:
 
 
 class TruncatedSeries(Value):
-    """A power series known exactly modulo t^(order+1).
+    """An integer power series known exactly modulo t^(order+1).
 
-    Stored as int numerators over one denominator: the series is
-    sum_i nums[i] t^i / den, in the one form with den > 0 and no factor
-    common to den and every numerator, so equal series are stored equal and
-    ==, hashing, products, quotients, inverses and truncation all run on the
-    ints. coeffs is a view that builds the Fractions c_0 .. c_N when read.
-    The order is len(nums) - 1 and is capped at 512 (far above anything the
-    verification suites require).
+    coeffs holds the ints c_0 .. c_N, so equal series are stored equal and
+    ==, hashing, products, quotients, inverses and truncation all run on
+    those ints. The order is N = len(coeffs) - 1 and is capped at 512 (far
+    above anything the verification suites require). A Hilbert series of a
+    connected graded algebra has constant term 1, a unit of Z[[t]], so a
+    divisor must have constant term 1 or -1.
     """
 
-    _fields = ("den", "nums")
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [_frac(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        _settle(self, den, [c.numerator * (den // c.denominator) for c in cs])
+        cs = []
+        for c in coeffs:
+            c = _frac(c)
+            if c.denominator != 1:
+                raise ValueError(f"series coefficient {c} is not an integer")
+            cs.append(c.numerator)
+        _store(self, cs)
 
     @classmethod
-    def _of(cls, den: int, nums: Iterable[int]) -> "TruncatedSeries":
-        """The series nums / den for ints with den != 0, in the one form."""
+    def _of(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
+        """The series of these ints, with no parsing."""
         self = object.__new__(cls)
-        _settle(self, den, nums)
+        _store(self, coeffs)
         return self
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple(Fraction(n, den) for n in self.nums)
-
-    @property
     def order(self) -> int:
-        return len(self.nums) - 1
+        return len(self.coeffs) - 1
 
     def with_order(self, order: int) -> "TruncatedSeries":
         """Pad with zeros or truncate so that the order becomes `order`."""
         if order < 0:
             raise ValueError("order must be nonnegative")
         _require_order(order)
-        if order == len(self.nums) - 1:
+        if order == len(self.coeffs) - 1:
             return self  # a series is immutable, so it is its own copy
-        nums = self.nums[: order + 1]
-        return TruncatedSeries._of(self.den, nums + (0,) * (order + 1 - len(nums)))
+        cs = self.coeffs[: order + 1]
+        return TruncatedSeries._of(cs + (0,) * (order + 1 - len(cs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated at the longer operand's order.
 
-        Each nonzero numerator c_k of the operand that has fewer of them adds
-        c_k times the other operand's numerators, cut to the n + 1 - k
-        coefficients from k on, into those coefficients, so coefficient i
-        gets exactly its terms with k <= i; the denominator is the product
-        of the two. The first such c_k writes its multiple into the zero
-        coefficients (a copy when c_k = 1), and a later c_k of 1 or -1 adds
-        or subtracts the numerators with no product.
+        Each nonzero coefficient c_k of the operand that has fewer of them
+        adds c_k times the other operand's coefficients, cut to the
+        n + 1 - k coefficients from k on, into those coefficients, so
+        coefficient i gets exactly its terms with k <= i. The first such c_k
+        writes its multiple into the zero coefficients (a copy when
+        c_k = 1), and a later c_k of 1 or -1 adds or subtracts the
+        coefficients with no product.
         """
         n = max(self.order, other.order)
-        a, b = self.nums, other.nums
+        a, b = self.coeffs, other.coeffs
         if sum(map(bool, b)) < sum(map(bool, a)):
             a, b = b, a
         b += (0,) * (n + 1 - len(b))
@@ -145,89 +144,71 @@ class TruncatedSeries(Value):
                 out[k:] = map(sub, out[k:], b)
             else:
                 out[k:] = map(add, out[k:], map(c.__mul__, b))
-        return TruncatedSeries._of(self.den * other.den, out or [0] * (n + 1))
+        return TruncatedSeries._of(out or [0] * (n + 1))
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """self / other to the longer operand's order, by an integer
-        recurrence.
+        """self / other to the longer operand's order, for a divisor whose
+        constant term c_0 is 1 or -1.
 
-        With b, c the numerators of self and other and c_0 != 0, v_n =
-        b_n c_0^n - sum_k c_k c_0^(k-1) v_(n-k) over the nonzero c_k with
-        1 <= k <= n; the n-th coefficient of b / c is v_n / c_0^(n+1), and
-        self / other is b / c times other.den / self.den. Each v_n runs over
-        the divisor's nonzero terms in order of k and stops at the first
-        k > n; the terms whose weight c_k c_0^(k-1) is -1 have a loop of
-        their own that adds v_(n-k) with no product.
+        With b, c the coefficients of self and other, c_0 is its own
+        inverse, so x_n = c_0 b_n - sum_k c_0 c_k x_(n-k) over the nonzero
+        c_k with 1 <= k <= n is the n-th coefficient of b / c. Each x_n runs
+        over the divisor's nonzero terms in order of k and stops at the
+        first k > n; the terms whose weight c_0 c_k is -1 have a loop of
+        their own that adds x_(n-k) with no product.
         """
         n = max(self.order, other.order)
-        b, c = self.nums, other.nums
+        b, c = self.coeffs, other.coeffs
         c0 = c[0]
         if c0 == 0:
             raise ZeroConstantTerm("cannot divide by a series with zero constant term")
-        terms = [(k, ck * c0 ** (k - 1)) for k, ck in enumerate(c) if k and ck]
+        if c0 not in (1, -1):
+            raise ValueError(
+                f"cannot divide by a series with constant term {c0}: only 1 and -1 are units"
+            )
+        terms = [(k, c0 * ck) for k, ck in enumerate(c) if k and ck]
         units = [k for k, w in terms if w == -1]
         terms = [(k, w) for k, w in terms if w != -1]
         b += (0,) * (n + 1 - len(b))
-        v, power = [], 1
+        if c0 == -1:
+            b = tuple(map(neg, b))
+        x = []
         for i in range(n + 1):
-            x = b[i] * power
+            xi = b[i]
             for k, w in terms:
                 if k > i:
                     break
-                x -= w * v[i - k]
+                xi -= w * x[i - k]
             if units:
                 for k in units:
                     if k > i:
                         break
-                    x += v[i - k]
-            v.append(x)
-            power *= c0
-        # v_i / c_0^(i+1) = v_i c_0^(n-i) / c_0^(n+1); power is c_0^(n+1)
-        scale = other.den
-        if c0 == 1 and scale == 1:
-            return TruncatedSeries._of(self.den, v)
-        nums = []
-        for vi in reversed(v):
-            nums.append(vi * scale)
-            scale *= c0
-        return TruncatedSeries._of(self.den * power, reversed(nums))
+                    xi += x[i - k]
+            x.append(xi)
+        return TruncatedSeries._of(x)
 
     def inverse(self) -> "TruncatedSeries":
         """1/self to the same order."""
-        return TruncatedSeries._of(1, (1,)) / self
+        return TruncatedSeries._of((1,)) / self
 
 
-def _settle(s: TruncatedSeries, den: int, nums: Iterable[int]) -> None:
-    """Set s to nums / den in the one form: den > 0, coprime to the nums."""
-    nums = tuple(nums)
-    if not nums:
+def _store(s: TruncatedSeries, coeffs: Iterable[int]) -> None:
+    """Set s's coefficients to these ints."""
+    coeffs = tuple(coeffs)
+    if not coeffs:
         raise ValueError("a series needs at least its constant coefficient")
-    _require_order(len(nums) - 1)
-    if den < 0:
-        den, nums = -den, tuple(-x for x in nums)
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            den, nums = den // g, tuple(x // g for x in nums)
-    d = s.__dict__
-    d["den"] = den
-    d["nums"] = nums
+    _require_order(len(coeffs) - 1)
+    s.__dict__["coeffs"] = coeffs
 
 
 def first_series_mismatch(s: TruncatedSeries, t: TruncatedSeries) -> int | None:
-    """Index of the first differing coefficient, or None if equal throughout.
-
-    Equal series are stored equal, so the one form (den, nums) at the
-    common order is compared first, and the coefficients are walked only
-    when it differs.
-    """
+    """Index of the first differing coefficient, or None if equal throughout,
+    the shorter series padded with zeros."""
     n = max(s.order, t.order)
-    a, b = s.with_order(n), t.with_order(n)
-    if (a.den, a.nums) == (b.den, b.nums):
+    a, b = s.with_order(n).coeffs, t.with_order(n).coeffs
+    if a == b:
         return None
-    # the forms differ, so some coefficient does
-    return next(i for i, (x, y) in enumerate(zip(a.nums, b.nums))
-                if x * b.den != y * a.den)
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
 # --------------------------------------------------------------------------

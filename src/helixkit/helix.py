@@ -306,13 +306,16 @@ def check_positivity(table: HelixTable) -> PositivityReport:
 
     Certified is reserved for the (0, d/2, d) family with odd d >= 5, where
     positivity holds for every n; any other seed gets a verdict up to the
-    table's last row or the first failure.
+    table's last row or the first failure. The verdict reads the seed and
+    the rows, not the table's d_param and degenerate_at fields: a table
+    grows until its first row with a nonpositive rank component, so only the
+    last row can fail.
     """
     last = table.rows[-1]
-    d = table.d_param
+    d = table.seed.d_param
     if d is not None and d >= 5:
         return PositivityReport("Certified", last.n)
-    if table.degenerate_at is not None:
+    if last.r <= 0 or (last.rp is not None and last.rp <= 0):
         component = "r" if last.r <= 0 else "rp"
         return PositivityReport("FailsAt", last.n, last.n, component)
     return PositivityReport("VerifiedToHorizon", last.n)
@@ -485,8 +488,9 @@ def limit_slopes(d: int) -> LimitReport:
 
 
 def verify_ratio_bound(table: HelixTable) -> bool:
-    """2 r_{n+1} >= (d-1) r_n for all n >= 1 in the table (exact integers)."""
-    d = table.d_param
+    """2 r_{n+1} >= (d-1) r_n for all n >= 1 in the table (exact integers),
+    with d read from the table's seed."""
+    d = table.seed.d_param
     if d is None or d < 5:
         raise NotEquigeneratedSeed("ratio bound applies to (0, d/2, d) seeds, d >= 5")
     rows = table.rows

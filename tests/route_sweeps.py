@@ -146,7 +146,7 @@ def series_against_recursion() -> bool:
         model = EquigenModel(d)
         got_a = hilbert_A(model, 512)
         got_b = hilbert_B(got_a)
-        ok = (got_a.den, got_a.nums, got_b.den, got_b.nums) == (1, tuple(a), 1, tuple(b))
+        ok = (got_a.coeffs, got_b.coeffs) == (tuple(a), tuple(b))
         ok = ok and normal_quotient_check(got_a, got_b)
         if d % 2:
             ok = ok and cross_check_hilbert(model, got_b) == (True, None)
@@ -154,7 +154,7 @@ def series_against_recursion() -> bool:
         for i in rng.sample(range(513), 10):
             nums = list(b)
             nums[i] += rng.choice([1, -1])
-            off = TruncatedSeries._of(1, nums)
+            off = TruncatedSeries._of(nums)
             ok = ok and not normal_quotient_check(got_a, off)
             if d % 2:
                 ok = ok and cross_check_hilbert(model, off) == (False, i)

@@ -623,7 +623,7 @@ def test_hilbert_inverts_the_A_denominator_once(capsys, monkeypatch):
     inverted = []
 
     def counting(self):
-        inverted.append(self.nums[:4])
+        inverted.append(self.coeffs[:4])
         return real(self)
 
     monkeypatch.setattr(TruncatedSeries, "inverse", counting)
@@ -712,8 +712,8 @@ def test_hilbert_cross_check_reads_no_table(capsys, monkeypatch, d):
     real = quadratic.hilbert_B
     for i in range(1, order + 1):
         def bumped(a, i=i):
-            b = real(a)
-            return TruncatedSeries._of(b.den, (*b.nums[:i], b.nums[i] + 1, *b.nums[i + 1:]))
+            cs = real(a).coeffs
+            return TruncatedSeries._of((*cs[:i], cs[i] + 1, *cs[i + 1:]))
 
         monkeypatch.setattr(quadratic, "hilbert_B", bumped)
         code, out, _ = run(capsys, "hilbert", "--d", str(d), "--order", str(order))
@@ -766,7 +766,7 @@ def test_hilbert_refuses_exactly_when_a_coefficient_would_not_print(capsys):
     try:
         for d, order in cases:
             argv = ("hilbert", "--d", str(d), "--order", str(order))
-            top = max(quadratic.hilbert_A(quadratic.EquigenModel(d), order).nums)
+            top = max(quadratic.hilbert_A(quadratic.EquigenModel(d), order).coeffs)
             sys.set_int_max_str_digits(640)
             got = run(capsys, *argv)
             if top < 10**640:
@@ -1426,7 +1426,7 @@ def test_verify_inverts_each_A_denominator_once(capsys, monkeypatch):
     inverted = []
 
     def counting(self):
-        inverted.append((self.nums[:4], self.order))
+        inverted.append((self.coeffs[:4], self.order))
         return real(self)
 
     monkeypatch.setattr(TruncatedSeries, "inverse", counting)

@@ -229,6 +229,16 @@ def test_positivity_failure():
     assert str(rep) == "FailsAt(2, r)"
 
 
+def test_positivity_reads_the_seed_and_rows_not_the_stored_fields():
+    # the rows of (0, 1/2, 1), which fail at row 2, in a table labelled
+    # d = 5 with no degenerate row; and row 0 alone, which has no primed pair
+    t = invariants_from_seed(Seed(0, F(1, 2), 1), 50)
+    relabelled = HelixTable(t.seed, 5, t.rows, None, t.minors)
+    assert str(check_positivity(relabelled)) == "FailsAt(2, r)"
+    one_row = HelixTable(t.seed, None, t.rows[:1], None, t.minors[:1])
+    assert str(check_positivity(one_row)) == "VerifiedToHorizon(0)"
+
+
 def test_positivity_random_nondegenerate_is_horizon_verdict():
     rep = check_positivity(invariants_from_seed(Seed(F(-1, 2), F(1, 3), F(7, 2)), 20))
     assert rep.kind in ("VerifiedToHorizon", "FailsAt")
@@ -668,6 +678,28 @@ def test_ratio_bound_holds():
 def test_ratio_bound_rejects_d3():
     with pytest.raises(NotEquigeneratedSeed):
         verify_ratio_bound(invariants_from_seed(seed_0_half_d(3), 10))
+
+
+def test_ratio_bound_reads_d_from_the_seed():
+    t = invariants_from_seed(seed_0_half_d(3), 10)
+    relabelled = HelixTable(t.seed, 5, t.rows, t.degenerate_at, t.minors)
+    with pytest.raises(NotEquigeneratedSeed):
+        verify_ratio_bound(relabelled)
+
+
+@pytest.mark.parametrize("d", [5, 7])
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_ratio_bound_is_met_at_the_ceiling_and_missed_below_it(d, k):
+    # r_(k+1) = ceil((d - 1) r_k / 2) meets 2 r_(k+1) >= (d - 1) r_k and
+    # r_(k+1) - 1 misses it; a lower r_(k+1) only eases the next step. Any
+    # bound above (d - 1) r_k, such as (d + 1) r_k, refuses the ceiling
+    t = invariants_from_seed(seed_0_half_d(d), 12)
+    rows = list(t.rows)
+    ceiling = -(-(d - 1) * rows[k].r // 2)
+    for r, holds in ((ceiling, True), (ceiling - 1, False)):
+        rows[k + 1] = rows[k + 1]._replace(r=r)
+        changed = HelixTable(t.seed, d, tuple(rows), None, t.minors)
+        assert verify_ratio_bound(changed) is holds
 
 
 def test_ratio_bound_rejects_general_seeds():
